@@ -8,6 +8,7 @@ utils.derive_seed, so any run (or sweep cell) reproduces byte-for-byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
-from .model import (FisherAccumulator, TaggerModel, TrainConfig, decode_tree,
-                    featurize, forward, train)
+from .model import (TaggerModel, TrainConfig, featurize, predict_featurized,
+                    train)
 from .regularizers import FreezeMask, MissingFisher, RegConfig
 from .treebank import serialize
 from .utils import derive_seed
@@ -59,6 +60,14 @@ DEFAULT_CONFIG = {
 }
 
 
+def _reject_unknown_keys(d, defaults, prefix=""):
+    for key, value in d.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {prefix + str(key)!r}")
+        if isinstance(value, dict) and isinstance(defaults[key], dict):
+            _reject_unknown_keys(value, defaults[key], f"{prefix}{key}.")
+
+
 def _deep_merge(base, override):
     out = dict(base)
     for key, value in override.items():
@@ -75,6 +84,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d, preset=None):
+        _reject_unknown_keys(d or {}, DEFAULT_CONFIG)
         merged = _deep_merge(DEFAULT_CONFIG, d or {})
         if preset is not None:
             if preset not in PRESETS:
@@ -119,7 +129,7 @@ class ExperimentConfig:
         return TrainConfig(
             lr=float(t["lr"]), batch_size=int(t["batch_size"]),
             max_epochs=int(t["max_epochs"]), eval_every=int(t["eval_every"]),
-            patience=int(t["patience"]), seed=derive_seed(self.seed, "train"),
+            patience=int(t["patience"]),
             reg=reg if reg is not None else RegConfig(),
             freeze=FreezeMask(frozenset(self.raw["freeze"])))
 
@@ -172,34 +182,25 @@ def prepare(cfg):
 
 
 def make_evaluator(test_set, k, seed, classes=None):
-    """Closure computing one evaluation record; featurization and fold
-    assignment are done once up front."""
+    """Closure computing one evaluation record. Gold paths and fold
+    assignment are computed once up front; the test set is featurized once
+    per feature_dim, on the first evaluation that needs it."""
     gold = [ex.tree for ex in test_set]
     gold_paths = [metrics.extract_paths(t) for t in gold]
     folds = metrics.fold_indices(len(gold), k, seed)
-    if classes is None:
-        classes = corpus_classes(test_set)
-    classes = sorted(classes)
+    classes = sorted(test_set.classes() if classes is None else classes)
+    feats_by_dim = {}
 
     def evaluator(model):
-        feats = [featurize(ex.query, model.feature_dim) for ex in test_set]
-        pred = []
-        for ex, f in zip(test_set, feats):
-            p_int, p_tag = forward(model, f)
-            intent = model.intents[int(p_int.argmax())]
-            tags = [model.tags[int(i)] for i in p_tag.argmax(axis=1)]
-            pred.append(decode_tree(ex.query, intent, tags))
+        if model.feature_dim not in feats_by_dim:
+            feats_by_dim[model.feature_dim] = [
+                featurize(ex.query, model.feature_dim) for ex in test_set]
+        pred = [predict_featurized(model, ex.query, f)
+                for ex, f in zip(test_set, feats_by_dim[model.feature_dim])]
         return evaluation_record(gold, pred, folds, classes,
                                  gold_paths=gold_paths)
 
     return evaluator
-
-
-def corpus_classes(examples):
-    out = set()
-    for ex in examples:
-        out |= ex.classes
-    return out
 
 
 def evaluation_record(gold, pred, folds, classes, gold_paths=None):
@@ -213,17 +214,13 @@ def evaluation_record(gold, pred, folds, classes, gold_paths=None):
 
     em_folds = metrics.UncertainScore.from_folds(
         [em_hits[idx].mean() for idx in folds])
-    global_report = metrics.report_from_counts(
-        *_path_counts(gold_paths, pred_paths, range(len(gold))))
-
-    per_class = {}
-    for cls in classes:
-        per_fold = []
-        for idx in folds:
-            nc, npred, nexp = _path_counts(gold_paths, pred_paths, idx,
-                                           cls=cls)
-            per_fold.append(metrics.report_from_counts(nc, npred, nexp).f1)
-        per_class[cls] = metrics.UncertainScore.from_folds(per_fold)
+    counts = metrics.path_counts(gold_paths, pred_paths, classes)
+    global_report = metrics.report_from_counts(*counts[:, 0].sum(axis=0))
+    fold_counts = [counts[idx].sum(axis=0) for idx in folds]
+    per_class = {
+        cls: metrics.UncertainScore.from_folds(
+            [metrics.report_from_counts(*fold[j]).f1 for fold in fold_counts])
+        for j, cls in enumerate(classes, 1)}
 
     return {
         "em": float(em_hits.mean()),
@@ -231,19 +228,6 @@ def evaluation_record(gold, pred, folds, classes, gold_paths=None):
         "tp_f1": global_report.as_dict(),
         "per_class": {cls: score.as_dict() for cls, score in per_class.items()},
     }
-
-
-def _path_counts(gold_paths, pred_paths, indices, cls=None):
-    nc = npred = nexp = 0
-    for i in indices:
-        gp, pp = gold_paths[i], pred_paths[i]
-        if cls is not None:
-            gp = {k: v for k, v in gp.items() if metrics.path_mentions(k, cls)}
-            pp = {k: v for k, v in pp.items() if metrics.path_mentions(k, cls)}
-        nexp += sum(gp.values())
-        npred += sum(pp.values())
-        nc += sum(min(v, pp[k]) for k, v in gp.items() if k in pp)
-    return nc, npred, nexp
 
 
 @dataclass
@@ -259,17 +243,7 @@ class RunReport:
     relative_steps: float = None
 
     def as_dict(self):
-        return {
-            "kind": self.kind,
-            "config_digest": self.config_digest,
-            "records": self.records,
-            "total_steps": self.total_steps,
-            "stopped_early": self.stopped_early,
-            "best_step": self.best_step,
-            "degradation": self.degradation,
-            "steps_to_parity": self.steps_to_parity,
-            "relative_steps": self.relative_steps,
-        }
+        return dataclasses.asdict(self)
 
     @property
     def final_record(self):
@@ -277,12 +251,7 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kind=d["kind"], config_digest=d["config_digest"],
-                   records=d["records"], total_steps=d["total_steps"],
-                   stopped_early=d["stopped_early"], best_step=d["best_step"],
-                   degradation=d.get("degradation"),
-                   steps_to_parity=d.get("steps_to_parity"),
-                   relative_steps=d.get("relative_steps"))
+        return cls(**d)
 
 
 def _scratch_plan_fn(train_ids, seed):
@@ -300,13 +269,12 @@ def cmd_train(cfg, bundle, on="all"):
     (d1 union d2); on="d1" gives the pre-patch model whose checkpoint carries
     the Fisher estimate. Returns (TrainResult, RunReport)."""
     if on == "all":
-        examples = list(bundle.train)
+        by_id = bundle.train.by_id
     elif on == "d1":
-        examples = list(bundle.d1)
+        by_id = bundle.d1.by_id
     else:
         raise ConfigError(f"train target must be all|d1, got {on!r}")
-    by_id = {ex.id: ex for ex in examples}
-    classes = sorted(corpus_classes(bundle.train) | corpus_classes(bundle.test))
+    classes = sorted(bundle.train.classes() | bundle.test.classes())
     intents = sorted(c for c in classes if c.startswith("IN:"))
     slots = sorted(c for c in classes if c.startswith("SL:"))
     model = TaggerModel.init(
@@ -350,14 +318,13 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
         return sampling.epoch_plan(bundle.d1, bundle.d2, sampler, epoch,
                                    replay_buffer=replay_buffer).ids
 
-    by_id = {ex.id: ex for ex in bundle.train}
-    classes = sorted(corpus_classes(bundle.train) | corpus_classes(bundle.test))
+    classes = sorted(bundle.train.classes() | bundle.test.classes())
     evaluator = make_evaluator(bundle.test, int(cfg["eval"]["k"]),
                                derive_seed(cfg.seed, "folds"), classes)
     before = evaluator(model)
 
-    result = train(model, by_id, plan_fn, cfg.train_config(reg), evaluator,
-                   theta_prev=theta_prev, fisher_prev=fisher_prev,
+    result = train(model, bundle.train.by_id, plan_fn, cfg.train_config(reg),
+                   evaluator, theta_prev=theta_prev, fisher_prev=fisher_prev,
                    fisher_acc=fisher_acc, config_digest=cfg.digest())
 
     after = result.history[-1]
@@ -381,9 +348,7 @@ def degradation_from_records(before_record, after_record):
 
 def cmd_evaluate(ckpt, test_set, k, seed=0):
     """Metrics record for a stored checkpoint on a test set."""
-    classes = sorted(corpus_classes(test_set))
-    evaluator = make_evaluator(test_set, k, seed, classes)
-    return evaluator(ckpt.model())
+    return make_evaluator(test_set, k, seed)(ckpt.model())
 
 
 def parity_step(finetune_report, scratch_report, target_class, require="both"):

@@ -120,23 +120,40 @@ def extract_paths(tree):
     return paths
 
 
-def _micro_counts(gold, pred, keep=None):
-    if len(gold) != len(pred):
-        raise LengthMismatch(len(gold), len(pred))
-    n_correct = n_predicted = n_expected = 0
-    for g, p in zip(gold, pred):
-        gp = extract_paths(g)
-        pp = extract_paths(p)
-        if keep is not None:
-            gp = Counter({k: v for k, v in gp.items() if keep(k)})
-            pp = Counter({k: v for k, v in pp.items() if keep(k)})
-        n_expected += sum(gp.values())
-        n_predicted += sum(pp.values())
-        n_correct += sum((gp & pp).values())
-    return n_correct, n_predicted, n_expected
+def path_counts(gold_paths, pred_paths, classes=()):
+    """Integer (n_correct, n_predicted, n_expected) per example, for all paths
+    and for the paths mentioning each class.
+
+    `gold_paths`/`pred_paths` are aligned lists of path multisets (as from
+    extract_paths). Returns an int64 array of shape
+    (n_examples, 1 + len(classes), 3): column 0 counts every path, column
+    1 + j the paths for which path_mentions(path, classes[j]) holds. Totals
+    over folds or the whole set are sums over rows.
+    """
+    if len(gold_paths) != len(pred_paths):
+        raise LengthMismatch(len(gold_paths), len(pred_paths))
+    path_ids = {}  # distinct path -> row of `mentions`
+    entries = []  # (example, path id, count column, count)
+    for i, (gold, pred) in enumerate(zip(gold_paths, pred_paths)):
+        for path, n in gold.items():
+            pid = path_ids.setdefault(path, len(path_ids))
+            entries.append((i, pid, 2, n))
+            if path in pred:
+                entries.append((i, pid, 0, min(n, pred[path])))
+        for path, n in pred.items():
+            entries.append((i, path_ids.setdefault(path, len(path_ids)), 1, n))
+    mentions = np.array(
+        [[True] + [path_mentions(path, cls) for cls in classes] for path in path_ids],
+        dtype=np.int64).reshape(len(path_ids), 1 + len(classes))
+    example, pid, column, n = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    counts = np.zeros((len(gold_paths), 3, 1 + len(classes)), dtype=np.int64)
+    np.add.at(counts, (example, column), mentions[pid] * n[:, None])
+    return counts.transpose(0, 2, 1)
 
 
 def report_from_counts(n_correct, n_predicted, n_expected):
+    """TpF1Report from path counts; numpy integers become Python ints."""
+    n_correct, n_predicted, n_expected = map(int, (n_correct, n_predicted, n_expected))
     p = n_correct / n_predicted if n_predicted else 0.0
     r = n_correct / n_expected if n_expected else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
@@ -146,21 +163,28 @@ def report_from_counts(n_correct, n_predicted, n_expected):
 
 def tp_f1(gold, pred):
     """Micro-averaged tree-path F1 over aligned gold/pred tree lists."""
-    return report_from_counts(*_micro_counts(gold, pred))
+    return report_from_counts(*_total_counts(gold, pred)[0])
+
+
+def _total_counts(gold, pred, classes=()):
+    """path_counts of two tree lists, summed over the examples."""
+    return path_counts([extract_paths(t) for t in gold],
+                       [extract_paths(t) for t in pred], classes).sum(axis=0)
 
 
 def path_mentions(path, cls):
-    """True if `cls` occurs in the path labels or inside its value string.
+    """True if `cls` is one of the path labels or a substring of its value.
 
     Compositional containment: a slot value like `[IN:GET_EVENT [SL:X ... ] ]`
-    mentions both nested labels.
+    mentions both nested labels. The value test is a plain substring test,
+    so a value holding `[SL:DATE_EVENT` also mentions `SL:DATE`.
     """
     return cls in path.labels or cls in path.value
 
 
 def per_class_tp_f1(gold, pred, cls):
     """tp_f1 restricted to paths mentioning `cls`; unknown classes give zeros."""
-    return report_from_counts(*_micro_counts(gold, pred, keep=lambda p: path_mentions(p, cls)))
+    return report_from_counts(*_total_counts(gold, pred, (cls,))[1])
 
 
 def exact_match(gold, pred):

@@ -14,11 +14,13 @@ import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .regularizers import (FisherAccumulator, FreezeMask, ParamLayout,
                            ParamVector, RegConfig, apply_freeze, penalty)
+from .sampling import batches
 from .treebank import Node, ParseTree
 
 
@@ -67,6 +69,11 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def tag_vocab(slots):
+    """BIO tag vocabulary: O, then B-/I- for each slot in order."""
+    return ("O",) + tuple(f"{bio}-{slot}" for slot in slots for bio in "BI")
+
+
 def make_layout(feature_dim, hidden_dim, n_intents, n_tags):
     width = hidden_dim if hidden_dim > 0 else feature_dim
     enc = hidden_dim * feature_dim + hidden_dim  # zero when linear
@@ -93,13 +100,9 @@ class TaggerModel:
         if self.theta.layout.groups != self.layout.groups:
             raise DimMismatch("theta layout does not match vocab/dims")
 
-    @property
+    @cached_property
     def tags(self):
-        out = ["O"]
-        for slot in self.slots:
-            out.append("B-" + slot)
-            out.append("I-" + slot)
-        return tuple(out)
+        return tag_vocab(self.slots)
 
     @property
     def layout(self):
@@ -288,12 +291,16 @@ def decode_tree(query, intent, tags):
     return ParseTree(Node(intent, tuple(children)))
 
 
-def predict(model, query):
-    feats = featurize(query, model.feature_dim)
+def predict_featurized(model, query, feats):
+    """Most likely tree for `query`, given its features from featurize."""
     p_int, p_tag = forward(model, feats)
     intent = model.intents[int(p_int.argmax())]
     tags = [model.tags[int(i)] for i in p_tag.argmax(axis=1)]
     return decode_tree(query, intent, tags)
+
+
+def predict(model, query):
+    return predict_featurized(model, query, featurize(query, model.feature_dim))
 
 
 def predict_trees(model, examples):
@@ -318,10 +325,14 @@ class Checkpoint:
         m.theta.values[:] = self.theta_values
         return m
 
+    @property
+    def layout(self):
+        return make_layout(self.feature_dim, self.hidden_dim,
+                           len(self.intents), len(tag_vocab(self.slots)))
+
     def fisher_accumulator(self):
-        layout = make_layout(self.feature_dim, self.hidden_dim,
-                             len(self.intents), 1 + 2 * len(self.slots))
-        return FisherAccumulator(layout, self.fisher_sum_sq.copy(), self.fisher_steps)
+        return FisherAccumulator(self.layout, self.fisher_sum_sq.copy(),
+                                 self.fisher_steps)
 
     def fisher(self):
         return self.fisher_accumulator().fisher()
@@ -371,7 +382,7 @@ def load_checkpoint(path):
     theta = np.frombuffer(body[: 8 * n_theta], dtype=np.float64).copy()
     fisher = np.frombuffer(body[8 * n_theta: 8 * (n_theta + n_fisher)],
                            dtype=np.float64).copy()
-    return Checkpoint(
+    ckpt = Checkpoint(
         intents=tuple(meta["intents"]),
         slots=tuple(meta["slots"]),
         feature_dim=int(meta["feature_dim"]),
@@ -383,6 +394,11 @@ def load_checkpoint(path):
         config_digest=meta["config_digest"],
         history=tuple(meta["history"]),
     )
+    size = ckpt.layout.size
+    if n_theta != size or n_fisher != size:
+        raise DimMismatch(f"{path}: n_theta {n_theta} and n_fisher {n_fisher} "
+                          f"do not match the header's layout size {size}")
+    return ckpt
 
 
 @dataclass(frozen=True)
@@ -392,7 +408,6 @@ class TrainConfig:
     max_epochs: int = 20
     eval_every: int = 200
     patience: int = 10
-    seed: int = 0
     reg: RegConfig = field(default_factory=RegConfig)
     freeze: FreezeMask = field(default_factory=FreezeMask)
 
@@ -457,7 +472,7 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
 
     for epoch in range(cfg.max_epochs):
         plan = plan_fn(epoch)
-        for batch_ids in _chunks(plan, cfg.batch_size):
+        for batch_ids in batches(plan, cfg.batch_size):
             batch = [encoded[eid] for eid in batch_ids]
             _, grad, data_grad = loss_and_grad(
                 model, batch, cfg.reg, theta_prev,
@@ -480,8 +495,3 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
         best_ckpt = final
     return TrainResult(best=best_ckpt, final=final, history=history,
                        total_steps=step, stopped_early=stopped)
-
-
-def _chunks(ids, size):
-    ids = list(ids)
-    return [ids[i:i + size] for i in range(0, len(ids), size)]

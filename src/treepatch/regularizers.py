@@ -159,14 +159,6 @@ class FisherAccumulator:
             return np.zeros_like(self.sum_sq)
         return self.sum_sq / self.steps
 
-    def copy(self):
-        return FisherAccumulator(self.layout, self.sum_sq.copy(), self.steps)
-
-
-def fisher_update(acc, grad):
-    """Functional form of FisherAccumulator.update (returns a new accumulator)."""
-    return acc.copy().update(grad)
-
 
 @dataclass(frozen=True)
 class FreezeMask:

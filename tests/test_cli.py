@@ -105,3 +105,11 @@ def test_error_is_json_on_stderr(workdir, capsys):
                 "--prev", workdir / "nope.ckpt"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "message" in err
+
+
+def test_unknown_set_key_rejected(workdir, capsys):
+    assert run(["split", "--config", workdir / "config.json",
+                "--set", "train.lrr=0.1", "--out-dir", workdir]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "train.lrr" in err["message"]

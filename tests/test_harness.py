@@ -6,7 +6,7 @@ import pytest
 from treepatch import harness
 from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
                                cmd_compare, parity_step)
-from treepatch.model import load_checkpoint
+from treepatch.model import load_checkpoint, predict_trees
 from treepatch.regularizers import MissingFisher
 
 SMALL = {
@@ -53,6 +53,14 @@ class TestConfig:
     def test_bad_reg_rejected_eagerly(self):
         with pytest.raises(Exception):
             ExperimentConfig.from_dict({"reg": {"kind": "bogus"}})
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"trian": {"lr": 0.1}}, "trian"),
+        ({"train": {"lrr": 0.1}}, "train.lrr"),
+    ])
+    def test_unknown_key_rejected(self, raw, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(raw)
 
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig.from_dict(SMALL)
@@ -107,6 +115,23 @@ class TestFinetune:
         assert record["em"] == 1.0
         assert record["tp_f1"]["f1"] == 1.0
         assert record["per_class"]["SL:DATE"]["mean"] == 1.0
+
+
+def test_evaluator_featurizes_once_and_matches_predict_trees(
+        bundle, scratch, monkeypatch):
+    calls = []
+    featurize = harness.featurize
+    monkeypatch.setattr(harness, "featurize",
+                        lambda query, dim: calls.append(query) or featurize(query, dim))
+    net = scratch[0].best.model()
+    evaluator = harness.make_evaluator(bundle.test, 5, 0)
+    first, second = evaluator(net), evaluator(net)
+    assert len(calls) == len(bundle.test)
+    folds = harness.metrics.fold_indices(len(bundle.test), 5, 0)
+    expected = harness.evaluation_record(
+        [ex.tree for ex in bundle.test], predict_trees(net, bundle.test),
+        folds, sorted(bundle.test.classes()))
+    assert first == second == expected
 
 
 def _record(step, em, em_std, target_mean, target_std):

@@ -2,13 +2,16 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepatch import metrics
 from treepatch.metrics import (DegradationReport, LengthMismatch,
                                TooFewExamples, TreePath, UncertainScore,
                                degraded_classes, exact_match, extract_paths,
-                               fold_scores, per_class_tp_f1, tp_f1)
-from treepatch.treebank import parse_top
+                               fold_scores, path_counts, path_mentions,
+                               per_class_tp_f1, report_from_counts, tp_f1)
+from treepatch.treebank import Node, ParseTree, parse_top
 
 FIG1_GOLD = parse_top(
     "[IN:GET_DEPARTURE when should i leave for my "
@@ -124,6 +127,78 @@ class TestPerClassTpF1:
             assert c.n_correct <= g.n_correct
             assert c.n_predicted <= g.n_predicted
             assert c.n_expected <= g.n_expected
+
+
+def micro_counts(gold, pred, keep=None):
+    """Reference oracle: Counter-intersection path counts over tree lists,
+    restricted to the paths `keep` accepts."""
+    n_correct = n_predicted = n_expected = 0
+    for g, p in zip(gold, pred):
+        gp = extract_paths(g)
+        pp = extract_paths(p)
+        if keep is not None:
+            gp = Counter({k: v for k, v in gp.items() if keep(k)})
+            pp = Counter({k: v for k, v in pp.items() if keep(k)})
+        n_expected += sum(gp.values())
+        n_predicted += sum(pp.values())
+        n_correct += sum((gp & pp).values())
+    return n_correct, n_predicted, n_expected
+
+
+# few labels and tokens, so that gold and predicted paths often coincide;
+# SL:DATE / SL:DATE_EVENT exercise the substring rule of path_mentions
+INTENT_LABELS = ("IN:A", "IN:GET_EVENT")
+SLOT_LABELS = ("SL:DATE", "SL:DATE_EVENT", "SL:X")
+CLASSES = INTENT_LABELS + SLOT_LABELS + ("SL:NOWHERE",)
+TOKENS = st.sampled_from(("a", "b", "c"))
+
+
+def intent_nodes(depth):
+    child = TOKENS if depth == 0 else st.one_of(TOKENS, slot_nodes(depth - 1))
+    return st.builds(Node, st.sampled_from(INTENT_LABELS),
+                     st.lists(child, min_size=1, max_size=3).map(tuple))
+
+
+def slot_nodes(depth):
+    child = TOKENS if depth == 0 else st.one_of(TOKENS, intent_nodes(depth))
+    return st.builds(Node, st.sampled_from(SLOT_LABELS),
+                     st.lists(child, min_size=1, max_size=3).map(tuple))
+
+
+TREES = st.builds(ParseTree, intent_nodes(2))
+PAIRS = TREES.flatmap(lambda g: st.tuples(st.just(g), st.one_of(st.just(g), TREES)))
+
+
+class TestPathCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(PAIRS, min_size=1, max_size=6))
+    def test_matches_counter_oracle(self, pairs):
+        gold = [g for g, _ in pairs]
+        pred = [p for _, p in pairs]
+        counts = path_counts([extract_paths(t) for t in gold],
+                             [extract_paths(t) for t in pred], CLASSES)
+        assert counts.shape == (len(pairs), 1 + len(CLASSES), 3)
+        for i, (g, p) in enumerate(pairs):
+            assert tuple(counts[i, 0]) == micro_counts([g], [p])
+            for j, cls in enumerate(CLASSES, 1):
+                assert tuple(counts[i, j]) == micro_counts(
+                    [g], [p], lambda path: path_mentions(path, cls))
+        assert tp_f1(gold, pred) == report_from_counts(*micro_counts(gold, pred))
+        for cls in CLASSES:
+            oracle = micro_counts(gold, pred, lambda path: path_mentions(path, cls))
+            assert per_class_tp_f1(gold, pred, cls) == report_from_counts(*oracle)
+
+    def test_counts_are_python_ints_in_reports(self):
+        report = tp_f1([FIG1_GOLD], [FIG1_PRED])
+        assert type(report.n_correct) is int and type(report.n_expected) is int
+
+
+@pytest.mark.xfail(strict=True, reason="path_mentions tests the slot value by "
+                   "substring, so SL:DATE matches inside [SL:DATE_EVENT")
+def test_nested_label_prefix_is_not_a_mention():
+    tree = parse_top("[IN:GET_DEPARTURE [SL:DESTINATION "
+                     "[IN:GET_EVENT [SL:DATE_EVENT tomorrow ] ] ] ]")
+    assert per_class_tp_f1([tree], [tree], "SL:DATE").n_expected == 0
 
 
 class TestExactMatch:

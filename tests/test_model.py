@@ -1,14 +1,17 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from treepatch import model as m
 from treepatch.dataset import Dataset, Example
 from treepatch.metrics import exact_match
-from treepatch.model import (ChecksumError, EmptyQuery, TaggerModel,
-                             TrainConfig, decode_tree, encode_targets,
-                             featurize, forward, load_checkpoint,
-                             loss_and_grad, predict, predict_trees,
-                             save_checkpoint, train)
+from treepatch.model import (ChecksumError, DimMismatch, EmptyQuery,
+                             TaggerModel, TrainConfig, decode_tree,
+                             encode_targets, featurize, forward,
+                             load_checkpoint, loss_and_grad, predict,
+                             predict_trees, save_checkpoint, train)
 from treepatch.regularizers import FisherAccumulator, FreezeMask, RegConfig
 from treepatch.treebank import parse_top, serialize, token_leaves
 
@@ -272,6 +275,22 @@ class TestCheckpoint:
         with pytest.raises(ChecksumError):
             load_checkpoint(tmp_path / "junk")
 
+    def test_header_layout_mismatch_names_both_sizes(self, tmp_path):
+        result, _ = self._trained()
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(result.best, path)
+        payload = path.read_bytes()[len(m._MAGIC) + 32:]
+        header_len = int.from_bytes(payload[:8], "big")
+        meta = json.loads(payload[8:8 + header_len])
+        meta["slots"] = meta["slots"][:1]  # one slot fewer: two tag rows fewer
+        header = json.dumps(meta, sort_keys=True).encode("utf-8")
+        payload = len(header).to_bytes(8, "big") + header + payload[8 + header_len:]
+        path.write_bytes(m._MAGIC + hashlib.sha256(payload).digest() + payload)
+        n_theta = result.best.theta_values.size
+        size = m.make_layout(256, 0, len(INTENTS), 3).size
+        with pytest.raises(DimMismatch, match=f"n_theta {n_theta} .* size {size}"):
+            load_checkpoint(path)
+
     def test_loaded_model_reproduces_metrics(self, tmp_path):
         result, corpus = self._trained()
         path = tmp_path / "d.ckpt"
@@ -281,6 +300,12 @@ class TestCheckpoint:
         best_record = [r for r in result.history
                        if r["step"] == result.best.step]
         assert best_record and best_record[-1]["em"] == em
+
+
+def test_tag_vocabulary_built_once():
+    net = tiny_model(0)
+    assert net.tags == ("O", "B-SL:X", "I-SL:X", "B-SL:Y", "I-SL:Y")
+    assert net.tags is net.tags
 
 
 def test_predict_emits_valid_trees():

@@ -4,7 +4,7 @@ import pytest
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
                                     LayoutMismatch, MissingFisher,
                                     ParamLayout, ParamVector, RegConfig,
-                                    apply_freeze, fisher_update, penalty)
+                                    apply_freeze, penalty)
 
 LAYOUT = ParamLayout((("encoder", 3), ("intent_head", 2), ("tag_head", 4)))
 
@@ -148,11 +148,6 @@ class TestFisher:
 
     def test_no_steps_gives_zero(self):
         np.testing.assert_array_equal(FisherAccumulator(LAYOUT).fisher(), 0.0)
-
-    def test_functional_update_leaves_original(self):
-        acc = FisherAccumulator(LAYOUT)
-        out = fisher_update(acc, np.ones(9))
-        assert acc.steps == 0 and out.steps == 1
 
     def test_streaming_matches_batch(self):
         rng = np.random.default_rng(3)
