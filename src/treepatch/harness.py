@@ -17,8 +17,8 @@ import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
-from .model import (TaggerModel, TrainConfig, featurize, predict_featurized,
-                    train)
+from .model import (TaggerModel, TrainConfig, UnknownLabel, encode, featurize,
+                    predict_encoded, train)
 from .regularizers import FreezeMask, MissingFisher, RegConfig
 from .treebank import serialize
 from .utils import derive_seed
@@ -90,6 +90,9 @@ class ExperimentConfig:
             if preset not in PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
             merged = _deep_merge(merged, PRESETS[preset])
+        k = merged["eval"]["k"]
+        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+            raise ConfigError(f"eval.k must be an integer >= 2, got {k!r}")
         cfg = cls(raw=merged)
         cfg.reg_config()  # validate eagerly
         cfg.sampler_config()
@@ -183,20 +186,21 @@ def prepare(cfg):
 
 def make_evaluator(test_set, k, seed, classes=None):
     """Closure computing one evaluation record. Gold paths and fold
-    assignment are computed once up front; the test set is featurized once
-    per feature_dim, on the first evaluation that needs it."""
+    assignment are computed once up front; the test set is featurized and
+    encoded once per feature_dim, on the first evaluation that needs it, and
+    each evaluation predicts it with batched forwards."""
     gold = [ex.tree for ex in test_set]
     gold_paths = [metrics.extract_paths(t) for t in gold]
     folds = metrics.fold_indices(len(gold), k, seed)
     classes = sorted(test_set.classes() if classes is None else classes)
-    feats_by_dim = {}
+    queries = [ex.query for ex in test_set]
+    encoded_by_dim = {}
 
     def evaluator(model):
-        if model.feature_dim not in feats_by_dim:
-            feats_by_dim[model.feature_dim] = [
-                featurize(ex.query, model.feature_dim) for ex in test_set]
-        pred = [predict_featurized(model, ex.query, f)
-                for ex, f in zip(test_set, feats_by_dim[model.feature_dim])]
+        dim = model.feature_dim
+        if dim not in encoded_by_dim:
+            encoded_by_dim[dim] = encode([featurize(q, dim) for q in queries], dim)
+        pred = predict_encoded(model, queries, encoded_by_dim[dim])
         return evaluation_record(gold, pred, folds, classes,
                                  gold_paths=gold_paths)
 
@@ -305,6 +309,13 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
     reg = cfg.reg_config()
     if reg.kind == "ewc" and prev_ckpt.fisher_steps == 0:
         raise MissingFisher("checkpoint carries no Fisher information")
+    # training encodes an example only when a plan draws it, so check every
+    # label up front rather than whenever a later epoch reaches it
+    unknown = sorted((bundle.d1.classes() | bundle.d2.classes())
+                     - set(prev_ckpt.intents) - set(prev_ckpt.slots))
+    if unknown:
+        raise UnknownLabel("labels missing from the previous checkpoint: "
+                           + ", ".join(unknown))
     model = prev_ckpt.model()
     theta_prev = prev_ckpt.model().theta
     fisher_prev = prev_ckpt.fisher()

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .regularizers import (FisherAccumulator, FreezeMask, ParamLayout,
-                           ParamVector, RegConfig, apply_freeze, penalty)
+                           ParamVector, RegConfig, SparseGrad, apply_freeze,
+                           penalty)
 from .sampling import batches
 from .treebank import Node, ParseTree
 
@@ -145,37 +146,144 @@ class TaggerModel:
         return replace(self, theta=self.theta.copy())
 
 
-def _encode(model, feats, v):
-    """Per-token representations h_t, pre-activations a_t (hidden only)."""
-    if model.hidden_dim == 0:
-        return None, feats
-    a = np.stack([v["W_enc"][:, idx].sum(axis=1) + v["b_enc"] for idx in feats])
-    return a, np.tanh(a)
+MAX_FEATS = 4  # featurize emits at most four hashed features per token
 
 
-def _head_logits(feats, h, v, model):
-    if model.hidden_dim == 0:
-        tag_logits = np.stack([v["W_tag"][:, idx].sum(axis=1) + v["b_tag"]
-                               for idx in feats])
-        int_logits = (np.stack([v["W_int"][:, idx].sum(axis=1) for idx in feats])
-                      .mean(axis=0) + v["b_int"])
-    else:
-        tag_logits = h @ v["W_tag"].T + v["b_tag"]
-        int_logits = v["W_int"] @ h.mean(axis=0) + v["b_int"]
-    return int_logits, tag_logits
+@dataclass(frozen=True)
+class Encoded:
+    """Queries as flat arrays, the input of the batched kernel.
+
+    feats: (tokens, MAX_FEATS) hashed feature ids of each token, unused
+    slots -1; offsets: (examples + 1,) where each example's tokens start and
+    end. intents (examples,) and tags (tokens,) are target ids, None when
+    the queries are only to be predicted.
+    """
+
+    feats: np.ndarray
+    offsets: np.ndarray
+    intents: np.ndarray = None
+    tags: np.ndarray = None
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    @cached_property
+    def lengths(self):
+        return np.diff(self.offsets)
+
+    @cached_property
+    def positions(self):
+        """(examples, longest length) token index of each example's t-th
+        token; len(feats), one past the last token, where it has none."""
+        t = np.arange(self.lengths.max())
+        return np.where(t < self.lengths[:, None], self.offsets[:-1, None] + t,
+                        len(self.feats))
+
+    def take(self, rows):
+        """The examples at `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self.lengths[rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        tokens = (np.repeat(self.offsets[rows] - offsets[:-1], lengths)
+                  + np.arange(offsets[-1]))
+        if self.intents is None:
+            return Encoded(self.feats[tokens], offsets)
+        return Encoded(self.feats[tokens], offsets, self.intents[rows],
+                       self.tags[tokens])
+
+    @classmethod
+    def concat(cls, parts):
+        lengths = np.concatenate([p.lengths for p in parts])
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(np.concatenate([p.feats for p in parts]), offsets,
+                   np.concatenate([p.intents for p in parts]),
+                   np.concatenate([p.tags for p in parts]))
 
 
-def forward(model, feats):
-    """(intent distribution, per-token tag distributions) for one example."""
-    if not len(feats):
+def encode(feats_per_query, feature_dim, targets=None):
+    """Encoded batch from featurize outputs and, for training, one
+    (intent id, tag ids) pair per query (from encode_targets)."""
+    if any(not len(feats) for feats in feats_per_query):
         raise EmptyQuery("no token features")
-    for idx in feats:
-        if len(idx) and (idx.min() < 0 or idx.max() >= model.feature_dim):
-            raise DimMismatch("feature index out of range")
-    v = model._views()
-    _, h = _encode(model, feats, v)
-    int_logits, tag_logits = _head_logits(feats, h, v, model)
-    return _softmax(int_logits), _softmax(tag_logits)
+    token_feats = [idx for feats in feats_per_query for idx in feats]
+    n_feats = np.array([len(idx) for idx in token_feats], dtype=np.int64)
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *token_feats])
+    if (n_feats > MAX_FEATS).any() or (
+            flat.size and (flat.min() < 0 or flat.max() >= feature_dim)):
+        raise DimMismatch("feature index out of range")
+    feats = np.full((len(token_feats), MAX_FEATS), -1, dtype=np.int64)
+    feats[np.arange(MAX_FEATS) < n_feats[:, None]] = flat
+    offsets = np.zeros(len(feats_per_query) + 1, dtype=np.int64)
+    np.cumsum([len(q) for q in feats_per_query], out=offsets[1:])
+    if targets is None:
+        return Encoded(feats, offsets)
+    if any(len(tags) != len(q) for q, (_, tags) in zip(feats_per_query, targets)):
+        raise DimMismatch("tag targets do not align with tokens")
+    tags = [np.asarray(tags, dtype=np.int64) for _, tags in targets]
+    return Encoded(feats, offsets,
+                   np.array([intent for intent, _ in targets], dtype=np.int64),
+                   np.concatenate([np.empty(0, dtype=np.int64), *tags]))
+
+
+def _column_sums(W, feats):
+    """(tokens, rows of W): per token, the columns of W at its feature ids,
+    added slot by slot in order, as W[:, idx].sum(axis=1) adds them."""
+    out = np.zeros((len(feats), W.shape[0]))
+    for j in range(MAX_FEATS):
+        live = feats[:, j] >= 0
+        if live.all():
+            out += W.T[feats[:, j]]
+        else:
+            out[live] += W.T[feats[live, j]]
+    return out
+
+
+def _ordered_sums(blocks):
+    """Sum over axis 1 of (n, length, width) blocks, one position after the
+    other: the order in which np.stack(rows).sum(axis=0) adds rows.
+    np.add.reduceat would sum each segment pairwise, which differs in the
+    last bits."""
+    out = blocks[:, 0].copy()
+    for t in range(1, blocks.shape[1]):
+        out += blocks[:, t]
+    return out
+
+
+def _segment_sums(X, batch):
+    """(examples, width): per example, the sum of its tokens' rows of X."""
+    padded = np.concatenate([X, np.zeros((1, X.shape[1]))])
+    return _ordered_sums(padded[batch.positions])
+
+
+def _total(X, batch):
+    """Sum of X's token rows: per example, then over examples, in the order
+    the per-example loop added them."""
+    return _ordered_sums(_segment_sums(X, batch)[None])[0]
+
+
+def _forward(model, v, batch):
+    """(intent distributions per example, tag distributions per token,
+    token representations h, or None for the linear model)."""
+    T = batch.lengths[:, None]
+    if model.hidden_dim == 0:
+        h = None
+        int_logits = (_segment_sums(_column_sums(v["W_int"], batch.feats), batch)
+                      / T + v["b_int"])
+        tag_logits = _column_sums(v["W_tag"], batch.feats) + v["b_tag"]
+    else:
+        h = np.tanh(_column_sums(v["W_enc"], batch.feats) + v["b_enc"])
+        int_logits = (_segment_sums(h, batch) / T) @ v["W_int"].T + v["b_int"]
+        tag_logits = h @ v["W_tag"].T + v["b_tag"]
+    return _softmax(int_logits), _softmax(tag_logits), h
+
+
+def forward(model, batch):
+    """(intent distributions (examples, intents), tag distributions
+    (tokens, tags)) for an Encoded batch."""
+    p_int, p_tag, _ = _forward(model, model._views(), batch)
+    return p_int, p_tag
 
 
 def encode_targets(model, example):
@@ -206,59 +314,97 @@ def _count_leaves(node):
     return n
 
 
+def _column_index(start, n_rows, row_width, cols):
+    """Flat positions of columns `cols` of an (n_rows, row_width) matrix
+    stored row-major from `start`, row by row."""
+    return (start + np.arange(n_rows)[:, None] * row_width + cols).ravel()
+
+
+def _data_loss_and_grad(model, batch):
+    """Mean cross-entropy and its gradient as a SparseGrad over the
+    coordinates the batch touches."""
+    B = len(batch)
+    if batch.intents is None:
+        raise ModelError("batch has no targets")
+    v = model._views()
+    p_int, p_tag, h = _forward(model, v, batch)
+    T, offsets = batch.lengths, batch.offsets
+    example_of_token = np.repeat(np.arange(B), T)
+    token_denom = np.repeat(T, T) * B
+    tokens = np.arange(len(batch.feats))
+
+    log_int = np.log(np.maximum(p_int[np.arange(B), batch.intents], 1e-300))
+    log_tag = np.log(np.maximum(p_tag[tokens, batch.tags], 1e-300))
+    loss = 0.0
+    for b in range(B):
+        loss -= log_int[b] / B
+        loss -= log_tag[offsets[b]:offsets[b + 1]].sum() / (T[b] * B)
+
+    g_int = p_int / B
+    g_int[np.arange(B), batch.intents] -= 1.0 / B
+    g_tag = p_tag / token_denom[:, None]
+    g_tag[tokens, batch.tags] -= 1.0 / token_denom
+    b_int = _ordered_sums(g_int[None])[0]
+    b_tag = _total(g_tag, batch)
+
+    # gradient rows per token for the feature columns: [W_int; W_tag] in
+    # the linear model, W_enc otherwise
+    if model.hidden_dim == 0:
+        token_grad = np.concatenate(
+            [(g_int / T[:, None])[example_of_token], g_tag], axis=1)
+    else:
+        h_pool = _segment_sums(h, batch) / T[:, None]
+        dh = (g_tag @ v["W_tag"]
+              + ((g_int @ v["W_int"]) / T[:, None])[example_of_token])
+        token_grad = dh * (1.0 - h * h)
+    # per coordinate, add the entries in (example, token, slot) order, the
+    # order of the per-example loop this replaces: bincount adds in input
+    # order. block is (width of token_grad, touched columns).
+    token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
+    cols, col_of_entry = np.unique(batch.feats[token_of_entry, slot_of_entry],
+                                   return_inverse=True)
+    width = token_grad.shape[1]
+    block = np.bincount(
+        (np.arange(width) * len(cols) + col_of_entry[:, None]).ravel(),
+        weights=token_grad[token_of_entry].ravel(),
+        minlength=width * len(cols)).reshape(width, len(cols))
+
+    layout = model.layout
+    ih, th = layout.slice_of("intent_head"), layout.slice_of("tag_head")
+    n_int, n_tag, w = len(model.intents), len(model.tags), model.width
+    if model.hidden_dim == 0:
+        index = [_column_index(ih.start, n_int, w, cols),
+                 np.arange(ih.start + n_int * w, ih.stop),
+                 _column_index(th.start, n_tag, w, cols),
+                 np.arange(th.start + n_tag * w, th.stop)]
+        data = [block[:n_int].ravel(), b_int, block[n_int:].ravel(), b_tag]
+    else:
+        enc, H = layout.slice_of("encoder"), model.hidden_dim
+        index = [_column_index(enc.start, H, model.feature_dim, cols),
+                 np.arange(enc.start + H * model.feature_dim, enc.stop),
+                 np.arange(ih.start, th.stop)]
+        data = [block.ravel(), _total(token_grad, batch),
+                (g_int.T @ h_pool).ravel(), b_int, (g_tag.T @ h).ravel(), b_tag]
+    return loss, SparseGrad(layout, np.concatenate(index), np.concatenate(data))
+
+
 def loss_and_grad(model, batch, reg=None, theta_prev=None, fisher=None):
     """Mean cross-entropy (intent + per-token tags) plus anchoring penalty.
 
-    batch: list of (feats, intent_id, tag_ids). Returns
-    (loss, total gradient, data-only gradient); the data gradient is what a
-    Fisher accumulator should consume.
+    batch: an Encoded with targets. Returns (loss, total gradient, data-only
+    gradient); the data gradient is what a Fisher accumulator should
+    consume. It is a SparseGrad over the coordinates the batch touches.
+    Without a penalty the total gradient is that same object; with one it
+    is a dense ParamVector, the penalty gradient plus the data gradient.
     """
-    if not batch:
+    if not len(batch):
         raise ModelError("empty batch")
-    v = model._views()
-    grad = ParamVector.zeros(model.layout)
-    gv = model._views(grad)
-    loss = 0.0
-    B = len(batch)
-    for feats, intent_id, tag_ids in batch:
-        T = len(feats)
-        if len(tag_ids) != T:
-            raise DimMismatch("tag targets do not align with tokens")
-        a, h = _encode(model, feats, v)
-        int_logits, tag_logits = _head_logits(feats, h, v, model)
-        p_int = _softmax(int_logits)
-        p_tag = _softmax(tag_logits)
-        loss -= np.log(max(p_int[intent_id], 1e-300)) / B
-        loss -= np.log(np.maximum(p_tag[np.arange(T), tag_ids], 1e-300)).sum() / (T * B)
-
-        g_int = p_int / B
-        g_int[intent_id] -= 1.0 / B
-        g_tag = p_tag / (T * B)
-        g_tag[np.arange(T), tag_ids] -= 1.0 / (T * B)
-
-        if model.hidden_dim == 0:
-            gv["b_int"] += g_int
-            gv["b_tag"] += g_tag.sum(axis=0)
-            for t, idx in enumerate(feats):
-                gv["W_int"][:, idx] += g_int[:, None] / T
-                gv["W_tag"][:, idx] += g_tag[t][:, None]
-        else:
-            h_pool = h.mean(axis=0)
-            gv["W_int"] += np.outer(g_int, h_pool)
-            gv["b_int"] += g_int
-            gv["W_tag"] += g_tag.T @ h
-            gv["b_tag"] += g_tag.sum(axis=0)
-            dh = g_tag @ v["W_tag"] + (v["W_int"].T @ g_int) / T
-            da = dh * (1.0 - h * h)
-            gv["b_enc"] += da.sum(axis=0)
-            for t, idx in enumerate(feats):
-                gv["W_enc"][:, idx] += da[t][:, None]
-
-    data_grad = grad.copy()
+    loss, data_grad = _data_loss_and_grad(model, batch)
+    grad = data_grad
     if reg is not None and reg.kind != "none":
-        pen_value, pen_grad = penalty(model.theta, theta_prev, fisher, reg)
+        pen_value, grad = penalty(model.theta, theta_prev, fisher, reg)
         loss += pen_value
-        grad.values += pen_grad.values
+        grad.values[data_grad.index] += data_grad.data
     return float(loss), grad, data_grad
 
 
@@ -291,12 +437,28 @@ def decode_tree(query, intent, tags):
     return ParseTree(Node(intent, tuple(children)))
 
 
+PREDICT_CHUNK = 256  # examples per batched forward: bounds its temporaries
+
+
+def predict_encoded(model, queries, batch):
+    """Most likely trees for `queries`, given their Encoded batch."""
+    trees = []
+    for lo in range(0, len(batch), PREDICT_CHUNK):
+        chunk = batch.take(np.arange(lo, min(lo + PREDICT_CHUNK, len(batch))))
+        p_int, p_tag = forward(model, chunk)
+        intents = p_int.argmax(axis=1).tolist()
+        tags = p_tag.argmax(axis=1).tolist()
+        offsets = chunk.offsets.tolist()
+        for i, query in enumerate(queries[lo:lo + PREDICT_CHUNK]):
+            tag_names = [model.tags[t] for t in tags[offsets[i]:offsets[i + 1]]]
+            trees.append(decode_tree(query, model.intents[intents[i]], tag_names))
+    return trees
+
+
 def predict_featurized(model, query, feats):
     """Most likely tree for `query`, given its features from featurize."""
-    p_int, p_tag = forward(model, feats)
-    intent = model.intents[int(p_int.argmax())]
-    tags = [model.tags[int(i)] for i in p_tag.argmax(axis=1)]
-    return decode_tree(query, intent, tags)
+    return predict_encoded(model, [query],
+                           encode([feats], model.feature_dim))[0]
 
 
 def predict(model, query):
@@ -304,7 +466,10 @@ def predict(model, query):
 
 
 def predict_trees(model, examples):
-    return [predict(model, ex.query) for ex in examples]
+    queries = [ex.query for ex in examples]
+    batch = encode([featurize(q, model.feature_dim) for q in queries],
+                   model.feature_dim)
+    return predict_encoded(model, queries, batch)
 
 
 @dataclass
@@ -431,15 +596,14 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
     cfg.eval_every steps and once at the end. Early stopping after
     cfg.patience evaluations without an EM improvement; the checkpoint with
     the best EM is returned. Squared-gradient importance is accumulated from
-    the very first step, into fisher_acc if given.
+    the very first step, into fisher_acc if given. An example is featurized
+    and encoded when an epoch plan first draws it; examples no plan draws
+    are never looked at.
     """
     if fisher_acc is None:
         fisher_acc = FisherAccumulator(model.layout)
-    encoded = {}
-    for eid, ex in examples_by_id.items():
-        feats = featurize(ex.query, model.feature_dim)
-        intent_id, tag_ids = encode_targets(model, ex)
-        encoded[eid] = (feats, intent_id, tag_ids)
+    corpus = encode([], model.feature_dim, [])  # the examples drawn so far
+    row_of = {}  # example id -> its row in corpus
 
     history = []
     best_em = -1.0
@@ -471,15 +635,26 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
         return bad_evals >= cfg.patience
 
     for epoch in range(cfg.max_epochs):
-        plan = plan_fn(epoch)
-        for batch_ids in batches(plan, cfg.batch_size):
-            batch = [encoded[eid] for eid in batch_ids]
+        epoch_batches = batches(plan_fn(epoch), cfg.batch_size)
+        new = list(dict.fromkeys(eid for ids in epoch_batches for eid in ids
+                                 if eid not in row_of))
+        if new:
+            examples = [examples_by_id[eid] for eid in new]
+            corpus = Encoded.concat([corpus, encode(
+                [featurize(ex.query, model.feature_dim) for ex in examples],
+                model.feature_dim, [encode_targets(model, ex) for ex in examples])])
+            row_of.update(zip(new, range(len(row_of), len(corpus))))
+        for batch_ids in epoch_batches:
+            batch = corpus.take([row_of[eid] for eid in batch_ids])
             _, grad, data_grad = loss_and_grad(
                 model, batch, cfg.reg, theta_prev,
                 fisher_prev if cfg.reg.kind == "ewc" else None)
             fisher_acc.update(data_grad)
             grad = apply_freeze(grad, cfg.freeze)
-            model.theta.values -= cfg.lr * grad.values
+            if isinstance(grad, SparseGrad):
+                model.theta.values[grad.index] -= cfg.lr * grad.data
+            else:
+                model.theta.values -= cfg.lr * grad.values
             step += 1
             if cfg.eval_every and step % cfg.eval_every == 0:
                 if run_eval():

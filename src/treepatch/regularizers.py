@@ -75,6 +75,21 @@ class ParamVector:
         return self.values[self.layout.slice_of(name)]
 
 
+@dataclass
+class SparseGrad:
+    """A gradient that is zero outside `index`: sorted, unique flat positions
+    into the layout, with `data` the values there. Adding an untouched
+    coordinate's +0.0 changes nothing, so Fisher accumulation, freezing and
+    the SGD update on these coordinates alone equal the dense ones exactly."""
+
+    layout: ParamLayout
+    index: np.ndarray
+    data: np.ndarray
+
+    def copy(self):
+        return SparseGrad(self.layout, self.index, self.data.copy())
+
+
 def _check_layouts(*vectors):
     layouts = {v.layout.groups for v in vectors}
     if len(layouts) > 1:
@@ -144,13 +159,18 @@ class FisherAccumulator:
             raise LayoutMismatch("sum_sq shape differs from layout")
 
     def update(self, grad):
-        if isinstance(grad, ParamVector):
-            _check_layouts(ParamVector.zeros(self.layout), grad)
-            grad = grad.values
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != self.sum_sq.shape:
-            raise LayoutMismatch("gradient shape differs from accumulator")
-        self.sum_sq += grad * grad
+        """Add one gradient: a ParamVector, a SparseGrad or a plain array."""
+        if isinstance(grad, (ParamVector, SparseGrad)):
+            _check_layouts(self, grad)
+        if isinstance(grad, SparseGrad):
+            self.sum_sq[grad.index] += grad.data * grad.data
+        else:
+            if isinstance(grad, ParamVector):
+                grad = grad.values
+            grad = np.asarray(grad, dtype=np.float64)
+            if grad.shape != self.sum_sq.shape:
+                raise LayoutMismatch("gradient shape differs from accumulator")
+            self.sum_sq += grad * grad
         self.steps += 1
         return self
 
@@ -172,8 +192,14 @@ class FreezeMask:
 
 
 def apply_freeze(grad, mask):
-    """Zero the gradient entries of frozen groups; others unchanged."""
+    """Copy of a ParamVector or SparseGrad with the entries of frozen groups
+    zeroed; others unchanged."""
     out = grad.copy()
     for name in mask.frozen:
-        out.values[grad.layout.slice_of(name)] = 0.0
+        group = grad.layout.slice_of(name)
+        if isinstance(out, SparseGrad):
+            lo, hi = np.searchsorted(out.index, (group.start, group.stop))
+            out.data[lo:hi] = 0.0
+        else:
+            out.values[group] = 0.0
     return out

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from treepatch import harness
 from treepatch.cli import main
+from treepatch.model import Checkpoint, TaggerModel, save_checkpoint
 
 CONFIG = {
     "seed": 5,
@@ -113,3 +115,27 @@ def test_unknown_set_key_rejected(workdir, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "train.lrr" in err["message"]
+
+
+def test_eval_k_below_two_rejected(workdir, capsys):
+    assert run(["split", "--config", workdir / "config.json",
+                "--set", "eval.k=1", "--out-dir", workdir]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "eval.k" in err["message"]
+
+
+def test_finetune_names_labels_unknown_to_prev(workdir, capsys):
+    bundle = harness.prepare(harness.ExperimentConfig.from_dict(CONFIG))
+    classes = bundle.train.classes()
+    slots = sorted(c for c in classes if c.startswith("SL:"))
+    intents = sorted(c for c in classes if c.startswith("IN:"))
+    net = TaggerModel.init(intents, slots[:-1], feature_dim=64)
+    save_checkpoint(Checkpoint(net.intents, net.slots, net.feature_dim, 0,
+                               net.theta.values, 0 * net.theta.values, 0, 0),
+                    workdir / "small.ckpt")
+    assert run(["finetune", "--config", workdir / "config.json",
+                "--prev", workdir / "small.ckpt"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UnknownLabel"
+    assert slots[-1] in err["message"]

@@ -6,7 +6,8 @@ import pytest
 from treepatch import harness
 from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
                                cmd_compare, parity_step)
-from treepatch.model import load_checkpoint, predict_trees
+from treepatch.model import (Checkpoint, TaggerModel, UnknownLabel,
+                             load_checkpoint, predict_trees)
 from treepatch.regularizers import MissingFisher
 
 SMALL = {
@@ -62,6 +63,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("k", [1, 0, -3, 2.0, "5", True, None])
+    def test_eval_k_must_be_integer_at_least_two(self, k):
+        with pytest.raises(ConfigError, match="eval.k"):
+            ExperimentConfig.from_dict({"eval": {"k": k}})
+
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig.from_dict(SMALL)
         b = ExperimentConfig.from_dict(copy.deepcopy(SMALL))
@@ -107,6 +113,18 @@ class TestFinetune:
         ckpt.fisher_steps = 0
         with pytest.raises(MissingFisher):
             harness.cmd_finetune(cfg, bundle, ckpt)
+
+    def test_labels_unknown_to_prev_rejected_before_training(self, bundle):
+        classes = bundle.d1.classes() | bundle.d2.classes()
+        intents = sorted(c for c in classes if c.startswith("IN:"))
+        slots = sorted(c for c in classes if c.startswith("SL:"))
+        missing = [intents[-1], slots[0]]
+        net = TaggerModel.init(intents[:-1], slots[1:], feature_dim=64)
+        ckpt = Checkpoint(net.intents, net.slots, net.feature_dim, 0,
+                          net.theta.values, 0 * net.theta.values, 0, 0)
+        with pytest.raises(UnknownLabel) as err:
+            harness.cmd_finetune(ExperimentConfig.from_dict(SMALL), bundle, ckpt)
+        assert str(err.value).endswith(", ".join(sorted(missing)))
 
     def test_gold_as_predictions_is_perfect(self, bundle):
         gold = [ex.tree for ex in bundle.test]

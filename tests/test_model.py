@@ -1,18 +1,24 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepatch import model as m
 from treepatch.dataset import Dataset, Example
 from treepatch.metrics import exact_match
 from treepatch.model import (ChecksumError, DimMismatch, EmptyQuery,
-                             TaggerModel, TrainConfig, decode_tree,
-                             encode_targets, featurize, forward,
-                             load_checkpoint, loss_and_grad, predict,
+                             TaggerModel, TrainConfig, UnknownLabel,
+                             decode_tree, encode, encode_targets, featurize,
+                             forward, load_checkpoint, loss_and_grad, predict,
                              predict_trees, save_checkpoint, train)
-from treepatch.regularizers import FisherAccumulator, FreezeMask, RegConfig
+from treepatch.regularizers import (FisherAccumulator, FreezeMask,
+                                    ParamVector, RegConfig, apply_freeze,
+                                    penalty)
+from treepatch.sampling import batches
 from treepatch.treebank import parse_top, serialize, token_leaves
 
 INTENTS = ("IN:A", "IN:B")
@@ -27,6 +33,77 @@ def tiny_model(hidden_dim=0, feature_dim=64):
 def example(eid, text):
     tree = parse_top(text)
     return Example(id=eid, query=" ".join(token_leaves(tree)), tree=tree)
+
+
+def encoded(net, *queries):
+    return encode([featurize(q, net.feature_dim) for q in queries],
+                  net.feature_dim)
+
+
+def dense(grad):
+    if isinstance(grad, ParamVector):
+        return grad.values
+    out = np.zeros(grad.layout.size)
+    out[grad.index] = grad.data
+    return out
+
+
+def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
+                            fisher=None):
+    """The per-example loop that the batched kernel replaced, kept as its
+    oracle. batch: list of (feats, intent_id, tag_ids); dense gradients."""
+    v = model._views()
+    grad = ParamVector.zeros(model.layout)
+    gv = model._views(grad)
+    loss = 0.0
+    B = len(batch)
+    for feats, intent_id, tag_ids in batch:
+        T = len(feats)
+        if model.hidden_dim == 0:
+            tag_logits = np.stack([v["W_tag"][:, idx].sum(axis=1) + v["b_tag"]
+                                   for idx in feats])
+            int_logits = (np.stack([v["W_int"][:, idx].sum(axis=1)
+                                    for idx in feats]).mean(axis=0)
+                          + v["b_int"])
+        else:
+            h = np.tanh(np.stack([v["W_enc"][:, idx].sum(axis=1) + v["b_enc"]
+                                  for idx in feats]))
+            tag_logits = h @ v["W_tag"].T + v["b_tag"]
+            int_logits = v["W_int"] @ h.mean(axis=0) + v["b_int"]
+        p_int = m._softmax(int_logits)
+        p_tag = m._softmax(tag_logits)
+        loss -= np.log(max(p_int[intent_id], 1e-300)) / B
+        loss -= np.log(np.maximum(p_tag[np.arange(T), tag_ids], 1e-300)).sum() / (T * B)
+
+        g_int = p_int / B
+        g_int[intent_id] -= 1.0 / B
+        g_tag = p_tag / (T * B)
+        g_tag[np.arange(T), tag_ids] -= 1.0 / (T * B)
+
+        if model.hidden_dim == 0:
+            gv["b_int"] += g_int
+            gv["b_tag"] += g_tag.sum(axis=0)
+            for t, idx in enumerate(feats):
+                gv["W_int"][:, idx] += g_int[:, None] / T
+                gv["W_tag"][:, idx] += g_tag[t][:, None]
+        else:
+            h_pool = h.mean(axis=0)
+            gv["W_int"] += np.outer(g_int, h_pool)
+            gv["b_int"] += g_int
+            gv["W_tag"] += g_tag.T @ h
+            gv["b_tag"] += g_tag.sum(axis=0)
+            dh = g_tag @ v["W_tag"] + (v["W_int"].T @ g_int) / T
+            da = dh * (1.0 - h * h)
+            gv["b_enc"] += da.sum(axis=0)
+            for t, idx in enumerate(feats):
+                gv["W_enc"][:, idx] += da[t][:, None]
+
+    data_grad = grad.copy()
+    if reg is not None and reg.kind != "none":
+        pen_value, pen_grad = penalty(model.theta, theta_prev, fisher, reg)
+        loss += pen_value
+        grad.values += pen_grad.values
+    return float(loss), grad, data_grad
 
 
 class TestFeaturize:
@@ -51,13 +128,15 @@ class TestForward:
     @pytest.mark.parametrize("hidden", [0, 8])
     def test_distributions_sum_to_one(self, hidden):
         net = tiny_model(hidden)
-        p_int, p_tag = forward(net, featurize("a b c", net.feature_dim))
-        assert abs(p_int.sum() - 1) < 1e-9
+        p_int, p_tag = forward(net, encoded(net, "a b c", "d"))
+        assert p_int.shape == (2, len(net.intents))
+        assert p_tag.shape == (4, len(net.tags))
+        np.testing.assert_allclose(p_int.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(p_tag.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_weights_give_uniform(self):
         net = tiny_model(0)
-        p_int, p_tag = forward(net, featurize("a b", net.feature_dim))
+        p_int, p_tag = forward(net, encoded(net, "a b"))
         np.testing.assert_allclose(p_int, 1 / len(net.intents), atol=1e-12)
         np.testing.assert_allclose(p_tag, 1 / len(net.tags), atol=1e-12)
 
@@ -65,20 +144,28 @@ class TestForward:
         net = tiny_model(0)
         ex = example("e", "[IN:A hello [SL:X there ] ]")
         feats = featurize(ex.query, net.feature_dim)
-        batch = [(feats, *encode_targets(net, ex))]
-        before = forward(net, feats)[0][0]
+        batch = encode([feats], net.feature_dim, [encode_targets(net, ex)])
+        before = forward(net, batch)[0][0, 0]
         _, grad, _ = loss_and_grad(net, batch)
-        net.theta.values -= 0.1 * grad.values
-        after = forward(net, feats)[0][0]
+        net.theta.values -= 0.1 * dense(grad)
+        after = forward(net, batch)[0][0, 0]
         assert after > before
+
+    def test_feature_ids_checked_against_dim(self):
+        with pytest.raises(DimMismatch):
+            encode([[np.array([0, 64])]], 64)
+        with pytest.raises(DimMismatch):
+            encode([[np.array([-1])]], 64)
+        with pytest.raises(EmptyQuery):
+            encode([[]], 64)
 
 
 class TestLossAndGrad:
     def _batch(self, net):
         exs = [example("e0", "[IN:A hello [SL:X there world ] ]"),
                example("e1", "[IN:B go [SL:Y now ] fast ]")]
-        return [(featurize(e.query, net.feature_dim), *encode_targets(net, e))
-                for e in exs]
+        return encode([featurize(e.query, net.feature_dim) for e in exs],
+                      net.feature_dim, [encode_targets(net, e) for e in exs])
 
     def test_no_reg_is_pure_cross_entropy(self):
         net = tiny_model(0)
@@ -130,8 +217,56 @@ class TestLossAndGrad:
         _, _, plain = loss_and_grad(net, batch)
         _, total, data = loss_and_grad(
             net, batch, RegConfig(kind="movenorm", strength=2.0), prev, None)
-        np.testing.assert_array_equal(data.values, plain.values)
-        assert not np.array_equal(total.values, data.values)
+        np.testing.assert_array_equal(dense(data), dense(plain))
+        assert not np.array_equal(total.values, dense(data))
+
+    def test_misaligned_tag_targets_rejected(self):
+        net = tiny_model(0)
+        with pytest.raises(DimMismatch):
+            encode([featurize("a b", net.feature_dim)], net.feature_dim,
+                   [(0, np.array([0]))])
+
+
+N_TAGS = len(tiny_model().tags)
+TOKEN_FEATS = st.lists(st.integers(0, 12), min_size=1, max_size=4,
+                       unique=True).map(lambda ids: np.array(sorted(ids)))
+EXAMPLES = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(TOKEN_FEATS, min_size=n, max_size=n),
+    st.integers(0, len(INTENTS) - 1),
+    st.lists(st.integers(0, N_TAGS - 1), min_size=n, max_size=n).map(np.array)))
+
+
+class TestBatchedKernelMatchesOracle:
+    """The batched kernel against the per-example loop it replaced, on
+    feature_dim 13 so that feature columns repeat across tokens and
+    examples: bit-exact for the linear model; the hidden model's batched
+    matmuls may sum in another order, hence a relative tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(EXAMPLES, min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 3]),
+           st.sampled_from(["none", "movenorm", "ewc"]))
+    def test_loss_and_gradients(self, items, seed, hidden, kind):
+        net = tiny_model(hidden, feature_dim=13)
+        rng = np.random.default_rng(seed)
+        net.theta.values[:] = rng.normal(0, rng.uniform(0.01, 3.0),
+                                         net.theta.values.size)
+        prev = ParamVector(net.layout, net.theta.values
+                           + rng.normal(0, 0.1, net.theta.values.size))
+        fisher = rng.random(net.theta.values.size)
+        reg = RegConfig(kind=kind, strength=0.3)
+        batch = encode([feats for feats, _, _ in items], 13,
+                       [(intent, tags) for _, intent, tags in items])
+        got = loss_and_grad(net, batch, reg, prev, fisher)
+        want = reference_loss_and_grad(net, items, reg, prev, fisher)
+        if hidden == 0:
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(dense(got[1]), want[1].values)
+            np.testing.assert_array_equal(dense(got[2]), want[2].values)
+        else:
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+            np.testing.assert_allclose(dense(got[1]), want[1].values, rtol=1e-12)
+            np.testing.assert_allclose(dense(got[2]), want[2].values, rtol=1e-12)
 
 
 class TestDecode:
@@ -238,6 +373,70 @@ class TestTrain:
                           freeze=FreezeMask.of("encoder", "intent_head", "tag_head")),
               em_evaluator(list(corpus)))
         np.testing.assert_array_equal(net.theta.values, before)
+
+
+def reference_train(net, by_id, plan_fn, cfg, theta_prev, fisher_prev,
+                    fisher_acc):
+    """Dense SGD over the oracle gradient: what train's step did before it
+    stepped only the touched coordinates."""
+    for epoch in range(cfg.max_epochs):
+        for ids in batches(plan_fn(epoch), cfg.batch_size):
+            items = [(featurize(by_id[i].query, net.feature_dim),
+                      *encode_targets(net, by_id[i])) for i in ids]
+            _, grad, data_grad = reference_loss_and_grad(
+                net, items, cfg.reg, theta_prev,
+                fisher_prev if cfg.reg.kind == "ewc" else None)
+            fisher_acc.update(data_grad)
+            grad = apply_freeze(grad, cfg.freeze)
+            net.theta.values -= cfg.lr * grad.values
+    return net.theta.values, fisher_acc
+
+
+@pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",)])
+@pytest.mark.parametrize("kind", ["none", "movenorm", "ewc"])
+def test_train_checkpoint_equals_dense_reference(tmp_path, kind, frozen):
+    corpus = toy_corpus()
+    by_id = {e.id: e for e in corpus}
+    prev = train(tiny_model(0, feature_dim=32), by_id, simple_plan(by_id, 0),
+                 TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0),
+                 lambda net: {"em": 0.0}).final
+    cfg = TrainConfig(lr=0.3, batch_size=7, max_epochs=2, eval_every=0,
+                      reg=RegConfig(kind=kind, strength=0.5),
+                      freeze=FreezeMask.of(*frozen))
+    result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
+                   lambda net: {"em": 0.0}, theta_prev=prev.model().theta,
+                   fisher_prev=prev.fisher(),
+                   fisher_acc=prev.fisher_accumulator(), start_step=prev.step)
+    theta, acc = reference_train(prev.model(), by_id, simple_plan(by_id, 5),
+                                 cfg, prev.model().theta, prev.fisher(),
+                                 prev.fisher_accumulator())
+    reference = dataclasses.replace(result.final, theta_values=theta,
+                                    fisher_sum_sq=acc.sum_sq,
+                                    fisher_steps=acc.steps)
+    save_checkpoint(result.final, tmp_path / "train.ckpt")
+    save_checkpoint(reference, tmp_path / "reference.ckpt")
+    assert ((tmp_path / "train.ckpt").read_bytes()
+            == (tmp_path / "reference.ckpt").read_bytes())
+
+
+def test_train_encodes_only_drawn_examples(monkeypatch):
+    corpus = toy_corpus()
+    by_id = {e.id: e for e in corpus}
+    # a label the model has never seen: harmless while no plan draws it
+    by_id["unseen"] = example("unseen", "[IN:Z never drawn ]")
+    drawn = sorted(by_id)[:10]
+    calls = []
+    monkeypatch.setattr(m, "featurize", lambda query, dim: calls.append(query)
+                        or featurize(query, dim))
+    result = train(tiny_model(0, feature_dim=64), by_id,
+                   lambda epoch: drawn[epoch:] + drawn[:epoch],
+                   TrainConfig(lr=0.5, batch_size=4, max_epochs=3, eval_every=0),
+                   lambda net: {"em": 0.0})
+    assert result.total_steps == 9
+    assert sorted(calls) == sorted(by_id[i].query for i in drawn)
+    with pytest.raises(UnknownLabel):
+        train(tiny_model(0, feature_dim=64), by_id, lambda epoch: ["unseen"],
+              TrainConfig(max_epochs=1, eval_every=0), lambda net: {"em": 0.0})
 
 
 class TestCheckpoint:
