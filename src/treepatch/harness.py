@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
-from .model import (TaggerModel, TrainConfig, UnknownLabel, encode, featurize,
+from .model import (TaggerModel, TrainConfig, UnknownLabel, encode,
                     predict_encoded, train)
 from .regularizers import FreezeMask, MissingFisher, RegConfig
 from .treebank import serialize
@@ -186,9 +186,9 @@ def prepare(cfg):
 
 def make_evaluator(test_set, k, seed, classes=None):
     """Closure computing one evaluation record. Gold paths and fold
-    assignment are computed once up front; the test set is featurized and
-    encoded once per feature_dim, on the first evaluation that needs it, and
-    each evaluation predicts it with batched forwards."""
+    assignment are computed once up front; the test set is encoded once per
+    feature_dim, on the first evaluation that needs it, and each evaluation
+    predicts it with batched forwards."""
     gold = [ex.tree for ex in test_set]
     gold_paths = [metrics.extract_paths(t) for t in gold]
     folds = metrics.fold_indices(len(gold), k, seed)
@@ -199,7 +199,7 @@ def make_evaluator(test_set, k, seed, classes=None):
     def evaluator(model):
         dim = model.feature_dim
         if dim not in encoded_by_dim:
-            encoded_by_dim[dim] = encode([featurize(q, dim) for q in queries], dim)
+            encoded_by_dim[dim] = encode(queries, dim)
         pred = predict_encoded(model, queries, encoded_by_dim[dim])
         return evaluation_record(gold, pred, folds, classes,
                                  gold_paths=gold_paths)

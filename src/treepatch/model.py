@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .regularizers import (FisherAccumulator, FreezeMask, ParamLayout,
-                           ParamVector, RegConfig, SparseGrad, apply_freeze,
-                           penalty)
+from .regularizers import (FisherAccumulator, FreezeMask, MissingAnchor,
+                           MissingFisher, ParamLayout, ParamVector, RegConfig,
+                           SparseGrad, apply_freeze, penalty)
 from .sampling import batches
 from .treebank import Node, ParseTree
 
@@ -45,23 +45,10 @@ class UnknownLabel(ModelError):
     pass
 
 
-def _hash_feature(text, dim):
-    return zlib.crc32(text.encode("utf-8")) % dim
-
-
 def featurize(query, feature_dim):
-    """Per-token hashed feature indices: word, prev, next, and bigram."""
-    tokens = query.split()
-    if not tokens:
-        raise EmptyQuery("query has no tokens")
-    feats = []
-    for t, tok in enumerate(tokens):
-        prev = tokens[t - 1] if t > 0 else "<s>"
-        nxt = tokens[t + 1] if t + 1 < len(tokens) else "</s>"
-        raw = (f"w={tok}", f"prev={prev}", f"next={nxt}", f"bi={prev}_{tok}")
-        feats.append(np.array(sorted({_hash_feature(r, feature_dim) for r in raw}),
-                              dtype=np.int64))
-    return feats
+    """Per-token hashed feature indices of one query: the sorted distinct
+    ids of its word, prev, next and bigram features (see encode)."""
+    return [row[row >= 0] for row in encode([query], feature_dim).feats]
 
 
 def _softmax(z):
@@ -105,6 +92,14 @@ class TaggerModel:
     def tags(self):
         return tag_vocab(self.slots)
 
+    @cached_property
+    def intent_ids(self):
+        return {label: i for i, label in enumerate(self.intents)}
+
+    @cached_property
+    def tag_ids(self):
+        return {label: i for i, label in enumerate(self.tags)}
+
     @property
     def layout(self):
         return make_layout(self.feature_dim, self.hidden_dim,
@@ -146,7 +141,7 @@ class TaggerModel:
         return replace(self, theta=self.theta.copy())
 
 
-MAX_FEATS = 4  # featurize emits at most four hashed features per token
+MAX_FEATS = 4  # word, prev, next and bigram: at most four ids per token
 
 
 @dataclass(frozen=True)
@@ -202,24 +197,54 @@ class Encoded:
                    np.concatenate([p.tags for p in parts]))
 
 
-def encode(feats_per_query, feature_dim, targets=None):
-    """Encoded batch from featurize outputs and, for training, one
-    (intent id, tag ids) pair per query (from encode_targets)."""
-    if any(not len(feats) for feats in feats_per_query):
-        raise EmptyQuery("no token features")
-    token_feats = [idx for feats in feats_per_query for idx in feats]
-    n_feats = np.array([len(idx) for idx in token_feats], dtype=np.int64)
-    flat = np.concatenate([np.empty(0, dtype=np.int64), *token_feats])
-    if (n_feats > MAX_FEATS).any() or (
-            flat.size and (flat.min() < 0 or flat.max() >= feature_dim)):
-        raise DimMismatch("feature index out of range")
-    feats = np.full((len(token_feats), MAX_FEATS), -1, dtype=np.int64)
-    feats[np.arange(MAX_FEATS) < n_feats[:, None]] = flat
-    offsets = np.zeros(len(feats_per_query) + 1, dtype=np.int64)
-    np.cumsum([len(q) for q in feats_per_query], out=offsets[1:])
+def _hashes(prefix, words, dim):
+    return np.array([zlib.crc32(f"{prefix}{w}".encode("utf-8")) for w in words],
+                    dtype=np.int64) % dim
+
+
+def encode(queries, feature_dim, targets=None):
+    """Encoded batch of whitespace-tokenized queries and, for training, one
+    (intent id, tag ids) pair per query (from encode_targets).
+
+    Each token's features are the crc32 hashes, modulo feature_dim, of
+    "w=tok", "prev=p", "next=n" and "bi=p_tok", where p and n are its
+    neighbours or "<s>"/"</s>" at the query's ends; its row of feats holds
+    their distinct ids in ascending order, then -1. Every distinct word and
+    every distinct (prev, word) pair of the call is hashed once."""
+    token_lists = [q.split() for q in queries]
+    lengths = np.array([len(toks) for toks in token_lists], dtype=np.int64)
+    if (lengths == 0).any():
+        raise EmptyQuery("query has no tokens")
+    offsets = np.zeros(len(queries) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    # vocabulary ids of this call; the sentinels are ids 0 and 1, and a
+    # literal "<s>" token is the same string, hence the same features
+    vocab = {"<s>": 0, "</s>": 1}
+    word = np.array([vocab.setdefault(tok, len(vocab))
+                     for toks in token_lists for tok in toks], dtype=np.int64)
+    words = list(vocab)
+    prev, nxt = np.empty_like(word), np.empty_like(word)
+    prev[1:], nxt[:-1] = word[:-1], word[1:]
+    prev[offsets[:-1]], nxt[offsets[1:] - 1] = 0, 1
+    pairs, pair_of_token = np.unique(prev * len(words) + word,
+                                     return_inverse=True)
+    pair_prev, pair_word = np.divmod(pairs, len(words))
+    bigram = _hashes("bi=", [f"{words[p]}_{words[w]}" for p, w in
+                             zip(pair_prev.tolist(), pair_word.tolist())],
+                     feature_dim)
+    feats = np.sort(np.stack([
+        _hashes("w=", words, feature_dim)[word],
+        _hashes("prev=", words, feature_dim)[prev],
+        _hashes("next=", words, feature_dim)[nxt],
+        bigram[pair_of_token]], axis=1), axis=1)
+    # a repeated id becomes feature_dim, above every id, so that a second
+    # sort moves it behind the distinct ones
+    feats[:, 1:][feats[:, 1:] == feats[:, :-1]] = feature_dim
+    feats.sort(axis=1)
+    feats[feats == feature_dim] = -1
     if targets is None:
         return Encoded(feats, offsets)
-    if any(len(tags) != len(q) for q, (_, tags) in zip(feats_per_query, targets)):
+    if any(len(tags) != n for n, (_, tags) in zip(lengths.tolist(), targets)):
         raise DimMismatch("tag targets do not align with tokens")
     tags = [np.asarray(tags, dtype=np.int64) for _, tags in targets]
     return Encoded(feats, offsets,
@@ -290,21 +315,20 @@ def encode_targets(model, example):
     """(intent id, per-token tag ids) for a gold tree; tokens inside a
     top-level slot get B-/I- tags, everything else O."""
     intent = example.tree.root.name
-    if intent not in model.intents:
+    if intent not in model.intent_ids:
         raise UnknownLabel(intent)
-    intent_id = model.intents.index(intent)
     tag_ids = []
-    tags = model.tags
+    ids = model.tag_ids
     for child in example.tree.root.children:
         if isinstance(child, str):
             tag_ids.append(0)
         else:
-            if child.name not in model.slots:
+            if "B-" + child.name not in ids:
                 raise UnknownLabel(child.name)
             n_leaves = _count_leaves(child)
-            tag_ids.append(tags.index("B-" + child.name))
-            tag_ids.extend([tags.index("I-" + child.name)] * (n_leaves - 1))
-    return intent_id, np.array(tag_ids, dtype=np.int64)
+            tag_ids.append(ids["B-" + child.name])
+            tag_ids.extend([ids["I-" + child.name]] * (n_leaves - 1))
+    return model.intent_ids[intent], np.array(tag_ids, dtype=np.int64)
 
 
 def _count_leaves(node):
@@ -455,21 +479,13 @@ def predict_encoded(model, queries, batch):
     return trees
 
 
-def predict_featurized(model, query, feats):
-    """Most likely tree for `query`, given its features from featurize."""
-    return predict_encoded(model, [query],
-                           encode([feats], model.feature_dim))[0]
-
-
 def predict(model, query):
-    return predict_featurized(model, query, featurize(query, model.feature_dim))
+    return predict_encoded(model, [query], encode([query], model.feature_dim))[0]
 
 
 def predict_trees(model, examples):
     queries = [ex.query for ex in examples]
-    batch = encode([featurize(q, model.feature_dim) for q in queries],
-                   model.feature_dim)
-    return predict_encoded(model, queries, batch)
+    return predict_encoded(model, queries, encode(queries, model.feature_dim))
 
 
 @dataclass
@@ -596,10 +612,15 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
     cfg.eval_every steps and once at the end. Early stopping after
     cfg.patience evaluations without an EM improvement; the checkpoint with
     the best EM is returned. Squared-gradient importance is accumulated from
-    the very first step, into fisher_acc if given. An example is featurized
-    and encoded when an epoch plan first draws it; examples no plan draws
-    are never looked at.
+    the very first step, into fisher_acc if given. An example is encoded
+    when an epoch plan first draws it; examples no plan draws are never
+    looked at. A penalty without its theta_prev (or, for EWC, fisher_prev)
+    raises before any example is encoded.
     """
+    if cfg.reg.kind != "none" and theta_prev is None:
+        raise MissingAnchor(f"{cfg.reg.kind} penalty needs theta_prev")
+    if cfg.reg.kind == "ewc" and fisher_prev is None:
+        raise MissingFisher("ewc penalty needs fisher_prev")
     if fisher_acc is None:
         fisher_acc = FisherAccumulator(model.layout)
     corpus = encode([], model.feature_dim, [])  # the examples drawn so far
@@ -641,8 +662,8 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
         if new:
             examples = [examples_by_id[eid] for eid in new]
             corpus = Encoded.concat([corpus, encode(
-                [featurize(ex.query, model.feature_dim) for ex in examples],
-                model.feature_dim, [encode_targets(model, ex) for ex in examples])])
+                [ex.query for ex in examples], model.feature_dim,
+                [encode_targets(model, ex) for ex in examples])])
             row_of.update(zip(new, range(len(row_of), len(corpus))))
         for batch_ids in epoch_batches:
             batch = corpus.take([row_of[eid] for eid in batch_ids])

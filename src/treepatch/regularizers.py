@@ -29,6 +29,10 @@ class MissingFisher(RegError):
     pass
 
 
+class MissingAnchor(RegError):
+    pass
+
+
 @dataclass(frozen=True)
 class ParamLayout:
     """Ordered named groups partitioning a flat parameter vector."""

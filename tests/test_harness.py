@@ -137,10 +137,10 @@ class TestFinetune:
 
 def test_evaluator_featurizes_once_and_matches_predict_trees(
         bundle, scratch, monkeypatch):
-    calls = []
-    featurize = harness.featurize
-    monkeypatch.setattr(harness, "featurize",
-                        lambda query, dim: calls.append(query) or featurize(query, dim))
+    calls = []  # every query passed to the encoder
+    encode = harness.encode
+    monkeypatch.setattr(harness, "encode",
+                        lambda queries, dim: calls.extend(queries) or encode(queries, dim))
     net = scratch[0].best.model()
     evaluator = harness.make_evaluator(bundle.test, 5, 0)
     first, second = evaluator(net), evaluator(net)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from treepatch import model as m
 from treepatch.dataset import Dataset, Example
 from treepatch.metrics import exact_match
 from treepatch.model import (ChecksumError, DimMismatch, EmptyQuery,
-                             TaggerModel, TrainConfig, UnknownLabel,
+                             Encoded, TaggerModel, TrainConfig, UnknownLabel,
                              decode_tree, encode, encode_targets, featurize,
                              forward, load_checkpoint, loss_and_grad, predict,
                              predict_trees, save_checkpoint, train)
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
-                                    ParamVector, RegConfig, apply_freeze,
-                                    penalty)
+                                    MissingAnchor, MissingFisher, ParamVector,
+                                    RegConfig, apply_freeze, penalty)
 from treepatch.sampling import batches
 from treepatch.treebank import parse_top, serialize, token_leaves
 
@@ -36,8 +37,41 @@ def example(eid, text):
 
 
 def encoded(net, *queries):
-    return encode([featurize(q, net.feature_dim) for q in queries],
-                  net.feature_dim)
+    return encode(list(queries), net.feature_dim)
+
+
+def reference_featurize(query, feature_dim):
+    """The per-token loop that the batched encoder replaced, kept as its
+    oracle: per token, the sorted distinct hashed ids of its word, prev,
+    next and bigram features."""
+    tokens = query.split()
+    feats = []
+    for t, tok in enumerate(tokens):
+        prev = tokens[t - 1] if t > 0 else "<s>"
+        nxt = tokens[t + 1] if t + 1 < len(tokens) else "</s>"
+        raw = (f"w={tok}", f"prev={prev}", f"next={nxt}", f"bi={prev}_{tok}")
+        feats.append(np.array(sorted({zlib.crc32(r.encode("utf-8")) % feature_dim
+                                      for r in raw}), dtype=np.int64))
+    return feats
+
+
+def pack(feats_per_query, targets=None):
+    """Encoded batch from per-token feature id arrays (at most MAX_FEATS
+    each) and, optionally, (intent id, tag ids) per query."""
+    token_feats = [idx for feats in feats_per_query for idx in feats]
+    n_feats = np.array([len(idx) for idx in token_feats], dtype=np.int64)
+    feats = np.full((len(token_feats), m.MAX_FEATS), -1, dtype=np.int64)
+    feats[np.arange(m.MAX_FEATS) < n_feats[:, None]] = np.concatenate(
+        [np.empty(0, dtype=np.int64), *token_feats])
+    offsets = np.zeros(len(feats_per_query) + 1, dtype=np.int64)
+    np.cumsum([len(q) for q in feats_per_query], out=offsets[1:])
+    if targets is None:
+        return Encoded(feats, offsets)
+    return Encoded(feats, offsets,
+                   np.array([intent for intent, _ in targets], dtype=np.int64),
+                   np.concatenate([np.empty(0, dtype=np.int64),
+                                   *(np.asarray(t, dtype=np.int64)
+                                     for _, t in targets)]))
 
 
 def dense(grad):
@@ -124,6 +158,52 @@ class TestFeaturize:
             assert all(1 <= len(f) <= 4 for f in feats)
 
 
+# tokens that stress the encoder: sentinel look-alikes, "_" (the bigram
+# separator), repeats, non-ASCII, and arbitrary text, joined by runs of spaces
+# and tabs (arbitrary text may hold whitespace of its own)
+TOKENS = st.one_of(
+    st.sampled_from(["<s>", "</s>", "a", "b", "a_b", "_", "b_", "_a", "é",
+                     "日本", "naïve"]),
+    st.text(min_size=1, max_size=3))
+QUERIES = st.tuples(
+    st.lists(st.tuples(st.sampled_from([" ", "  ", "\t", " \t\t "]), TOKENS),
+             min_size=1, max_size=6),
+    st.sampled_from(["", " ", "\t"])).map(
+        lambda parts: "".join(sep + tok for sep, tok in parts[0]) + parts[1]
+    ).filter(str.split)
+
+
+class TestEncode:
+    """The batched encoder against the per-query loop it replaced. At
+    feature_dim 7 a token's four ids often collide, so the in-row dedup
+    matters; 4096 is the default dimension."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(QUERIES, min_size=1, max_size=8), st.sampled_from([7, 4096]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_oracle(self, queries, dim, seed):
+        feats = [reference_featurize(q, dim) for q in queries]
+        rng = np.random.default_rng(seed)
+        targets = [(int(rng.integers(0, 2)), rng.integers(0, 5, len(f)))
+                   for f in feats]
+        for got, want in ((encode(queries, dim), pack(feats)),
+                          (encode(queries, dim, targets), pack(feats, targets))):
+            for name in ("feats", "offsets", "intents", "tags"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+        got = featurize(queries[0], dim)
+        assert len(got) == len(feats[0])
+        for a, b in zip(got, feats[0]):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_whitespace_only_query_rejected(self):
+        for queries in (["   "], ["a b", "\t \n"], [""]):
+            with pytest.raises(EmptyQuery):
+                encode(queries, 64)
+        assert len(encode([], 64)) == 0
+
+
 class TestForward:
     @pytest.mark.parametrize("hidden", [0, 8])
     def test_distributions_sum_to_one(self, hidden):
@@ -143,29 +223,21 @@ class TestForward:
     def test_gradient_step_raises_true_class_probability(self):
         net = tiny_model(0)
         ex = example("e", "[IN:A hello [SL:X there ] ]")
-        feats = featurize(ex.query, net.feature_dim)
-        batch = encode([feats], net.feature_dim, [encode_targets(net, ex)])
+        batch = encode([ex.query], net.feature_dim, [encode_targets(net, ex)])
         before = forward(net, batch)[0][0, 0]
         _, grad, _ = loss_and_grad(net, batch)
         net.theta.values -= 0.1 * dense(grad)
         after = forward(net, batch)[0][0, 0]
         assert after > before
 
-    def test_feature_ids_checked_against_dim(self):
-        with pytest.raises(DimMismatch):
-            encode([[np.array([0, 64])]], 64)
-        with pytest.raises(DimMismatch):
-            encode([[np.array([-1])]], 64)
-        with pytest.raises(EmptyQuery):
-            encode([[]], 64)
 
 
 class TestLossAndGrad:
     def _batch(self, net):
         exs = [example("e0", "[IN:A hello [SL:X there world ] ]"),
                example("e1", "[IN:B go [SL:Y now ] fast ]")]
-        return encode([featurize(e.query, net.feature_dim) for e in exs],
-                      net.feature_dim, [encode_targets(net, e) for e in exs])
+        return encode([e.query for e in exs], net.feature_dim,
+                      [encode_targets(net, e) for e in exs])
 
     def test_no_reg_is_pure_cross_entropy(self):
         net = tiny_model(0)
@@ -223,8 +295,7 @@ class TestLossAndGrad:
     def test_misaligned_tag_targets_rejected(self):
         net = tiny_model(0)
         with pytest.raises(DimMismatch):
-            encode([featurize("a b", net.feature_dim)], net.feature_dim,
-                   [(0, np.array([0]))])
+            encode(["a b"], net.feature_dim, [(0, np.array([0]))])
 
 
 N_TAGS = len(tiny_model().tags)
@@ -255,8 +326,8 @@ class TestBatchedKernelMatchesOracle:
                            + rng.normal(0, 0.1, net.theta.values.size))
         fisher = rng.random(net.theta.values.size)
         reg = RegConfig(kind=kind, strength=0.3)
-        batch = encode([feats for feats, _, _ in items], 13,
-                       [(intent, tags) for _, intent, tags in items])
+        batch = pack([feats for feats, _, _ in items],
+                     [(intent, tags) for _, intent, tags in items])
         got = loss_and_grad(net, batch, reg, prev, fisher)
         want = reference_loss_and_grad(net, items, reg, prev, fisher)
         if hidden == 0:
@@ -381,7 +452,7 @@ def reference_train(net, by_id, plan_fn, cfg, theta_prev, fisher_prev,
     stepped only the touched coordinates."""
     for epoch in range(cfg.max_epochs):
         for ids in batches(plan_fn(epoch), cfg.batch_size):
-            items = [(featurize(by_id[i].query, net.feature_dim),
+            items = [(reference_featurize(by_id[i].query, net.feature_dim),
                       *encode_targets(net, by_id[i])) for i in ids]
             _, grad, data_grad = reference_loss_and_grad(
                 net, items, cfg.reg, theta_prev,
@@ -425,9 +496,9 @@ def test_train_encodes_only_drawn_examples(monkeypatch):
     # a label the model has never seen: harmless while no plan draws it
     by_id["unseen"] = example("unseen", "[IN:Z never drawn ]")
     drawn = sorted(by_id)[:10]
-    calls = []
-    monkeypatch.setattr(m, "featurize", lambda query, dim: calls.append(query)
-                        or featurize(query, dim))
+    calls = []  # every query passed to the encoder
+    monkeypatch.setattr(m, "encode", lambda queries, dim, targets=None:
+                        calls.extend(queries) or encode(queries, dim, targets))
     result = train(tiny_model(0, feature_dim=64), by_id,
                    lambda epoch: drawn[epoch:] + drawn[:epoch],
                    TrainConfig(lr=0.5, batch_size=4, max_epochs=3, eval_every=0),
@@ -437,6 +508,39 @@ def test_train_encodes_only_drawn_examples(monkeypatch):
     with pytest.raises(UnknownLabel):
         train(tiny_model(0, feature_dim=64), by_id, lambda epoch: ["unseen"],
               TrainConfig(max_epochs=1, eval_every=0), lambda net: {"em": 0.0})
+
+
+@pytest.mark.parametrize("kind, prev, fisher, error", [
+    ("movenorm", False, False, MissingAnchor),
+    ("ewc", False, True, MissingAnchor),
+    ("ewc", True, False, MissingFisher),
+])
+def test_penalty_without_its_anchor_fails_before_encoding(
+        monkeypatch, kind, prev, fisher, error):
+    corpus = toy_corpus()
+    by_id = {e.id: e for e in corpus}
+    net = tiny_model(0)
+    calls = []
+    monkeypatch.setattr(m, "encode", lambda *args: calls.append(args))
+    with pytest.raises(error):
+        train(net, by_id, simple_plan(by_id, 0),
+              TrainConfig(max_epochs=1, eval_every=0,
+                          reg=RegConfig(kind=kind, strength=1.0)),
+              lambda net: {"em": 0.0},
+              theta_prev=net.copy().theta if prev else None,
+              fisher_prev=np.ones(net.layout.size) if fisher else None)
+    assert calls == []
+
+
+def test_encode_targets_ids():
+    net = tiny_model(0)  # tags O, B-SL:X, I-SL:X, B-SL:Y, I-SL:Y
+    intent, tags = encode_targets(
+        net, example("e", "[IN:B go [SL:Y now then ] [SL:X x ] fast ]"))
+    assert intent == 1
+    assert tags.tolist() == [0, 3, 4, 1, 0]
+    for text in ("[IN:Z a ]", "[IN:A a [SL:Z b ] ]"):
+        with pytest.raises(UnknownLabel):
+            encode_targets(net, example("e", text))
 
 
 class TestCheckpoint:
