@@ -188,7 +188,7 @@ def build_parser():
     p.add_argument("--finetune", required=True, help="finetune report JSON")
     p.add_argument("--scratch", required=True, help="scratch report JSON")
     p.add_argument("--target-class", required=True)
-    p.add_argument("--require", choices=("both", "either"), default="both")
+    p.add_argument("--require", choices=harness.PARITY_REQUIRE, default="both")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="method x p x lambda matrix, CSV output")

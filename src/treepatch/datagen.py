@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, Example
-from .treebank import Node, ParseTree
+from .treebank import Node, ParseTree, token_leaves
 from .utils import derive_seed
 
 
@@ -125,17 +125,9 @@ def _sample_corpus(grammar, rng, n, s, id_prefix):
     for i in range(n):
         label = grammar.intents[rng.choice(len(grammar.intents), p=weights)][0]
         tree = ParseTree(_sample_intent(grammar, label, rng, s, depth=1))
-        query = " ".join(t for t in _leaves(tree.root))
+        query = " ".join(token_leaves(tree))
         examples.append(Example(id=f"{id_prefix}:{i}", query=query, tree=tree))
     return Dataset(tuple(examples))
-
-
-def _leaves(node):
-    for child in node.children:
-        if isinstance(child, str):
-            yield child
-        else:
-            yield from _leaves(child)
 
 
 def generate(grammar, config):

@@ -74,15 +74,6 @@ class Dataset:
     def by_id(self):
         return {ex.id: ex for ex in self.examples}
 
-    @property
-    def class_index(self):
-        """Map class label -> list of example ids containing it (in order)."""
-        index = {}
-        for ex in self.examples:
-            for cls in sorted(ex.classes):
-                index.setdefault(cls, []).append(ex.id)
-        return index
-
     def classes(self):
         out = set()
         for ex in self.examples:
@@ -228,9 +219,7 @@ def make_split(src, spec):
     d1 = [ex for ex in src if ex.id not in d2_ids]
     d2 = [ex for ex in src if ex.id in d2_ids]
 
-    d1_classes = set()
-    for ex in d1:
-        d1_classes |= ex.classes
+    d1_classes = set().union(*(ex.classes for ex in d1))
     missing = sorted(src.classes() - d1_classes)
 
     coverage_ids = []

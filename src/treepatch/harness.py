@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
-from .model import (TaggerModel, TrainConfig, UnknownLabel, encode,
+from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, encode,
                     predict_encoded, train)
 from .regularizers import FreezeMask, MissingFisher, RegConfig
 from .treebank import serialize
@@ -59,6 +59,8 @@ DEFAULT_CONFIG = {
     "parity": {"require": "both"},  # both | either
 }
 
+PARITY_REQUIRE = ("both", "either")
+
 
 def _reject_unknown_keys(d, defaults, prefix=""):
     for key, value in d.items():
@@ -66,6 +68,13 @@ def _reject_unknown_keys(d, defaults, prefix=""):
             raise ConfigError(f"unknown config key {prefix + str(key)!r}")
         if isinstance(value, dict) and isinstance(defaults[key], dict):
             _reject_unknown_keys(value, defaults[key], f"{prefix}{key}.")
+
+
+def _check_int(raw, dotted, minimum):
+    section, key = dotted.split(".")
+    value = raw[section][key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{dotted} must be an integer >= {minimum}, got {value!r}")
 
 
 def _deep_merge(base, override):
@@ -84,15 +93,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d, preset=None):
+        """Defaults, then the preset, then `d`: keys set in `d` win."""
         _reject_unknown_keys(d or {}, DEFAULT_CONFIG)
-        merged = _deep_merge(DEFAULT_CONFIG, d or {})
+        base = DEFAULT_CONFIG
         if preset is not None:
             if preset not in PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-            merged = _deep_merge(merged, PRESETS[preset])
-        k = merged["eval"]["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-            raise ConfigError(f"eval.k must be an integer >= 2, got {k!r}")
+            base = _deep_merge(base, PRESETS[preset])
+        merged = _deep_merge(base, d or {})
+        for dotted, minimum in (("eval.k", 2), ("model.feature_dim", 1),
+                                ("model.hidden_dim", 0), ("train.batch_size", 1)):
+            _check_int(merged, dotted, minimum)
+        freeze = merged["freeze"]
+        if not isinstance(freeze, list) or not all(g in GROUPS for g in freeze):
+            raise ConfigError(f"freeze must be a list of parameter groups "
+                              f"from {GROUPS}, got {freeze!r}")
+        if merged["parity"]["require"] not in PARITY_REQUIRE:
+            raise ConfigError(f"parity.require must be one of {PARITY_REQUIRE}, "
+                              f"got {merged['parity']['require']!r}")
         cfg = cls(raw=merged)
         cfg.reg_config()  # validate eagerly
         cfg.sampler_config()
@@ -118,14 +136,12 @@ class ExperimentConfig:
         s = self.raw["sampler"]
         return sampling.SamplerConfig(
             mode=s["mode"], p=float(s["p"]),
-            batch_size=int(self.raw["train"]["batch_size"]),
             seed=derive_seed(self.seed, "sampler"))
 
     def reg_config(self):
         r = self.raw["reg"]
         return RegConfig(kind=r["kind"], strength=float(r["strength"]),
-                         form=r.get("form", "squared"),
-                         epsilon=float(r.get("epsilon", 1e-12)))
+                         form=r["form"], epsilon=float(r["epsilon"]))
 
     def train_config(self, reg=None):
         t = self.raw["train"]
@@ -158,6 +174,10 @@ class DataBundle:
     def d2(self):
         return self.split.d2
 
+    def classes(self):
+        """Every label of the training and test sets."""
+        return self.train.classes() | self.test.classes()
+
 
 def load_data(cfg):
     d = cfg["data"]
@@ -173,7 +193,7 @@ def load_data(cfg):
             raise ConfigError("data.train_path and data.test_path are required")
         loaders = {"top": ds.load_top_tsv, "canonical": ds.load_tsv,
                    "snips": ds.load_snips}
-        load = loaders[d.get("format", "top")]
+        load = loaders["snips" if d["kind"] == "snips" else d["format"]]
         return load(d["train_path"]), load(d["test_path"])
     raise ConfigError(f"unknown data.kind {d['kind']!r}")
 
@@ -278,7 +298,7 @@ def cmd_train(cfg, bundle, on="all"):
         by_id = bundle.d1.by_id
     else:
         raise ConfigError(f"train target must be all|d1, got {on!r}")
-    classes = sorted(bundle.train.classes() | bundle.test.classes())
+    classes = sorted(bundle.classes())
     intents = sorted(c for c in classes if c.startswith("IN:"))
     slots = sorted(c for c in classes if c.startswith("SL:"))
     model = TaggerModel.init(
@@ -311,15 +331,15 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
         raise MissingFisher("checkpoint carries no Fisher information")
     # training encodes an example only when a plan draws it, so check every
     # label up front rather than whenever a later epoch reaches it
-    unknown = sorted((bundle.d1.classes() | bundle.d2.classes())
+    unknown = sorted(bundle.train.classes()
                      - set(prev_ckpt.intents) - set(prev_ckpt.slots))
     if unknown:
         raise UnknownLabel("labels missing from the previous checkpoint: "
                            + ", ".join(unknown))
     model = prev_ckpt.model()
-    theta_prev = prev_ckpt.model().theta
-    fisher_prev = prev_ckpt.fisher()
+    theta_prev = model.theta.copy()
     fisher_acc = prev_ckpt.fisher_accumulator()
+    fisher_prev = fisher_acc.fisher()
 
     sampler = cfg.sampler_config()
     replay_buffer = (sampling.build_replay(bundle.d1, sampler.p, sampler.seed)
@@ -329,7 +349,7 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
         return sampling.epoch_plan(bundle.d1, bundle.d2, sampler, epoch,
                                    replay_buffer=replay_buffer).ids
 
-    classes = sorted(bundle.train.classes() | bundle.test.classes())
+    classes = sorted(bundle.classes())
     evaluator = make_evaluator(bundle.test, int(cfg["eval"]["k"]),
                                derive_seed(cfg.seed, "folds"), classes)
     before = evaluator(model)
@@ -368,7 +388,7 @@ def parity_step(finetune_report, scratch_report, target_class, require="both"):
     Thresholds come from the scratch run's final record: target-class TP-F1
     mean - 2 std, and EM mean - 2 std. `require` conjoins or disjoins the two
     conditions. None when parity is never reached (reported as N/A)."""
-    if require not in ("both", "either"):
+    if require not in PARITY_REQUIRE:
         raise ConfigError("parity.require must be both|either")
     final = scratch_report.final_record
     cls_score = final["per_class"].get(target_class)

@@ -207,16 +207,6 @@ def fold_indices(n, k, seed):
     return [np.sort(chunk) for chunk in np.array_split(perm, k)]
 
 
-def fold_scores(gold, pred, k, metric, seed=0):
-    """Per-fold metric values with sample mean/std.
-
-    `metric` takes (gold_sublist, pred_sublist) and returns a float.
-    """
-    folds = fold_indices(len(gold), k, seed)
-    per_fold = [metric([gold[i] for i in idx], [pred[i] for i in idx]) for idx in folds]
-    return UncertainScore.from_folds(per_fold)
-
-
 def is_degraded(before, after):
     return before.mean - after.mean > 2 * before.std
 

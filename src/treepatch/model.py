@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,14 +62,14 @@ def tag_vocab(slots):
     return ("O",) + tuple(f"{bio}-{slot}" for slot in slots for bio in "BI")
 
 
+GROUPS = ("encoder", "intent_head", "tag_head")  # parameter groups, in order
+
+
 def make_layout(feature_dim, hidden_dim, n_intents, n_tags):
     width = hidden_dim if hidden_dim > 0 else feature_dim
     enc = hidden_dim * feature_dim + hidden_dim  # zero when linear
-    return ParamLayout((
-        ("encoder", enc),
-        ("intent_head", n_intents * width + n_intents),
-        ("tag_head", n_tags * width + n_tags),
-    ))
+    return ParamLayout(tuple(zip(GROUPS, (
+        enc, n_intents * width + n_intents, n_tags * width + n_tags))))
 
 
 @dataclass
@@ -136,9 +136,6 @@ class TaggerModel:
                 self.hidden_dim, self.feature_dim)
             views["b_enc"] = enc[self.hidden_dim * self.feature_dim:]
         return views
-
-    def copy(self):
-        return replace(self, theta=self.theta.copy())
 
 
 MAX_FEATS = 4  # word, prev, next and bigram: at most four ids per token
@@ -467,20 +464,17 @@ PREDICT_CHUNK = 256  # examples per batched forward: bounds its temporaries
 def predict_encoded(model, queries, batch):
     """Most likely trees for `queries`, given their Encoded batch."""
     trees = []
-    for lo in range(0, len(batch), PREDICT_CHUNK):
-        chunk = batch.take(np.arange(lo, min(lo + PREDICT_CHUNK, len(batch))))
+    for rows in batches(range(len(batch)), PREDICT_CHUNK):
+        chunk = batch.take(rows)
         p_int, p_tag = forward(model, chunk)
         intents = p_int.argmax(axis=1).tolist()
         tags = p_tag.argmax(axis=1).tolist()
         offsets = chunk.offsets.tolist()
-        for i, query in enumerate(queries[lo:lo + PREDICT_CHUNK]):
+        for i, row in enumerate(rows):
             tag_names = [model.tags[t] for t in tags[offsets[i]:offsets[i + 1]]]
-            trees.append(decode_tree(query, model.intents[intents[i]], tag_names))
+            trees.append(decode_tree(queries[row], model.intents[intents[i]],
+                                     tag_names))
     return trees
-
-
-def predict(model, query):
-    return predict_encoded(model, [query], encode([query], model.feature_dim))[0]
 
 
 def predict_trees(model, examples):
@@ -514,9 +508,6 @@ class Checkpoint:
     def fisher_accumulator(self):
         return FisherAccumulator(self.layout, self.fisher_sum_sq.copy(),
                                  self.fisher_steps)
-
-    def fisher(self):
-        return self.fisher_accumulator().fisher()
 
 
 _MAGIC = b"TPCK0001"
@@ -604,7 +595,7 @@ class TrainResult:
 
 def train(model, examples_by_id, plan_fn, cfg, evaluator,
           theta_prev=None, fisher_prev=None, fisher_acc=None,
-          start_step=0, config_digest=""):
+          config_digest=""):
     """Seeded mini-batch SGD over epoch plans.
 
     plan_fn(epoch_index) -> ordered id list for that epoch (already shuffled).
@@ -630,7 +621,7 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
     best_em = -1.0
     best_ckpt = None
     bad_evals = 0
-    step = start_step
+    step = 0
     stopped = False
 
     def snapshot():

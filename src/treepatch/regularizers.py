@@ -43,10 +43,6 @@ class ParamLayout:
     def size(self):
         return sum(size for _, size in self.groups)
 
-    @property
-    def names(self):
-        return tuple(name for name, _ in self.groups)
-
     def slice_of(self, name):
         offset = 0
         for gname, size in self.groups:

@@ -25,7 +25,6 @@ class SamplerError(ValueError):
 class SamplerConfig:
     mode: str = "sample"
     p: float = 0.0
-    batch_size: int = 16
     seed: int = 0
 
     def __post_init__(self):
@@ -33,8 +32,6 @@ class SamplerConfig:
             raise SamplerError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise SamplerError(f"p={self.p} outside [0, 1]")
-        if self.batch_size < 1:
-            raise SamplerError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)

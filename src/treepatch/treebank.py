@@ -160,11 +160,6 @@ def serialize(tree):
     return _serialize_node(tree.root)
 
 
-def canonicalize(text):
-    """Parse and re-serialize: collapses whitespace, normalizes label case."""
-    return serialize(parse_top(text))
-
-
 def classes_of(tree):
     """Set of every intent/slot label appearing anywhere in the tree."""
     labels = set()

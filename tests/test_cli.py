@@ -125,6 +125,34 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     assert "eval.k" in err["message"]
 
 
+@pytest.mark.parametrize("assignment, key", [
+    ("model.feature_dim=0", "model.feature_dim"),
+    ("model.hidden_dim=-1", "model.hidden_dim"),
+    ("train.batch_size=0", "train.batch_size"),
+    ('freeze=["encoderr"]', "freeze"),
+    ("freeze=encoder", "freeze"),
+    ("parity.require=neither", "parity.require"),
+])
+def test_bad_set_value_rejected(workdir, capsys, assignment, key):
+    assert run(["split", "--config", workdir / "config.json",
+                "--set", assignment, "--out-dir", workdir]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert key in err["message"]
+
+
+def test_set_wins_over_preset(workdir):
+    out = workdir / "preset.json"
+    assert run(["train", "--config", workdir / "config.json", "--on", "d1",
+                "--set", "train.max_epochs=1", "--set", "reg.strength=100",
+                "--preset", "ewc_sample_20", "--report", out]) == 0
+    # the preset's values, spelled out, with --set's strength
+    expected = harness.ExperimentConfig.from_dict(harness._deep_merge(CONFIG, {
+        "train": {"max_epochs": 1}, "sampler": {"mode": "sample", "p": 0.2},
+        "reg": {"kind": "ewc", "strength": 100, "form": "squared"}}))
+    assert json.loads(out.read_text())["config_digest"] == expected.digest()
+
+
 def test_finetune_names_labels_unknown_to_prev(workdir, capsys):
     bundle = harness.prepare(harness.ExperimentConfig.from_dict(CONFIG))
     classes = bundle.train.classes()

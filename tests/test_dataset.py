@@ -7,21 +7,12 @@ from treepatch.dataset import (ClassNotFound, Dataset, Example,
                                LineParseError, SchemaError, SplitSpec,
                                load_snips, load_top_tsv, load_tsv, make_split,
                                save_tsv, split_stats)
-from treepatch.treebank import parse_top, serialize
+from treepatch.treebank import parse_top, serialize, token_leaves
 
 
 def ex(eid, text):
     tree = parse_top(text)
-    return Example(id=eid, query=" ".join(
-        t for t in _leaves(tree.root)), tree=tree)
-
-
-def _leaves(node):
-    for c in node.children:
-        if isinstance(c, str):
-            yield c
-        else:
-            yield from _leaves(c)
+    return Example(id=eid, query=" ".join(token_leaves(tree)), tree=tree)
 
 
 def corpus(*texts):
@@ -151,10 +142,3 @@ def test_duplicate_ids_rejected():
     with pytest.raises(ds.DatasetError):
         Dataset((e, e))
 
-
-def test_class_index_consistent():
-    src = split_corpus(2, 2)
-    index = src.class_index
-    for cls, ids in index.items():
-        for eid in ids:
-            assert cls in src.by_id[eid].classes

@@ -68,6 +68,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="eval.k"):
             ExperimentConfig.from_dict({"eval": {"k": k}})
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"model": {"feature_dim": 0}}, "model.feature_dim"),
+        ({"model": {"feature_dim": 64.0}}, "model.feature_dim"),
+        ({"model": {"hidden_dim": -1}}, "model.hidden_dim"),
+        ({"model": {"hidden_dim": True}}, "model.hidden_dim"),
+        ({"train": {"batch_size": 0}}, "train.batch_size"),
+        ({"freeze": ["encoderr"]}, "freeze"),
+        ({"freeze": "encoder"}, "freeze"),
+        ({"parity": {"require": "neither"}}, "parity.require"),
+    ])
+    def test_bad_value_rejected_naming_its_key(self, raw, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(raw)
+
+    def test_edge_values_accepted(self):
+        cfg = ExperimentConfig.from_dict({
+            "model": {"feature_dim": 1, "hidden_dim": 0},
+            "train": {"batch_size": 1}, "parity": {"require": "either"},
+            "freeze": ["encoder", "intent_head", "tag_head"]})
+        assert cfg.train_config().freeze.frozen == {
+            "encoder", "intent_head", "tag_head"}
+
+    def test_explicit_keys_win_over_preset(self):
+        cfg = ExperimentConfig.from_dict({"reg": {"strength": 100.0}},
+                                         preset="ewc_sample_20")
+        assert cfg["reg"] == {"kind": "ewc", "strength": 100.0,
+                              "form": "squared", "epsilon": 1e-12}
+        assert cfg["sampler"]["p"] == 0.2
+
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig.from_dict(SMALL)
         b = ExperimentConfig.from_dict(copy.deepcopy(SMALL))
@@ -233,6 +262,21 @@ class TestSweep:
         cfg = ExperimentConfig.from_dict(SMALL)
         with pytest.raises(ConfigError):
             harness.sweep_cell_config(cfg, "bogus", 0.1, 1.0)
+
+
+def test_snips_kind_loads_snips_json(tmp_path):
+    path = tmp_path / "snips.json"
+    path.write_text(json.dumps([
+        {"intent": "GetWeather",
+         "text": [{"text": "weather "}, {"text": "today", "slot": "date"}]},
+        {"intent": "PlayMusic", "text": "play something"},
+    ]))
+    cfg = ExperimentConfig.from_dict({"data": {
+        "kind": "snips", "train_path": str(path), "test_path": str(path)}})
+    train_set, test_set = harness.load_data(cfg)
+    assert [ex.query for ex in train_set] == ["weather today", "play something"]
+    assert train_set.classes() == {"IN:GET_WEATHER", "SL:DATE", "IN:PLAY_MUSIC"}
+    assert len(test_set) == 2
 
 
 def test_run_report_round_trip(scratch):

@@ -9,8 +9,8 @@ from treepatch import metrics
 from treepatch.metrics import (DegradationReport, LengthMismatch,
                                TooFewExamples, TreePath, UncertainScore,
                                degraded_classes, exact_match, extract_paths,
-                               fold_scores, path_counts, path_mentions,
-                               per_class_tp_f1, report_from_counts, tp_f1)
+                               path_counts, path_mentions, per_class_tp_f1,
+                               report_from_counts, tp_f1)
 from treepatch.treebank import Node, ParseTree, parse_top
 
 FIG1_GOLD = parse_top(
@@ -219,7 +219,9 @@ class TestExactMatch:
 class TestFoldScores:
     def test_constant_metric_has_zero_std(self):
         gold = [FIG1_GOLD] * 20
-        score = fold_scores(gold, gold, 5, exact_match, seed=1)
+        score = UncertainScore.from_folds(
+            [exact_match([gold[i] for i in idx], [gold[i] for i in idx])
+             for idx in metrics.fold_indices(len(gold), 5, seed=1)])
         assert score.mean == 1.0 and score.std == 0.0
 
     def test_fold_sizes_near_equal(self):
@@ -234,7 +236,7 @@ class TestFoldScores:
 
     def test_too_few_examples(self):
         with pytest.raises(TooFewExamples):
-            fold_scores([FIG1_GOLD], [FIG1_GOLD], 2, exact_match)
+            metrics.fold_indices(1, 2, seed=0)
         with pytest.raises(TooFewExamples):
             metrics.fold_indices(10, 1, seed=0)
 

@@ -14,8 +14,9 @@ from treepatch.metrics import exact_match
 from treepatch.model import (ChecksumError, DimMismatch, EmptyQuery,
                              Encoded, TaggerModel, TrainConfig, UnknownLabel,
                              decode_tree, encode, encode_targets, featurize,
-                             forward, load_checkpoint, loss_and_grad, predict,
-                             predict_trees, save_checkpoint, train)
+                             forward, load_checkpoint, loss_and_grad,
+                             predict_encoded, predict_trees, save_checkpoint,
+                             train)
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
                                     MissingAnchor, MissingFisher, ParamVector,
                                     RegConfig, apply_freeze, penalty)
@@ -254,7 +255,7 @@ class TestLossAndGrad:
             rng = np.random.default_rng(0)
             net.theta.values[:] = rng.normal(0, 0.3, net.theta.values.size)
         batch = self._batch(net)
-        prev = net.copy().theta
+        prev = net.theta.copy()
         prev.values += 0.1
         fisher = np.abs(np.random.default_rng(1).normal(size=prev.values.size))
         reg = RegConfig(kind="ewc", strength=0.7)
@@ -274,7 +275,7 @@ class TestLossAndGrad:
     def test_huge_penalty_pins_weights(self):
         net = tiny_model(0)
         batch = self._batch(net)
-        prev = net.copy().theta
+        prev = net.theta.copy()
         reg = RegConfig(kind="movenorm", strength=1e9)
         for _ in range(20):
             _, grad, _ = loss_and_grad(net, batch, reg, prev, None)
@@ -284,7 +285,7 @@ class TestLossAndGrad:
     def test_data_grad_excludes_penalty(self):
         net = tiny_model(0)
         batch = self._batch(net)
-        prev = net.copy().theta
+        prev = net.theta.copy()
         prev.values += 1.0
         _, _, plain = loss_and_grad(net, batch)
         _, total, data = loss_and_grad(
@@ -476,10 +477,11 @@ def test_train_checkpoint_equals_dense_reference(tmp_path, kind, frozen):
                       freeze=FreezeMask.of(*frozen))
     result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
                    lambda net: {"em": 0.0}, theta_prev=prev.model().theta,
-                   fisher_prev=prev.fisher(),
-                   fisher_acc=prev.fisher_accumulator(), start_step=prev.step)
+                   fisher_prev=prev.fisher_accumulator().fisher(),
+                   fisher_acc=prev.fisher_accumulator())
     theta, acc = reference_train(prev.model(), by_id, simple_plan(by_id, 5),
-                                 cfg, prev.model().theta, prev.fisher(),
+                                 cfg, prev.model().theta,
+                                 prev.fisher_accumulator().fisher(),
                                  prev.fisher_accumulator())
     reference = dataclasses.replace(result.final, theta_values=theta,
                                     fisher_sum_sq=acc.sum_sq,
@@ -527,7 +529,7 @@ def test_penalty_without_its_anchor_fails_before_encoding(
               TrainConfig(max_epochs=1, eval_every=0,
                           reg=RegConfig(kind=kind, strength=1.0)),
               lambda net: {"em": 0.0},
-              theta_prev=net.copy().theta if prev else None,
+              theta_prev=net.theta.copy() if prev else None,
               fisher_prev=np.ones(net.layout.size) if fisher else None)
     assert calls == []
 
@@ -613,6 +615,7 @@ def test_tag_vocabulary_built_once():
 
 def test_predict_emits_valid_trees():
     net = tiny_model(0)
-    tree = predict(net, "hello out there")
+    tree = predict_encoded(net, ["hello out there"],
+                           encoded(net, "hello out there"))[0]
     assert serialize(tree)
     assert list(token_leaves(tree)) == "hello out there".split()

@@ -3,9 +3,8 @@ import pytest
 
 from treepatch import treebank
 from treepatch.treebank import (BadLabel, EmptyNode, Node, ParseTree,
-                                RootNotIntent, UnbalancedBrackets,
-                                canonicalize, classes_of, parse_top,
-                                serialize, token_leaves)
+                                RootNotIntent, UnbalancedBrackets, classes_of,
+                                parse_top, serialize, token_leaves)
 
 FIG1 = ("[IN:GET_DEPARTURE when should i leave for my "
         "[SL:DESTINATION [IN:GET_EVENT [SL:NAME_EVENT dentist ] "
@@ -62,12 +61,12 @@ def test_serialize_is_inverse_of_parse():
 
 def test_whitespace_collapses_to_canonical():
     messy = "[IN:CANCEL  never \t mind  ]"
-    assert canonicalize(messy) == "[IN:CANCEL never mind ]"
-    assert canonicalize(messy) == canonicalize("[IN:CANCEL never mind ]")
+    assert serialize(parse_top(messy)) == "[IN:CANCEL never mind ]"
+    assert parse_top(messy) == parse_top("[IN:CANCEL never mind ]")
 
 
 def test_labels_case_normalized():
-    assert canonicalize("[in:cancel hi ]") == "[IN:CANCEL hi ]"
+    assert serialize(parse_top("[in:cancel hi ]")) == "[IN:CANCEL hi ]"
 
 
 def test_slotless_intents_allowed():
