@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +62,19 @@ DEFAULT_CONFIG = {
 
 PARITY_REQUIRE = ("both", "either")
 
+# data.format -> the loader of a train or test file
+LOADERS = {"top": ds.load_top_tsv, "canonical": ds.load_tsv,
+           "snips": ds.load_snips}
+
 
 def _reject_unknown_keys(d, defaults, prefix=""):
     for key, value in d.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {prefix + str(key)!r}")
-        if isinstance(value, dict) and isinstance(defaults[key], dict):
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {prefix + str(key)!r} must "
+                                  f"be an object, got {value!r}")
             _reject_unknown_keys(value, defaults[key], f"{prefix}{key}.")
 
 
@@ -102,8 +110,16 @@ class ExperimentConfig:
             base = _deep_merge(base, PRESETS[preset])
         merged = _deep_merge(base, d or {})
         for dotted, minimum in (("eval.k", 2), ("model.feature_dim", 1),
-                                ("model.hidden_dim", 0), ("train.batch_size", 1)):
+                                ("model.hidden_dim", 0), ("train.batch_size", 1),
+                                ("train.max_epochs", 1)):
             _check_int(merged, dotted, minimum)
+        lr = merged["train"]["lr"]
+        if (not isinstance(lr, (int, float)) or isinstance(lr, bool)
+                or not math.isfinite(lr) or lr <= 0):
+            raise ConfigError(f"train.lr must be a positive finite number, got {lr!r}")
+        if merged["data"]["format"] not in LOADERS:
+            raise ConfigError(f"data.format must be one of {tuple(LOADERS)}, "
+                              f"got {merged['data']['format']!r}")
         freeze = merged["freeze"]
         if not isinstance(freeze, list) or not all(g in GROUPS for g in freeze):
             raise ConfigError(f"freeze must be a list of parameter groups "
@@ -191,9 +207,7 @@ def load_data(cfg):
     if d["kind"] in ("tsv", "snips"):
         if not d["train_path"] or not d["test_path"]:
             raise ConfigError("data.train_path and data.test_path are required")
-        loaders = {"top": ds.load_top_tsv, "canonical": ds.load_tsv,
-                   "snips": ds.load_snips}
-        load = loaders["snips" if d["kind"] == "snips" else d["format"]]
+        load = LOADERS["snips" if d["kind"] == "snips" else d["format"]]
         return load(d["train_path"]), load(d["test_path"])
     raise ConfigError(f"unknown data.kind {d['kind']!r}")
 

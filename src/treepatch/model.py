@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .regularizers import (FisherAccumulator, FreezeMask, MissingAnchor,
-                           MissingFisher, ParamLayout, ParamVector, RegConfig,
-                           SparseGrad, apply_freeze, penalty)
+from .regularizers import (FisherAccumulator, FreezeMask, ParamLayout,
+                           ParamVector, RegConfig, SparseGrad, anchored_step,
+                           apply_freeze, penalty)
 from .sampling import batches
 from .treebank import Node, ParseTree
 
@@ -605,13 +605,13 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
     the best EM is returned. Squared-gradient importance is accumulated from
     the very first step, into fisher_acc if given. An example is encoded
     when an epoch plan first draws it; examples no plan draws are never
-    looked at. A penalty without its theta_prev (or, for EWC, fisher_prev)
-    raises before any example is encoded.
+    looked at. A penalty without its theta_prev (or, for EWC, fisher_prev),
+    or with one of another layout, raises before any example is encoded.
+    An active penalty takes regularizers.anchored_step; otherwise only the
+    coordinates the data gradient touches are stepped.
     """
-    if cfg.reg.kind != "none" and theta_prev is None:
-        raise MissingAnchor(f"{cfg.reg.kind} penalty needs theta_prev")
-    if cfg.reg.kind == "ewc" and fisher_prev is None:
-        raise MissingFisher("ewc penalty needs fisher_prev")
+    fused_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
+                               cfg.lr, cfg.freeze)
     if fisher_acc is None:
         fisher_acc = FisherAccumulator(model.layout)
     corpus = encode([], model.feature_dim, [])  # the examples drawn so far
@@ -658,15 +658,13 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
             row_of.update(zip(new, range(len(row_of), len(corpus))))
         for batch_ids in epoch_batches:
             batch = corpus.take([row_of[eid] for eid in batch_ids])
-            _, grad, data_grad = loss_and_grad(
-                model, batch, cfg.reg, theta_prev,
-                fisher_prev if cfg.reg.kind == "ewc" else None)
+            _, _, data_grad = loss_and_grad(model, batch)
             fisher_acc.update(data_grad)
-            grad = apply_freeze(grad, cfg.freeze)
-            if isinstance(grad, SparseGrad):
-                model.theta.values[grad.index] -= cfg.lr * grad.data
+            if fused_step is not None:
+                fused_step(data_grad)
             else:
-                model.theta.values -= cfg.lr * grad.values
+                grad = apply_freeze(data_grad, cfg.freeze)
+                model.theta.values[grad.index] -= cfg.lr * grad.data
             step += 1
             if cfg.eval_every and step % cfg.eval_every == 0:
                 if run_eval():

@@ -114,6 +114,15 @@ class RegConfig:
             raise RegError("epsilon must be > 0")
 
 
+def _checked_fisher(fisher, theta):
+    if fisher is None:
+        raise MissingFisher("ewc penalty needs a fisher vector")
+    fisher = np.asarray(fisher, dtype=np.float64)
+    if fisher.shape != theta.values.shape:
+        raise LayoutMismatch("fisher shape differs from theta")
+    return fisher
+
+
 def penalty(theta, theta_prev, fisher, config):
     """(value, gradient) of the anchoring penalty at theta.
 
@@ -124,11 +133,7 @@ def penalty(theta, theta_prev, fisher, config):
     if config.kind == "none" or config.strength == 0.0:
         return 0.0, ParamVector.zeros(theta.layout)
     if config.kind == "ewc":
-        if fisher is None:
-            raise MissingFisher("ewc penalty needs a fisher vector")
-        fisher = np.asarray(fisher, dtype=np.float64)
-        if fisher.shape != theta.values.shape:
-            raise LayoutMismatch("fisher shape differs from theta")
+        fisher = _checked_fisher(fisher, theta)
     lam = config.strength
     delta = theta.values - theta_prev.values
     if config.form == "squared":
@@ -141,6 +146,58 @@ def penalty(theta, theta_prev, fisher, config):
         value = lam * float(root)
         grad = lam * w * delta / root
     return value, ParamVector(theta.layout, grad)
+
+
+def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
+    """The SGD step of a run anchored by `config`, fused: step(data_grad)
+    updates theta in place. None when the penalty is off (kind "none" or
+    strength 0); the sparse data step is then the whole step.
+
+    penalty's checks run here, once, so a bad anchor fails before training
+    starts. Each step then does the float operations of penalty, the data
+    gradient's scatter-add, apply_freeze and `theta -= lr * grad`, in the
+    same order, in one preallocated buffer: theta comes out bit-identical
+    without the dense temporaries.
+    """
+    if config.kind == "none":
+        return None
+    if theta_prev is None:
+        raise MissingAnchor(f"{config.kind} penalty needs theta_prev")
+    _check_layouts(theta, theta_prev)
+    if config.kind == "ewc":
+        fisher = _checked_fisher(fisher, theta)
+    if config.strength == 0.0:
+        return None
+    lam = config.strength
+    tmp = None  # the norm form's reduction buffer
+    if config.form == "squared":
+        w = fisher if config.kind == "ewc" else 1.0
+        c = 2.0 * lam * w
+    else:
+        w = fisher * fisher if config.kind == "ewc" else 1.0
+        c = lam * w
+        tmp = np.empty(theta.layout.size)
+    frozen = [theta.layout.slice_of(name) for name in freeze.frozen]
+    prev = theta_prev.values
+    buf = np.empty(theta.layout.size)
+
+    def step(data_grad):
+        np.subtract(theta.values, prev, out=buf)  # delta
+        if tmp is None:
+            np.multiply(buf, c, out=buf)
+        else:
+            np.multiply(w, buf, out=tmp)
+            np.multiply(tmp, buf, out=tmp)
+            root = np.sqrt(np.sum(tmp) + config.epsilon)
+            np.multiply(buf, c, out=buf)
+            np.divide(buf, root, out=buf)
+        buf[data_grad.index] += data_grad.data
+        for group in frozen:
+            buf[group] = 0.0
+        np.multiply(buf, lr, out=buf)
+        theta.values -= buf
+
+    return step
 
 
 @dataclass

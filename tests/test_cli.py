@@ -132,6 +132,11 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     ('freeze=["encoderr"]', "freeze"),
     ("freeze=encoder", "freeze"),
     ("parity.require=neither", "parity.require"),
+    ("train.lr=fast", "train.lr"),
+    ("train.lr=-1", "train.lr"),
+    ("train.max_epochs=0", "train.max_epochs"),
+    ("data.format=xml", "data.format"),
+    ("model=5", "model"),
 ])
 def test_bad_set_value_rejected(workdir, capsys, assignment, key):
     assert run(["split", "--config", workdir / "config.json",

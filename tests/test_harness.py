@@ -77,6 +77,17 @@ class TestConfig:
         ({"freeze": ["encoderr"]}, "freeze"),
         ({"freeze": "encoder"}, "freeze"),
         ({"parity": {"require": "neither"}}, "parity.require"),
+        ({"train": {"lr": "fast"}}, "train.lr"),
+        ({"train": {"lr": -1}}, "train.lr"),
+        ({"train": {"lr": 0.0}}, "train.lr"),
+        ({"train": {"lr": True}}, "train.lr"),
+        ({"train": {"lr": float("inf")}}, "train.lr"),
+        ({"train": {"lr": float("nan")}}, "train.lr"),
+        ({"train": {"max_epochs": 0}}, "train.max_epochs"),
+        ({"data": {"kind": "tsv", "format": "xml", "train_path": "a.tsv",
+                   "test_path": "b.tsv"}}, "data.format"),
+        ({"model": 5}, "model"),
+        ({"train": [0.5]}, "train"),
     ])
     def test_bad_value_rejected_naming_its_key(self, raw, key):
         with pytest.raises(ConfigError, match=key):
@@ -85,7 +96,8 @@ class TestConfig:
     def test_edge_values_accepted(self):
         cfg = ExperimentConfig.from_dict({
             "model": {"feature_dim": 1, "hidden_dim": 0},
-            "train": {"batch_size": 1}, "parity": {"require": "either"},
+            "train": {"batch_size": 1, "max_epochs": 1, "lr": 1},
+            "data": {"format": "canonical"}, "parity": {"require": "either"},
             "freeze": ["encoder", "intent_head", "tag_head"]})
         assert cfg.train_config().freeze.frozen == {
             "encoder", "intent_head", "tag_head"}

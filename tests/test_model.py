@@ -18,8 +18,9 @@ from treepatch.model import (ChecksumError, DimMismatch, EmptyQuery,
                              predict_encoded, predict_trees, save_checkpoint,
                              train)
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
-                                    MissingAnchor, MissingFisher, ParamVector,
-                                    RegConfig, apply_freeze, penalty)
+                                    LayoutMismatch, MissingAnchor,
+                                    MissingFisher, ParamVector, RegConfig,
+                                    apply_freeze, penalty)
 from treepatch.sampling import batches
 from treepatch.treebank import parse_top, serialize, token_leaves
 
@@ -464,16 +465,26 @@ def reference_train(net, by_id, plan_fn, cfg, theta_prev, fisher_prev,
     return net.theta.values, fisher_acc
 
 
-@pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",)])
-@pytest.mark.parametrize("kind", ["none", "movenorm", "ewc"])
-def test_train_checkpoint_equals_dense_reference(tmp_path, kind, frozen):
+@pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",),
+                                    ("intent_head", "tag_head")])
+@pytest.mark.parametrize("kind, form, strength", [
+    *(pytest.param(kind, "squared", 0.5, id=kind)
+      for kind in ("none", "movenorm", "ewc")),
+    *(pytest.param(kind, "norm", 0.5, id=f"{kind}-norm")
+      for kind in ("movenorm", "ewc")),
+    # reachable through config; train takes the sparse step, the reference
+    # adds penalty's dense zeros
+    pytest.param("movenorm", "squared", 0.0, id="movenorm-strength0"),
+])
+def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
+                                                 strength, frozen):
     corpus = toy_corpus()
     by_id = {e.id: e for e in corpus}
     prev = train(tiny_model(0, feature_dim=32), by_id, simple_plan(by_id, 0),
                  TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0),
                  lambda net: {"em": 0.0}).final
     cfg = TrainConfig(lr=0.3, batch_size=7, max_epochs=2, eval_every=0,
-                      reg=RegConfig(kind=kind, strength=0.5),
+                      reg=RegConfig(kind=kind, strength=strength, form=form),
                       freeze=FreezeMask.of(*frozen))
     result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
                    lambda net: {"em": 0.0}, theta_prev=prev.model().theta,
@@ -516,12 +527,18 @@ def test_train_encodes_only_drawn_examples(monkeypatch):
     ("movenorm", False, False, MissingAnchor),
     ("ewc", False, True, MissingAnchor),
     ("ewc", True, False, MissingFisher),
+    ("movenorm", "other_layout", False, LayoutMismatch),
+    ("ewc", True, "wrong_shape", LayoutMismatch),
 ])
 def test_penalty_without_its_anchor_fails_before_encoding(
         monkeypatch, kind, prev, fisher, error):
     corpus = toy_corpus()
     by_id = {e.id: e for e in corpus}
     net = tiny_model(0)
+    anchors = {False: None, True: net.theta.copy(),
+               "other_layout": tiny_model(0, feature_dim=32).theta}
+    fishers = {False: None, True: np.ones(net.layout.size),
+               "wrong_shape": np.ones(net.layout.size - 1)}
     calls = []
     monkeypatch.setattr(m, "encode", lambda *args: calls.append(args))
     with pytest.raises(error):
@@ -529,8 +546,7 @@ def test_penalty_without_its_anchor_fails_before_encoding(
               TrainConfig(max_epochs=1, eval_every=0,
                           reg=RegConfig(kind=kind, strength=1.0)),
               lambda net: {"em": 0.0},
-              theta_prev=net.theta.copy() if prev else None,
-              fisher_prev=np.ones(net.layout.size) if fisher else None)
+              theta_prev=anchors[prev], fisher_prev=fishers[fisher])
     assert calls == []
 
 

@@ -4,7 +4,8 @@ import pytest
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
                                     LayoutMismatch, MissingFisher,
                                     ParamLayout, ParamVector, RegConfig,
-                                    apply_freeze, penalty)
+                                    SparseGrad, anchored_step, apply_freeze,
+                                    penalty)
 
 LAYOUT = ParamLayout((("encoder", 3), ("intent_head", 2), ("tag_head", 4)))
 
@@ -181,3 +182,42 @@ class TestFreeze:
         np.testing.assert_array_equal(out.values[:3], 1.0)
         np.testing.assert_array_equal(out.values[5:], 1.0)
         np.testing.assert_array_equal(grad.values, 1.0)  # input untouched
+
+
+class TestAnchoredStep:
+    BIG = ParamLayout((("encoder", 0), ("intent_head", 3000),
+                       ("tag_head", 7000)))
+
+    @pytest.mark.parametrize("frozen", [(), ("intent_head",)])
+    @pytest.mark.parametrize("strength", [0.1, 10.0, 1000.0])
+    @pytest.mark.parametrize("form", ["squared", "norm"])
+    @pytest.mark.parametrize("kind", ["movenorm", "ewc"])
+    def test_bit_identical_to_penalty_freeze_and_dense_update(
+            self, kind, form, strength, frozen):
+        rng = np.random.default_rng(7)
+        size = self.BIG.size
+        theta_prev = ParamVector(self.BIG, rng.normal(size=size))
+        fisher = rng.exponential(size=size)
+        config = RegConfig(kind=kind, strength=strength, form=form)
+        mask = FreezeMask.of(*frozen)
+        fused = ParamVector(self.BIG, theta_prev.values + rng.normal(
+            scale=0.1, size=size))
+        dense = fused.copy()
+        step = anchored_step(fused, theta_prev, fisher, config, 1e-4, mask)
+        for _ in range(5):
+            index = np.sort(rng.choice(size, 500, replace=False))
+            grad = SparseGrad(self.BIG, index, rng.normal(size=500))
+            step(grad)
+            _, total = penalty(dense, theta_prev, fisher, config)
+            total.values[grad.index] += grad.data
+            dense.values -= 1e-4 * apply_freeze(total, mask).values
+        assert fused.values.tobytes() == dense.values.tobytes()
+
+    @pytest.mark.parametrize("kind, strength", [("none", 1.0),
+                                                ("movenorm", 0.0),
+                                                ("ewc", 0.0)])
+    def test_off_penalty_has_no_fused_step(self, kind, strength):
+        theta = rand_vec(np.random.default_rng(0))
+        assert anchored_step(theta, theta.copy(), np.ones(LAYOUT.size),
+                             RegConfig(kind=kind, strength=strength),
+                             0.1, FreezeMask()) is None
