@@ -285,6 +285,25 @@ def _total(X, batch):
     return _ordered_sums(_segment_sums(X, batch)[None])[0]
 
 
+def _per_example(W, X):
+    """(examples, rows of W): W @ x for each row x of X, one matrix-vector
+    product each, as the per-example loop takes them. A matrix product
+    rounds differently from numpy's matrix-vector product."""
+    return (W @ X[:, :, None])[:, :, 0]
+
+
+def _per_token(X, W, batch):
+    """X @ W, with the rows of one-token examples taken as vector-matrix
+    products, as the per-example loop takes them: the rows of a matrix
+    product do not depend on how many rows there are, but a single row
+    goes through numpy's vector-matrix product, which rounds differently."""
+    out = X @ W
+    single = batch.offsets[:-1][batch.lengths == 1]
+    if len(single) and len(X) > 1:
+        out[single] = (X[single][:, None, :] @ W)[:, 0]
+    return out
+
+
 def _forward(model, v, batch):
     """(intent distributions per example, tag distributions per token,
     token representations h, or None for the linear model)."""
@@ -296,8 +315,9 @@ def _forward(model, v, batch):
         tag_logits = _column_sums(v["W_tag"], batch.feats) + v["b_tag"]
     else:
         h = np.tanh(_column_sums(v["W_enc"], batch.feats) + v["b_enc"])
-        int_logits = (_segment_sums(h, batch) / T) @ v["W_int"].T + v["b_int"]
-        tag_logits = h @ v["W_tag"].T + v["b_tag"]
+        h_pool = _segment_sums(h, batch) / T
+        int_logits = _per_example(v["W_int"], h_pool) + v["b_int"]
+        tag_logits = _per_token(h, v["W_tag"].T, batch) + v["b_tag"]
     return _softmax(int_logits), _softmax(tag_logits), h
 
 
@@ -375,8 +395,8 @@ def _data_loss_and_grad(model, batch):
             [(g_int / T[:, None])[example_of_token], g_tag], axis=1)
     else:
         h_pool = _segment_sums(h, batch) / T[:, None]
-        dh = (g_tag @ v["W_tag"]
-              + ((g_int @ v["W_int"]) / T[:, None])[example_of_token])
+        dh = (_per_token(g_tag, v["W_tag"], batch)
+              + (_per_example(v["W_int"].T, g_int) / T[:, None])[example_of_token])
         token_grad = dh * (1.0 - h * h)
     # per coordinate, add the entries in (example, token, slot) order, the
     # order of the per-example loop this replaces: bincount adds in input
@@ -400,12 +420,19 @@ def _data_loss_and_grad(model, batch):
                  np.arange(th.start + n_tag * w, th.stop)]
         data = [block[:n_int].ravel(), b_int, block[n_int:].ravel(), b_tag]
     else:
+        # the head weights' gradients per example, then added over examples
+        # in order, as the per-example loop adds them: one matmul over the
+        # whole batch sums in another order, and these sums may cancel
         enc, H = layout.slice_of("encoder"), model.hidden_dim
+        g_tag_rows = np.concatenate([g_tag, np.zeros((1, n_tag))])[batch.positions]
+        h_rows = np.concatenate([h, np.zeros((1, H))])[batch.positions]
+        W_int = _ordered_sums((g_int[:, :, None] * h_pool[:, None, :])[None])
+        W_tag = _ordered_sums((g_tag_rows.transpose(0, 2, 1) @ h_rows)[None])
         index = [_column_index(enc.start, H, model.feature_dim, cols),
                  np.arange(enc.start + H * model.feature_dim, enc.stop),
                  np.arange(ih.start, th.stop)]
         data = [block.ravel(), _total(token_grad, batch),
-                (g_int.T @ h_pool).ravel(), b_int, (g_tag.T @ h).ravel(), b_tag]
+                W_int.ravel(), b_int, W_tag.ravel(), b_tag]
     return loss, SparseGrad(layout, np.concatenate(index), np.concatenate(data))
 
 
