@@ -53,6 +53,8 @@ DEFAULT_CONFIG = {
     "sampler": {"mode": "sample", "p": 0.2},
     "reg": {"kind": "none", "strength": 0.0, "form": "squared", "epsilon": 1e-12},
     "freeze": [],
+    # hidden_dim accepts only 0, the linear tagger; the key stays so that
+    # config digests keep their bytes
     "model": {"feature_dim": 4096, "hidden_dim": 0},
     "train": {"lr": 0.5, "batch_size": 16, "max_epochs": 20,
               "eval_every": 200, "patience": 10},
@@ -110,9 +112,12 @@ class ExperimentConfig:
             base = _deep_merge(base, PRESETS[preset])
         merged = _deep_merge(base, d or {})
         for dotted, minimum in (("eval.k", 2), ("model.feature_dim", 1),
-                                ("model.hidden_dim", 0), ("train.batch_size", 1),
-                                ("train.max_epochs", 1)):
+                                ("train.batch_size", 1), ("train.max_epochs", 1)):
             _check_int(merged, dotted, minimum)
+        hidden_dim = merged["model"]["hidden_dim"]
+        if type(hidden_dim) is not int or hidden_dim != 0:
+            raise ConfigError(f"model.hidden_dim must be 0 (the tagger is "
+                              f"linear), got {hidden_dim!r}")
         lr = merged["train"]["lr"]
         if (not isinstance(lr, (int, float)) or isinstance(lr, bool)
                 or not math.isfinite(lr) or lr <= 0):
@@ -315,11 +320,8 @@ def cmd_train(cfg, bundle, on="all"):
     classes = sorted(bundle.classes())
     intents = sorted(c for c in classes if c.startswith("IN:"))
     slots = sorted(c for c in classes if c.startswith("SL:"))
-    model = TaggerModel.init(
-        intents, slots,
-        feature_dim=int(cfg["model"]["feature_dim"]),
-        hidden_dim=int(cfg["model"]["hidden_dim"]),
-        seed=derive_seed(cfg.seed, "init"))
+    model = TaggerModel.init(intents, slots,
+                             feature_dim=int(cfg["model"]["feature_dim"]))
     evaluator = make_evaluator(bundle.test, int(cfg["eval"]["k"]),
                                derive_seed(cfg.seed, "folds"), classes)
     result = train(model, by_id,

@@ -1,11 +1,11 @@
 """Desk-scale intent+slot tagger trained with hand-written gradients.
 
-One shared hashed feature projection ("encoder", identity when hidden_dim
-is 0) feeds two heads: an intent classifier over pooled token features and
-a per-token BIO slot tagger. Tag sequences decode to depth-2 bracket trees.
-The flat parameter vector keeps encoder / intent_head / tag_head as named
-groups so freeze masks and per-group bookkeeping line up with the usual
-encoder/decoder/output-head granularity.
+Two linear heads read the hashed features of each token directly, with
+no encoder between them: an intent classifier over the mean of a query's
+token features and a per-token BIO slot tagger. Tag sequences decode to
+depth-2 bracket trees. The flat parameter vector keeps intent_head /
+tag_head as named groups so freeze masks and per-group bookkeeping line up
+with the two heads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .regularizers import (FisherAccumulator, FreezeMask, ParamLayout,
                            ParamVector, RegConfig, SparseGrad, anchored_step,
-                           apply_freeze, penalty)
+                           apply_freeze)
 from .sampling import batches
 from .treebank import Node, ParseTree
 
@@ -62,14 +62,12 @@ def tag_vocab(slots):
     return ("O",) + tuple(f"{bio}-{slot}" for slot in slots for bio in "BI")
 
 
-GROUPS = ("encoder", "intent_head", "tag_head")  # parameter groups, in order
+GROUPS = ("intent_head", "tag_head")  # parameter groups, in order
 
 
-def make_layout(feature_dim, hidden_dim, n_intents, n_tags):
-    width = hidden_dim if hidden_dim > 0 else feature_dim
-    enc = hidden_dim * feature_dim + hidden_dim  # zero when linear
+def make_layout(feature_dim, n_intents, n_tags):
     return ParamLayout(tuple(zip(GROUPS, (
-        enc, n_intents * width + n_intents, n_tags * width + n_tags))))
+        n_intents * feature_dim + n_intents, n_tags * feature_dim + n_tags))))
 
 
 @dataclass
@@ -77,7 +75,6 @@ class TaggerModel:
     intents: tuple  # intent label vocab, fixed order
     slots: tuple  # slot label vocab, fixed order
     feature_dim: int = 4096
-    hidden_dim: int = 0  # 0 = linear model
     theta: ParamVector = None
 
     def __post_init__(self):
@@ -102,40 +99,23 @@ class TaggerModel:
 
     @property
     def layout(self):
-        return make_layout(self.feature_dim, self.hidden_dim,
-                           len(self.intents), len(self.tags))
-
-    @property
-    def width(self):
-        return self.hidden_dim if self.hidden_dim > 0 else self.feature_dim
+        return make_layout(self.feature_dim, len(self.intents), len(self.tags))
 
     @classmethod
-    def init(cls, intents, slots, feature_dim=4096, hidden_dim=0, seed=0):
-        model = cls(tuple(sorted(intents)), tuple(sorted(slots)),
-                    feature_dim, hidden_dim)
-        if hidden_dim > 0:
-            rng = np.random.default_rng(seed)
-            enc = model.theta.group("encoder")
-            enc[:] = rng.normal(0.0, 0.1, enc.size)
-        return model
+    def init(cls, intents, slots, feature_dim=4096):
+        return cls(tuple(sorted(intents)), tuple(sorted(slots)), feature_dim)
 
     def _views(self, theta=None):
         theta = theta if theta is not None else self.theta
-        n_int, n_tag, w = len(self.intents), len(self.tags), self.width
+        n_int, n_tag, w = len(self.intents), len(self.tags), self.feature_dim
         ih = theta.group("intent_head")
         th = theta.group("tag_head")
-        views = {
+        return {
             "W_int": ih[: n_int * w].reshape(n_int, w),
             "b_int": ih[n_int * w:],
             "W_tag": th[: n_tag * w].reshape(n_tag, w),
             "b_tag": th[n_tag * w:],
         }
-        if self.hidden_dim > 0:
-            enc = theta.group("encoder")
-            views["W_enc"] = enc[: self.hidden_dim * self.feature_dim].reshape(
-                self.hidden_dim, self.feature_dim)
-            views["b_enc"] = enc[self.hidden_dim * self.feature_dim:]
-        return views
 
 
 MAX_FEATS = 4  # word, prev, next and bigram: at most four ids per token
@@ -285,47 +265,14 @@ def _total(X, batch):
     return _ordered_sums(_segment_sums(X, batch)[None])[0]
 
 
-def _per_example(W, X):
-    """(examples, rows of W): W @ x for each row x of X, one matrix-vector
-    product each, as the per-example loop takes them. A matrix product
-    rounds differently from numpy's matrix-vector product."""
-    return (W @ X[:, :, None])[:, :, 0]
-
-
-def _per_token(X, W, batch):
-    """X @ W, with the rows of one-token examples taken as vector-matrix
-    products, as the per-example loop takes them: the rows of a matrix
-    product do not depend on how many rows there are, but a single row
-    goes through numpy's vector-matrix product, which rounds differently."""
-    out = X @ W
-    single = batch.offsets[:-1][batch.lengths == 1]
-    if len(single) and len(X) > 1:
-        out[single] = (X[single][:, None, :] @ W)[:, 0]
-    return out
-
-
-def _forward(model, v, batch):
-    """(intent distributions per example, tag distributions per token,
-    token representations h, or None for the linear model)."""
-    T = batch.lengths[:, None]
-    if model.hidden_dim == 0:
-        h = None
-        int_logits = (_segment_sums(_column_sums(v["W_int"], batch.feats), batch)
-                      / T + v["b_int"])
-        tag_logits = _column_sums(v["W_tag"], batch.feats) + v["b_tag"]
-    else:
-        h = np.tanh(_column_sums(v["W_enc"], batch.feats) + v["b_enc"])
-        h_pool = _segment_sums(h, batch) / T
-        int_logits = _per_example(v["W_int"], h_pool) + v["b_int"]
-        tag_logits = _per_token(h, v["W_tag"].T, batch) + v["b_tag"]
-    return _softmax(int_logits), _softmax(tag_logits), h
-
-
 def forward(model, batch):
     """(intent distributions (examples, intents), tag distributions
     (tokens, tags)) for an Encoded batch."""
-    p_int, p_tag, _ = _forward(model, model._views(), batch)
-    return p_int, p_tag
+    v = model._views()
+    int_logits = (_segment_sums(_column_sums(v["W_int"], batch.feats), batch)
+                  / batch.lengths[:, None] + v["b_int"])
+    tag_logits = _column_sums(v["W_tag"], batch.feats) + v["b_tag"]
+    return _softmax(int_logits), _softmax(tag_logits)
 
 
 def encode_targets(model, example):
@@ -361,14 +308,18 @@ def _column_index(start, n_rows, row_width, cols):
     return (start + np.arange(n_rows)[:, None] * row_width + cols).ravel()
 
 
-def _data_loss_and_grad(model, batch):
-    """Mean cross-entropy and its gradient as a SparseGrad over the
-    coordinates the batch touches."""
+def loss_and_grad(model, batch):
+    """Mean cross-entropy (intent + per-token tags) of an Encoded batch
+    with targets, and its gradient: a SparseGrad over the coordinates the
+    batch touches. train steps on it and feeds it to the Fisher
+    accumulator; an anchoring penalty is added by
+    regularizers.anchored_step, not here."""
     B = len(batch)
+    if not B:
+        raise ModelError("empty batch")
     if batch.intents is None:
         raise ModelError("batch has no targets")
-    v = model._views()
-    p_int, p_tag, h = _forward(model, v, batch)
+    p_int, p_tag = forward(model, batch)
     T, offsets = batch.lengths, batch.offsets
     example_of_token = np.repeat(np.arange(B), T)
     token_denom = np.repeat(T, T) * B
@@ -385,19 +336,10 @@ def _data_loss_and_grad(model, batch):
     g_int[np.arange(B), batch.intents] -= 1.0 / B
     g_tag = p_tag / token_denom[:, None]
     g_tag[tokens, batch.tags] -= 1.0 / token_denom
-    b_int = _ordered_sums(g_int[None])[0]
-    b_tag = _total(g_tag, batch)
 
-    # gradient rows per token for the feature columns: [W_int; W_tag] in
-    # the linear model, W_enc otherwise
-    if model.hidden_dim == 0:
-        token_grad = np.concatenate(
-            [(g_int / T[:, None])[example_of_token], g_tag], axis=1)
-    else:
-        h_pool = _segment_sums(h, batch) / T[:, None]
-        dh = (_per_token(g_tag, v["W_tag"], batch)
-              + (_per_example(v["W_int"].T, g_int) / T[:, None])[example_of_token])
-        token_grad = dh * (1.0 - h * h)
+    # gradient rows of [W_int; W_tag] per token, for its feature columns
+    token_grad = np.concatenate(
+        [(g_int / T[:, None])[example_of_token], g_tag], axis=1)
     # per coordinate, add the entries in (example, token, slot) order, the
     # order of the per-example loop this replaces: bincount adds in input
     # order. block is (width of token_grad, touched columns).
@@ -412,48 +354,15 @@ def _data_loss_and_grad(model, batch):
 
     layout = model.layout
     ih, th = layout.slice_of("intent_head"), layout.slice_of("tag_head")
-    n_int, n_tag, w = len(model.intents), len(model.tags), model.width
-    if model.hidden_dim == 0:
-        index = [_column_index(ih.start, n_int, w, cols),
-                 np.arange(ih.start + n_int * w, ih.stop),
-                 _column_index(th.start, n_tag, w, cols),
-                 np.arange(th.start + n_tag * w, th.stop)]
-        data = [block[:n_int].ravel(), b_int, block[n_int:].ravel(), b_tag]
-    else:
-        # the head weights' gradients per example, then added over examples
-        # in order, as the per-example loop adds them: one matmul over the
-        # whole batch sums in another order, and these sums may cancel
-        enc, H = layout.slice_of("encoder"), model.hidden_dim
-        g_tag_rows = np.concatenate([g_tag, np.zeros((1, n_tag))])[batch.positions]
-        h_rows = np.concatenate([h, np.zeros((1, H))])[batch.positions]
-        W_int = _ordered_sums((g_int[:, :, None] * h_pool[:, None, :])[None])
-        W_tag = _ordered_sums((g_tag_rows.transpose(0, 2, 1) @ h_rows)[None])
-        index = [_column_index(enc.start, H, model.feature_dim, cols),
-                 np.arange(enc.start + H * model.feature_dim, enc.stop),
-                 np.arange(ih.start, th.stop)]
-        data = [block.ravel(), _total(token_grad, batch),
-                W_int.ravel(), b_int, W_tag.ravel(), b_tag]
-    return loss, SparseGrad(layout, np.concatenate(index), np.concatenate(data))
-
-
-def loss_and_grad(model, batch, reg=None, theta_prev=None, fisher=None):
-    """Mean cross-entropy (intent + per-token tags) plus anchoring penalty.
-
-    batch: an Encoded with targets. Returns (loss, total gradient, data-only
-    gradient); the data gradient is what a Fisher accumulator should
-    consume. It is a SparseGrad over the coordinates the batch touches.
-    Without a penalty the total gradient is that same object; with one it
-    is a dense ParamVector, the penalty gradient plus the data gradient.
-    """
-    if not len(batch):
-        raise ModelError("empty batch")
-    loss, data_grad = _data_loss_and_grad(model, batch)
-    grad = data_grad
-    if reg is not None and reg.kind != "none":
-        pen_value, grad = penalty(model.theta, theta_prev, fisher, reg)
-        loss += pen_value
-        grad.values[data_grad.index] += data_grad.data
-    return float(loss), grad, data_grad
+    n_int, n_tag, w = len(model.intents), len(model.tags), model.feature_dim
+    index = [_column_index(ih.start, n_int, w, cols),
+             np.arange(ih.start + n_int * w, ih.stop),
+             _column_index(th.start, n_tag, w, cols),
+             np.arange(th.start + n_tag * w, th.stop)]
+    data = [block[:n_int].ravel(), _ordered_sums(g_int[None])[0],
+            block[n_int:].ravel(), _total(g_tag, batch)]
+    return float(loss), SparseGrad(layout, np.concatenate(index),
+                                   np.concatenate(data))
 
 
 def decode_tree(query, intent, tags):
@@ -514,7 +423,6 @@ class Checkpoint:
     intents: tuple
     slots: tuple
     feature_dim: int
-    hidden_dim: int
     theta_values: np.ndarray
     fisher_sum_sq: np.ndarray
     fisher_steps: int
@@ -523,14 +431,14 @@ class Checkpoint:
     history: tuple = ()
 
     def model(self):
-        m = TaggerModel(self.intents, self.slots, self.feature_dim, self.hidden_dim)
+        m = TaggerModel(self.intents, self.slots, self.feature_dim)
         m.theta.values[:] = self.theta_values
         return m
 
     @property
     def layout(self):
-        return make_layout(self.feature_dim, self.hidden_dim,
-                           len(self.intents), len(tag_vocab(self.slots)))
+        return make_layout(self.feature_dim, len(self.intents),
+                           len(tag_vocab(self.slots)))
 
     def fisher_accumulator(self):
         return FisherAccumulator(self.layout, self.fisher_sum_sq.copy(),
@@ -546,7 +454,7 @@ def save_checkpoint(ckpt, path):
         "intents": list(ckpt.intents),
         "slots": list(ckpt.slots),
         "feature_dim": ckpt.feature_dim,
-        "hidden_dim": ckpt.hidden_dim,
+        "hidden_dim": 0,  # kept so that checkpoints keep their bytes
         "fisher_steps": ckpt.fisher_steps,
         "step": ckpt.step,
         "config_digest": ckpt.config_digest,
@@ -576,6 +484,9 @@ def load_checkpoint(path):
         raise ChecksumError(f"{path}: payload checksum mismatch")
     header_len = int.from_bytes(payload[:8], "big")
     meta = json.loads(payload[8: 8 + header_len].decode("utf-8"))
+    if meta["hidden_dim"] != 0:
+        raise DimMismatch(f"{path}: hidden_dim {meta['hidden_dim']!r}; only "
+                          f"the linear model (hidden_dim 0) is supported")
     body = payload[8 + header_len:]
     n_theta, n_fisher = meta["n_theta"], meta["n_fisher"]
     theta = np.frombuffer(body[: 8 * n_theta], dtype=np.float64).copy()
@@ -585,7 +496,6 @@ def load_checkpoint(path):
         intents=tuple(meta["intents"]),
         slots=tuple(meta["slots"]),
         feature_dim=int(meta["feature_dim"]),
-        hidden_dim=int(meta["hidden_dim"]),
         theta_values=theta,
         fisher_sum_sq=fisher,
         fisher_steps=int(meta["fisher_steps"]),
@@ -654,7 +564,7 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
     def snapshot():
         return Checkpoint(
             intents=model.intents, slots=model.slots,
-            feature_dim=model.feature_dim, hidden_dim=model.hidden_dim,
+            feature_dim=model.feature_dim,
             theta_values=model.theta.values.copy(),
             fisher_sum_sq=fisher_acc.sum_sq.copy(),
             fisher_steps=fisher_acc.steps,
@@ -685,7 +595,7 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
             row_of.update(zip(new, range(len(row_of), len(corpus))))
         for batch_ids in epoch_batches:
             batch = corpus.take([row_of[eid] for eid in batch_ids])
-            _, _, data_grad = loss_and_grad(model, batch)
+            _, data_grad = loss_and_grad(model, batch)
             fisher_acc.update(data_grad)
             if fused_step is not None:
                 fused_step(data_grad)

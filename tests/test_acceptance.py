@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS line
 (run with `pytest -s tests/test_acceptance.py` to see them)."""
 
+import hashlib
 import json
 import os
 import time
@@ -229,6 +230,53 @@ def test_criterion_7_byte_identical_reports(tmp_path):
     assert blobs[0][0] == blobs[1][0], "reports differ between invocations"
     assert blobs[0][1] == blobs[1][1], "checkpoints differ between invocations"
     _ok(7, "byte-identical reports and checkpoints across invocations")
+
+
+# sha256 of the criterion-7 config's outputs. A change that alters reports
+# or checkpoints on purpose (ROADMAP items 3 and 5) re-pins these values and
+# lists the old and new ones in CHANGES.md.
+PINNED_SHA256 = {
+    "all.json":
+        "a06737126bc297103d0f9b9993f777fdc7940c193fbbe9bc6a5abfd7fb727f1d",
+    "all.ckpt":
+        "d838609a450c6e9c2fba2b1f47cd4478fbd7d7479ec322aad4eb83c9f715a2a4",
+    "eval.json":
+        "aadf5965d5af554dff549a64ebc002b833084437deca08c64befb3e263337493",
+    "d1.ckpt":
+        "ef45a09ec0eff345d455728a077cc27a9521462c6e7226370d1923e4f441ad09",
+    "ft.json":
+        "473ab451b289a6e3ea3784a438493c85bcbaa73fc83c5e7b47253a74aa0bf745",
+    "ft.ckpt":
+        "451d9370d76c00136faf78fd91e2fead7284f36d4283a61add62635ed1a8c412",
+}
+
+
+def test_criterion_7_outputs_match_pinned_digests(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 13,
+        "data": {"n_train": 400, "n_test": 120},
+        "split": {"target_class": "SL:ORGANIZER_EVENT", "percentage": 90.0},
+        "train": {"lr": 0.5, "batch_size": 16, "max_epochs": 3,
+                  "eval_every": 50, "patience": 10},
+    }))
+    config, out = ["--config", str(cfg_path)], str(tmp_path)
+    for argv in (
+            ["gen", *config, "--out-dir", out],
+            ["train", *config, "--on", "all", "--ckpt", f"{out}/all.ckpt",
+             "--report", f"{out}/all.json"],
+            ["evaluate", "--ckpt", f"{out}/all.ckpt", "--test",
+             f"{out}/test.tsv", "--k", "5", "--report", f"{out}/eval.json"],
+            ["train", *config, "--on", "d1", "--ckpt", f"{out}/d1.ckpt",
+             "--report", f"{out}/d1.json"],
+            ["finetune", *config, "--preset", "ewc_sample_20",
+             "--prev", f"{out}/d1.ckpt", "--ckpt", f"{out}/ft.ckpt",
+             "--report", f"{out}/ft.json"]):
+        assert cli_main(argv) == 0, argv
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_SHA256}
+    assert got == PINNED_SHA256
+    _ok(7, "reports and checkpoints match the pinned sha256 values")
 
 
 TOP_TRAIN = os.environ.get("TOP_TRAIN_TSV", "data/top/train.tsv")

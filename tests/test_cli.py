@@ -128,6 +128,7 @@ def test_eval_k_below_two_rejected(workdir, capsys):
 @pytest.mark.parametrize("assignment, key", [
     ("model.feature_dim=0", "model.feature_dim"),
     ("model.hidden_dim=-1", "model.hidden_dim"),
+    ("model.hidden_dim=8", "model.hidden_dim"),
     ("train.batch_size=0", "train.batch_size"),
     ('freeze=["encoderr"]', "freeze"),
     ("freeze=encoder", "freeze"),
@@ -164,8 +165,11 @@ def test_finetune_names_labels_unknown_to_prev(workdir, capsys):
     slots = sorted(c for c in classes if c.startswith("SL:"))
     intents = sorted(c for c in classes if c.startswith("IN:"))
     net = TaggerModel.init(intents, slots[:-1], feature_dim=64)
-    save_checkpoint(Checkpoint(net.intents, net.slots, net.feature_dim, 0,
-                               net.theta.values, 0 * net.theta.values, 0, 0),
+    save_checkpoint(Checkpoint(intents=net.intents, slots=net.slots,
+                               feature_dim=net.feature_dim,
+                               theta_values=net.theta.values,
+                               fisher_sum_sq=0 * net.theta.values,
+                               fisher_steps=0, step=0),
                     workdir / "small.ckpt")
     assert run(["finetune", "--config", workdir / "config.json",
                 "--prev", workdir / "small.ckpt"]) == 1

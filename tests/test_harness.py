@@ -88,6 +88,9 @@ class TestConfig:
                    "test_path": "b.tsv"}}, "data.format"),
         ({"model": 5}, "model"),
         ({"train": [0.5]}, "train"),
+        ({"model": {"hidden_dim": 3}}, "model.hidden_dim"),
+        ({"model": {"hidden_dim": 0.0}}, "model.hidden_dim"),
+        ({"freeze": ["encoder"]}, "freeze"),
     ])
     def test_bad_value_rejected_naming_its_key(self, raw, key):
         with pytest.raises(ConfigError, match=key):
@@ -98,9 +101,8 @@ class TestConfig:
             "model": {"feature_dim": 1, "hidden_dim": 0},
             "train": {"batch_size": 1, "max_epochs": 1, "lr": 1},
             "data": {"format": "canonical"}, "parity": {"require": "either"},
-            "freeze": ["encoder", "intent_head", "tag_head"]})
-        assert cfg.train_config().freeze.frozen == {
-            "encoder", "intent_head", "tag_head"}
+            "freeze": ["intent_head", "tag_head"]})
+        assert cfg.train_config().freeze.frozen == {"intent_head", "tag_head"}
 
     def test_explicit_keys_win_over_preset(self):
         cfg = ExperimentConfig.from_dict({"reg": {"strength": 100.0}},
@@ -161,8 +163,11 @@ class TestFinetune:
         slots = sorted(c for c in classes if c.startswith("SL:"))
         missing = [intents[-1], slots[0]]
         net = TaggerModel.init(intents[:-1], slots[1:], feature_dim=64)
-        ckpt = Checkpoint(net.intents, net.slots, net.feature_dim, 0,
-                          net.theta.values, 0 * net.theta.values, 0, 0)
+        ckpt = Checkpoint(intents=net.intents, slots=net.slots,
+                          feature_dim=net.feature_dim,
+                          theta_values=net.theta.values,
+                          fisher_sum_sq=0 * net.theta.values, fisher_steps=0,
+                          step=0)
         with pytest.raises(UnknownLabel) as err:
             harness.cmd_finetune(ExperimentConfig.from_dict(SMALL), bundle, ckpt)
         assert str(err.value).endswith(", ".join(sorted(missing)))

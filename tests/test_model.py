@@ -20,7 +20,7 @@ from treepatch.model import (ChecksumError, DimMismatch, EmptyQuery,
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
                                     LayoutMismatch, MissingAnchor,
                                     MissingFisher, ParamVector, RegConfig,
-                                    apply_freeze, penalty)
+                                    anchored_step, apply_freeze, penalty)
 from treepatch.sampling import batches
 from treepatch.treebank import parse_top, serialize, token_leaves
 
@@ -28,9 +28,8 @@ INTENTS = ("IN:A", "IN:B")
 SLOTS = ("SL:X", "SL:Y")
 
 
-def tiny_model(hidden_dim=0, feature_dim=64):
-    return TaggerModel.init(INTENTS, SLOTS, feature_dim=feature_dim,
-                            hidden_dim=hidden_dim, seed=3)
+def tiny_model(feature_dim=64):
+    return TaggerModel.init(INTENTS, SLOTS, feature_dim=feature_dim)
 
 
 def example(eid, text):
@@ -77,8 +76,6 @@ def pack(feats_per_query, targets=None):
 
 
 def dense(grad):
-    if isinstance(grad, ParamVector):
-        return grad.values
     out = np.zeros(grad.layout.size)
     out[grad.index] = grad.data
     return out
@@ -95,17 +92,10 @@ def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
     B = len(batch)
     for feats, intent_id, tag_ids in batch:
         T = len(feats)
-        if model.hidden_dim == 0:
-            tag_logits = np.stack([v["W_tag"][:, idx].sum(axis=1) + v["b_tag"]
-                                   for idx in feats])
-            int_logits = (np.stack([v["W_int"][:, idx].sum(axis=1)
-                                    for idx in feats]).mean(axis=0)
-                          + v["b_int"])
-        else:
-            h = np.tanh(np.stack([v["W_enc"][:, idx].sum(axis=1) + v["b_enc"]
-                                  for idx in feats]))
-            tag_logits = h @ v["W_tag"].T + v["b_tag"]
-            int_logits = v["W_int"] @ h.mean(axis=0) + v["b_int"]
+        tag_logits = np.stack([v["W_tag"][:, idx].sum(axis=1) + v["b_tag"]
+                               for idx in feats])
+        int_logits = (np.stack([v["W_int"][:, idx].sum(axis=1)
+                                for idx in feats]).mean(axis=0) + v["b_int"])
         p_int = m._softmax(int_logits)
         p_tag = m._softmax(tag_logits)
         loss -= np.log(max(p_int[intent_id], 1e-300)) / B
@@ -116,23 +106,11 @@ def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
         g_tag = p_tag / (T * B)
         g_tag[np.arange(T), tag_ids] -= 1.0 / (T * B)
 
-        if model.hidden_dim == 0:
-            gv["b_int"] += g_int
-            gv["b_tag"] += g_tag.sum(axis=0)
-            for t, idx in enumerate(feats):
-                gv["W_int"][:, idx] += g_int[:, None] / T
-                gv["W_tag"][:, idx] += g_tag[t][:, None]
-        else:
-            h_pool = h.mean(axis=0)
-            gv["W_int"] += np.outer(g_int, h_pool)
-            gv["b_int"] += g_int
-            gv["W_tag"] += g_tag.T @ h
-            gv["b_tag"] += g_tag.sum(axis=0)
-            dh = g_tag @ v["W_tag"] + (v["W_int"].T @ g_int) / T
-            da = dh * (1.0 - h * h)
-            gv["b_enc"] += da.sum(axis=0)
-            for t, idx in enumerate(feats):
-                gv["W_enc"][:, idx] += da[t][:, None]
+        gv["b_int"] += g_int
+        gv["b_tag"] += g_tag.sum(axis=0)
+        for t, idx in enumerate(feats):
+            gv["W_int"][:, idx] += g_int[:, None] / T
+            gv["W_tag"][:, idx] += g_tag[t][:, None]
 
     data_grad = grad.copy()
     if reg is not None and reg.kind != "none":
@@ -207,9 +185,8 @@ class TestEncode:
 
 
 class TestForward:
-    @pytest.mark.parametrize("hidden", [0, 8])
-    def test_distributions_sum_to_one(self, hidden):
-        net = tiny_model(hidden)
+    def test_distributions_sum_to_one(self):
+        net = tiny_model()
         p_int, p_tag = forward(net, encoded(net, "a b c", "d"))
         assert p_int.shape == (2, len(net.intents))
         assert p_tag.shape == (4, len(net.tags))
@@ -217,17 +194,17 @@ class TestForward:
         np.testing.assert_allclose(p_tag.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_weights_give_uniform(self):
-        net = tiny_model(0)
+        net = tiny_model()
         p_int, p_tag = forward(net, encoded(net, "a b"))
         np.testing.assert_allclose(p_int, 1 / len(net.intents), atol=1e-12)
         np.testing.assert_allclose(p_tag, 1 / len(net.tags), atol=1e-12)
 
     def test_gradient_step_raises_true_class_probability(self):
-        net = tiny_model(0)
+        net = tiny_model()
         ex = example("e", "[IN:A hello [SL:X there ] ]")
         batch = encode([ex.query], net.feature_dim, [encode_targets(net, ex)])
         before = forward(net, batch)[0][0, 0]
-        _, grad, _ = loss_and_grad(net, batch)
+        _, grad = loss_and_grad(net, batch)
         net.theta.values -= 0.1 * dense(grad)
         after = forward(net, batch)[0][0, 0]
         assert after > before
@@ -241,61 +218,45 @@ class TestLossAndGrad:
         return encode([e.query for e in exs], net.feature_dim,
                       [encode_targets(net, e) for e in exs])
 
-    def test_no_reg_is_pure_cross_entropy(self):
-        net = tiny_model(0)
+    def test_loss_is_pure_cross_entropy(self):
+        net = tiny_model()
         batch = self._batch(net)
-        loss, _, _ = loss_and_grad(net, batch)
+        loss, _ = loss_and_grad(net, batch)
         # zero weights: uniform predictions, CE = log n_int + log n_tags
         expected = np.log(len(net.intents)) + np.log(len(net.tags))
         assert abs(loss - expected) < 1e-9
 
-    @pytest.mark.parametrize("hidden", [0, 4])
-    def test_gradient_matches_finite_differences(self, hidden):
-        net = tiny_model(hidden, feature_dim=13)
-        if hidden == 0:
-            rng = np.random.default_rng(0)
-            net.theta.values[:] = rng.normal(0, 0.3, net.theta.values.size)
+    def test_gradient_matches_finite_differences(self):
+        net = tiny_model(feature_dim=13)
+        rng = np.random.default_rng(0)
+        net.theta.values[:] = rng.normal(0, 0.3, net.theta.values.size)
         batch = self._batch(net)
-        prev = net.theta.copy()
-        prev.values += 0.1
-        fisher = np.abs(np.random.default_rng(1).normal(size=prev.values.size))
-        reg = RegConfig(kind="ewc", strength=0.7)
-        _, grad, _ = loss_and_grad(net, batch, reg, prev, fisher)
+        grad = dense(loss_and_grad(net, batch)[1])
         step = 1e-5
         for i in range(net.theta.values.size):
             saved = net.theta.values[i]
             net.theta.values[i] = saved + step
-            hi = loss_and_grad(net, batch, reg, prev, fisher)[0]
+            hi = loss_and_grad(net, batch)[0]
             net.theta.values[i] = saved - step
-            lo = loss_and_grad(net, batch, reg, prev, fisher)[0]
+            lo = loss_and_grad(net, batch)[0]
             net.theta.values[i] = saved
             fd = (hi - lo) / (2 * step)
-            scale = max(abs(fd), abs(grad.values[i]), 1e-6)
-            assert abs(grad.values[i] - fd) / scale <= 1e-4, i
+            scale = max(abs(fd), abs(grad[i]), 1e-6)
+            assert abs(grad[i] - fd) / scale <= 1e-4, i
 
     def test_huge_penalty_pins_weights(self):
-        net = tiny_model(0)
+        net = tiny_model()
         batch = self._batch(net)
         prev = net.theta.copy()
-        reg = RegConfig(kind="movenorm", strength=1e9)
+        step = anchored_step(net.theta, prev, None,
+                             RegConfig(kind="movenorm", strength=1e9), 1e-10,
+                             FreezeMask())
         for _ in range(20):
-            _, grad, _ = loss_and_grad(net, batch, reg, prev, None)
-            net.theta.values -= 1e-10 * grad.values
+            step(loss_and_grad(net, batch)[1])
         assert np.linalg.norm(net.theta.values - prev.values) < 1e-6
 
-    def test_data_grad_excludes_penalty(self):
-        net = tiny_model(0)
-        batch = self._batch(net)
-        prev = net.theta.copy()
-        prev.values += 1.0
-        _, _, plain = loss_and_grad(net, batch)
-        _, total, data = loss_and_grad(
-            net, batch, RegConfig(kind="movenorm", strength=2.0), prev, None)
-        np.testing.assert_array_equal(dense(data), dense(plain))
-        assert not np.array_equal(total.values, dense(data))
-
     def test_misaligned_tag_targets_rejected(self):
-        net = tiny_model(0)
+        net = tiny_model()
         with pytest.raises(DimMismatch):
             encode(["a b"], net.feature_dim, [(0, np.array([0]))])
 
@@ -310,36 +271,24 @@ EXAMPLES = st.integers(1, 12).flatmap(lambda n: st.tuples(
 
 
 class TestBatchedKernelMatchesOracle:
-    """The batched kernel against the per-example loop it replaced, on
-    feature_dim 13 so that feature columns repeat across tokens and
-    examples: bit-exact for the linear model; the hidden model's batched
-    matmuls may sum in another order, hence a relative tolerance."""
+    """The batched kernel against the per-example loop it replaced, bit for
+    bit, on feature_dim 13 so that feature columns repeat across tokens and
+    examples."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(EXAMPLES, min_size=1, max_size=8),
-           st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 3]),
-           st.sampled_from(["none", "movenorm", "ewc"]))
-    def test_loss_and_gradients(self, items, seed, hidden, kind):
-        net = tiny_model(hidden, feature_dim=13)
+           st.integers(0, 2 ** 32 - 1))
+    def test_loss_and_gradients(self, items, seed):
+        net = tiny_model(feature_dim=13)
         rng = np.random.default_rng(seed)
         net.theta.values[:] = rng.normal(0, rng.uniform(0.01, 3.0),
                                          net.theta.values.size)
-        prev = ParamVector(net.layout, net.theta.values
-                           + rng.normal(0, 0.1, net.theta.values.size))
-        fisher = rng.random(net.theta.values.size)
-        reg = RegConfig(kind=kind, strength=0.3)
         batch = pack([feats for feats, _, _ in items],
                      [(intent, tags) for _, intent, tags in items])
-        got = loss_and_grad(net, batch, reg, prev, fisher)
-        want = reference_loss_and_grad(net, items, reg, prev, fisher)
-        if hidden == 0:
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(dense(got[1]), want[1].values)
-            np.testing.assert_array_equal(dense(got[2]), want[2].values)
-        else:
-            np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
-            np.testing.assert_allclose(dense(got[1]), want[1].values, rtol=1e-12)
-            np.testing.assert_allclose(dense(got[2]), want[2].values, rtol=1e-12)
+        loss, grad = loss_and_grad(net, batch)
+        want_loss, _, want_grad = reference_loss_and_grad(net, items)
+        assert loss == want_loss
+        np.testing.assert_array_equal(dense(grad), want_grad.values)
 
 
 class TestDecode:
@@ -357,7 +306,7 @@ class TestDecode:
 
     def test_leaves_always_match_query(self):
         rng = np.random.default_rng(5)
-        net = tiny_model(0)
+        net = tiny_model()
         tags = net.tags
         for _ in range(100):
             query = " ".join(f"t{rng.integers(0, 9)}"
@@ -398,7 +347,7 @@ def em_evaluator(examples):
 class TestTrain:
     def test_learns_separable_data(self):
         corpus = toy_corpus()
-        net = tiny_model(0, feature_dim=512)
+        net = tiny_model(feature_dim=512)
         by_id = {e.id: e for e in corpus}
         result = train(net, by_id, simple_plan(by_id, 0),
                        TrainConfig(lr=0.5, batch_size=8, max_epochs=30,
@@ -408,7 +357,7 @@ class TestTrain:
 
     def test_zero_lr_keeps_weights_but_accumulates_fisher(self):
         corpus = toy_corpus()
-        net = tiny_model(0, feature_dim=256)
+        net = tiny_model(feature_dim=256)
         before = net.theta.values.copy()
         by_id = {e.id: e for e in corpus}
         acc = FisherAccumulator(net.layout)
@@ -425,7 +374,7 @@ class TestTrain:
         by_id = {e.id: e for e in corpus}
         outs = []
         for _ in range(2):
-            net = tiny_model(0, feature_dim=256)
+            net = tiny_model(feature_dim=256)
             result = train(net, by_id, simple_plan(by_id, 1),
                            TrainConfig(lr=0.3, batch_size=8, max_epochs=3,
                                        eval_every=10, patience=10),
@@ -437,13 +386,13 @@ class TestTrain:
 
     def test_full_freeze_keeps_theta_bit_identical(self):
         corpus = toy_corpus()
-        net = tiny_model(0, feature_dim=256)
+        net = tiny_model(feature_dim=256)
         before = net.theta.values.copy()
         by_id = {e.id: e for e in corpus}
         train(net, by_id, simple_plan(by_id, 0),
               TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0,
                           patience=10,
-                          freeze=FreezeMask.of("encoder", "intent_head", "tag_head")),
+                          freeze=FreezeMask.of("intent_head", "tag_head")),
               em_evaluator(list(corpus)))
         np.testing.assert_array_equal(net.theta.values, before)
 
@@ -480,7 +429,7 @@ def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
                                                  strength, frozen):
     corpus = toy_corpus()
     by_id = {e.id: e for e in corpus}
-    prev = train(tiny_model(0, feature_dim=32), by_id, simple_plan(by_id, 0),
+    prev = train(tiny_model(feature_dim=32), by_id, simple_plan(by_id, 0),
                  TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0),
                  lambda net: {"em": 0.0}).final
     cfg = TrainConfig(lr=0.3, batch_size=7, max_epochs=2, eval_every=0,
@@ -512,14 +461,14 @@ def test_train_encodes_only_drawn_examples(monkeypatch):
     calls = []  # every query passed to the encoder
     monkeypatch.setattr(m, "encode", lambda queries, dim, targets=None:
                         calls.extend(queries) or encode(queries, dim, targets))
-    result = train(tiny_model(0, feature_dim=64), by_id,
+    result = train(tiny_model(feature_dim=64), by_id,
                    lambda epoch: drawn[epoch:] + drawn[:epoch],
                    TrainConfig(lr=0.5, batch_size=4, max_epochs=3, eval_every=0),
                    lambda net: {"em": 0.0})
     assert result.total_steps == 9
     assert sorted(calls) == sorted(by_id[i].query for i in drawn)
     with pytest.raises(UnknownLabel):
-        train(tiny_model(0, feature_dim=64), by_id, lambda epoch: ["unseen"],
+        train(tiny_model(feature_dim=64), by_id, lambda epoch: ["unseen"],
               TrainConfig(max_epochs=1, eval_every=0), lambda net: {"em": 0.0})
 
 
@@ -534,9 +483,9 @@ def test_penalty_without_its_anchor_fails_before_encoding(
         monkeypatch, kind, prev, fisher, error):
     corpus = toy_corpus()
     by_id = {e.id: e for e in corpus}
-    net = tiny_model(0)
+    net = tiny_model()
     anchors = {False: None, True: net.theta.copy(),
-               "other_layout": tiny_model(0, feature_dim=32).theta}
+               "other_layout": tiny_model(feature_dim=32).theta}
     fishers = {False: None, True: np.ones(net.layout.size),
                "wrong_shape": np.ones(net.layout.size - 1)}
     calls = []
@@ -551,7 +500,7 @@ def test_penalty_without_its_anchor_fails_before_encoding(
 
 
 def test_encode_targets_ids():
-    net = tiny_model(0)  # tags O, B-SL:X, I-SL:X, B-SL:Y, I-SL:Y
+    net = tiny_model()  # tags O, B-SL:X, I-SL:X, B-SL:Y, I-SL:Y
     intent, tags = encode_targets(
         net, example("e", "[IN:B go [SL:Y now then ] [SL:X x ] fast ]"))
     assert intent == 1
@@ -564,7 +513,7 @@ def test_encode_targets_ids():
 class TestCheckpoint:
     def _trained(self):
         corpus = toy_corpus()
-        net = tiny_model(0, feature_dim=256)
+        net = tiny_model(feature_dim=256)
         by_id = {e.id: e for e in corpus}
         result = train(net, by_id, simple_plan(by_id, 0),
                        TrainConfig(lr=0.5, batch_size=8, max_epochs=3,
@@ -596,20 +545,35 @@ class TestCheckpoint:
         with pytest.raises(ChecksumError):
             load_checkpoint(tmp_path / "junk")
 
+    @staticmethod
+    def _edit_header(path, **changes):
+        """Rewrite a checkpoint's header with `changes`, re-checksummed."""
+        payload = path.read_bytes()[len(m._MAGIC) + 32:]
+        header_len = int.from_bytes(payload[:8], "big")
+        meta = json.loads(payload[8:8 + header_len])
+        meta.update(changes)
+        header = json.dumps(meta, sort_keys=True).encode("utf-8")
+        payload = len(header).to_bytes(8, "big") + header + payload[8 + header_len:]
+        path.write_bytes(m._MAGIC + hashlib.sha256(payload).digest() + payload)
+
     def test_header_layout_mismatch_names_both_sizes(self, tmp_path):
         result, _ = self._trained()
         path = tmp_path / "e.ckpt"
         save_checkpoint(result.best, path)
-        payload = path.read_bytes()[len(m._MAGIC) + 32:]
-        header_len = int.from_bytes(payload[:8], "big")
-        meta = json.loads(payload[8:8 + header_len])
-        meta["slots"] = meta["slots"][:1]  # one slot fewer: two tag rows fewer
-        header = json.dumps(meta, sort_keys=True).encode("utf-8")
-        payload = len(header).to_bytes(8, "big") + header + payload[8 + header_len:]
-        path.write_bytes(m._MAGIC + hashlib.sha256(payload).digest() + payload)
+        # one slot fewer: two tag rows fewer
+        self._edit_header(path, slots=list(result.best.slots[:1]))
         n_theta = result.best.theta_values.size
-        size = m.make_layout(256, 0, len(INTENTS), 3).size
+        size = m.make_layout(256, len(INTENTS), 3).size
         with pytest.raises(DimMismatch, match=f"n_theta {n_theta} .* size {size}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden_dim", [8, None])
+    def test_header_hidden_dim_other_than_zero_rejected(self, tmp_path, hidden_dim):
+        result, _ = self._trained()
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(result.best, path)
+        self._edit_header(path, hidden_dim=hidden_dim)
+        with pytest.raises(DimMismatch, match=f": hidden_dim {hidden_dim!r};"):
             load_checkpoint(path)
 
     def test_loaded_model_reproduces_metrics(self, tmp_path):
@@ -624,13 +588,13 @@ class TestCheckpoint:
 
 
 def test_tag_vocabulary_built_once():
-    net = tiny_model(0)
+    net = tiny_model()
     assert net.tags == ("O", "B-SL:X", "I-SL:X", "B-SL:Y", "I-SL:Y")
     assert net.tags is net.tags
 
 
 def test_predict_emits_valid_trees():
-    net = tiny_model(0)
+    net = tiny_model()
     tree = predict_encoded(net, ["hello out there"],
                            encoded(net, "hello out there"))[0]
     assert serialize(tree)
