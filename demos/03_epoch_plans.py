@@ -22,11 +22,12 @@ print(f"D1 {len(d1)} / D2 {len(d2)}")
 
 # Replay: round(p * |D1|) old examples chosen once, reused every epoch.
 cfg = SamplerConfig(mode="replay", p=0.2, seed=3)
-buf = build_replay(d1, cfg.p, cfg.seed)
-plans = [epoch_plan(d1, d2, cfg, e, replay_buffer=buf) for e in range(3)]
+plans = [epoch_plan(d1, d2, cfg, e) for e in range(3)]
 old_sets = [frozenset(p.ids) - set(d2.ids()) for p in plans]
+buf = frozenset(build_replay(d1, cfg.p, cfg.seed))
 print(f"\nreplay: {plans[0].n_old} old + {plans[0].n_new} new per epoch, "
-      f"old set identical across epochs: {len(set(old_sets)) == 1}")
+      f"old set identical across epochs: {len(set(old_sets)) == 1}, "
+      f"and equal to the buffer: {old_sets[0] == buf}")
 
 # Sample: the same per-epoch budget, but rotating through a fixed
 # permutation of D1 so every example is visited at close to rate p.

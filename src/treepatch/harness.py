@@ -20,7 +20,7 @@ from . import dataset as ds
 from . import datagen, metrics, sampling
 from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, encode,
                     predict_encoded, train)
-from .regularizers import FreezeMask, MissingFisher, RegConfig
+from .regularizers import FreezeMask, RegConfig
 from .treebank import serialize
 from .utils import derive_seed
 
@@ -112,7 +112,9 @@ class ExperimentConfig:
             base = _deep_merge(base, PRESETS[preset])
         merged = _deep_merge(base, d or {})
         for dotted, minimum in (("eval.k", 2), ("model.feature_dim", 1),
-                                ("train.batch_size", 1), ("train.max_epochs", 1)):
+                                ("train.batch_size", 1), ("train.max_epochs", 1),
+                                ("train.eval_every", 0), ("train.patience", 1),
+                                ("data.n_train", 1), ("data.n_test", 1)):
             _check_int(merged, dotted, minimum)
         hidden_dim = merged["model"]["hidden_dim"]
         if type(hidden_dim) is not int or hidden_dim != 0:
@@ -135,6 +137,10 @@ class ExperimentConfig:
         cfg = cls(raw=merged)
         cfg.reg_config()  # validate eagerly
         cfg.sampler_config()
+        try:
+            cfg.split_spec()
+        except ds.DatasetError as err:  # its message starts with the field
+            raise ConfigError(f"split.{err}") from err
         return cfg
 
     @classmethod
@@ -342,9 +348,6 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
     naive fine-tuning is p=0 with reg kind "none". EWC reads the Fisher
     estimate recorded in the previous checkpoint. The report additionally
     carries the forgetting count versus the pre-patch model."""
-    reg = cfg.reg_config()
-    if reg.kind == "ewc" and prev_ckpt.fisher_steps == 0:
-        raise MissingFisher("checkpoint carries no Fisher information")
     # training encodes an example only when a plan draws it, so check every
     # label up front rather than whenever a later epoch reaches it
     unknown = sorted(bundle.train.classes()
@@ -353,26 +356,19 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
         raise UnknownLabel("labels missing from the previous checkpoint: "
                            + ", ".join(unknown))
     model = prev_ckpt.model()
-    theta_prev = model.theta.copy()
-    fisher_acc = prev_ckpt.fisher_accumulator()
-    fisher_prev = fisher_acc.fisher()
-
     sampler = cfg.sampler_config()
-    replay_buffer = (sampling.build_replay(bundle.d1, sampler.p, sampler.seed)
-                     if sampler.mode == "replay" else None)
 
     def plan_fn(epoch):
-        return sampling.epoch_plan(bundle.d1, bundle.d2, sampler, epoch,
-                                   replay_buffer=replay_buffer).ids
+        return sampling.epoch_plan(bundle.d1, bundle.d2, sampler, epoch).ids
 
     classes = sorted(bundle.classes())
     evaluator = make_evaluator(bundle.test, int(cfg["eval"]["k"]),
                                derive_seed(cfg.seed, "folds"), classes)
     before = evaluator(model)
 
-    result = train(model, bundle.train.by_id, plan_fn, cfg.train_config(reg),
-                   evaluator, theta_prev=theta_prev, fisher_prev=fisher_prev,
-                   fisher_acc=fisher_acc, config_digest=cfg.digest())
+    result = train(model, bundle.train.by_id, plan_fn,
+                   cfg.train_config(cfg.reg_config()), evaluator,
+                   prev=prev_ckpt, config_digest=cfg.digest())
 
     after = result.history[-1]
     degradation = degradation_from_records(before, after)

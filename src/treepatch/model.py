@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .regularizers import (FisherAccumulator, FreezeMask, ParamLayout,
-                           ParamVector, RegConfig, SparseGrad, anchored_step,
-                           apply_freeze)
+from .regularizers import (FisherAccumulator, FreezeMask, LayoutMismatch,
+                           ParamLayout, ParamVector, RegConfig, SparseGrad,
+                           anchored_step)
 from .sampling import batches
 from .treebank import Node, ParseTree
 
@@ -530,8 +530,7 @@ class TrainResult:
     stopped_early: bool
 
 
-def train(model, examples_by_id, plan_fn, cfg, evaluator,
-          theta_prev=None, fisher_prev=None, fisher_acc=None,
+def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
           config_digest=""):
     """Seeded mini-batch SGD over epoch plans.
 
@@ -539,18 +538,29 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
     evaluator(model) -> record dict with an "em" float; called every
     cfg.eval_every steps and once at the end. Early stopping after
     cfg.patience evaluations without an EM improvement; the checkpoint with
-    the best EM is returned. Squared-gradient importance is accumulated from
-    the very first step, into fisher_acc if given. An example is encoded
-    when an epoch plan first draws it; examples no plan draws are never
-    looked at. A penalty without its theta_prev (or, for EWC, fisher_prev),
-    or with one of another layout, raises before any example is encoded.
-    An active penalty takes regularizers.anchored_step; otherwise only the
-    coordinates the data gradient touches are stepped.
+    the best EM is returned. An example is encoded when an epoch plan first
+    draws it; examples no plan draws are never looked at.
+
+    prev, the previous Checkpoint of a fine-tune, is its anchor: its theta
+    is theta_prev, its Fisher mean the EWC weights (None when it recorded no
+    step, so that EWC raises MissingFisher) and its Fisher sums the start of
+    this run's squared-gradient accumulation, which otherwise starts empty
+    at the first step. A prev of another layout, or a penalty without its
+    anchor, raises before any example is encoded. Every batch takes the one
+    step regularizers.anchored_step returns.
     """
-    fused_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
-                               cfg.lr, cfg.freeze)
-    if fisher_acc is None:
+    if prev is None:
+        theta_prev = fisher_prev = None
         fisher_acc = FisherAccumulator(model.layout)
+    else:
+        if prev.layout != model.layout:
+            raise LayoutMismatch("the previous checkpoint's layout differs "
+                                 "from the model's")
+        theta_prev = prev.model().theta
+        fisher_acc = prev.fisher_accumulator()
+        fisher_prev = fisher_acc.fisher() if fisher_acc.steps else None
+    sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
+                             cfg.lr, cfg.freeze)
     corpus = encode([], model.feature_dim, [])  # the examples drawn so far
     row_of = {}  # example id -> its row in corpus
 
@@ -597,11 +607,7 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator,
             batch = corpus.take([row_of[eid] for eid in batch_ids])
             _, data_grad = loss_and_grad(model, batch)
             fisher_acc.update(data_grad)
-            if fused_step is not None:
-                fused_step(data_grad)
-            else:
-                grad = apply_freeze(data_grad, cfg.freeze)
-                model.theta.values[grad.index] -= cfg.lr * grad.data
+            sgd_step(data_grad)
             step += 1
             if cfg.eval_every and step % cfg.eval_every == 0:
                 if run_eval():

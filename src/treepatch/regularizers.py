@@ -123,42 +123,10 @@ def _checked_fisher(fisher, theta):
     return fisher
 
 
-def penalty(theta, theta_prev, fisher, config):
-    """(value, gradient) of the anchoring penalty at theta.
-
-    squared form: lam * sum(w * delta^2), w = 1 (movenorm) or F (ewc).
-    norm form:    lam * sqrt(sum(w * delta^2) + eps), w = 1 or F^2.
-    """
-    _check_layouts(theta, theta_prev)
-    if config.kind == "none" or config.strength == 0.0:
-        return 0.0, ParamVector.zeros(theta.layout)
-    if config.kind == "ewc":
-        fisher = _checked_fisher(fisher, theta)
-    lam = config.strength
-    delta = theta.values - theta_prev.values
-    if config.form == "squared":
-        w = fisher if config.kind == "ewc" else 1.0
-        value = lam * float(np.sum(w * delta * delta))
-        grad = 2.0 * lam * w * delta
-    else:
-        w = fisher * fisher if config.kind == "ewc" else 1.0
-        root = np.sqrt(np.sum(w * delta * delta) + config.epsilon)
-        value = lam * float(root)
-        grad = lam * w * delta / root
-    return value, ParamVector(theta.layout, grad)
-
-
-def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
-    """The SGD step of a run anchored by `config`, fused: step(data_grad)
-    updates theta in place. None when the penalty is off (kind "none" or
-    strength 0); the sparse data step is then the whole step.
-
-    penalty's checks run here, once, so a bad anchor fails before training
-    starts. Each step then does the float operations of penalty, the data
-    gradient's scatter-add, apply_freeze and `theta -= lr * grad`, in the
-    same order, in one preallocated buffer: theta comes out bit-identical
-    without the dense temporaries.
-    """
+def _anchor(theta, theta_prev, fisher, config):
+    """(w, c): the weight of each delta^2 and the coefficient of the
+    penalty's gradient, or None when the penalty is off (kind "none" or
+    strength 0). Every anchor check is here, and runs at strength 0 too."""
     if config.kind == "none":
         return None
     if theta_prev is None:
@@ -169,14 +137,61 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     if config.strength == 0.0:
         return None
     lam = config.strength
-    tmp = None  # the norm form's reduction buffer
     if config.form == "squared":
         w = fisher if config.kind == "ewc" else 1.0
-        c = 2.0 * lam * w
+        return w, 2.0 * lam * w
+    w = fisher * fisher if config.kind == "ewc" else 1.0
+    return w, lam * w
+
+
+def penalty(theta, theta_prev, fisher, config):
+    """(value, gradient) of the anchoring penalty at theta.
+
+    squared form: lam * sum(w * delta^2), w = 1 (movenorm) or F (ewc).
+    norm form:    lam * sqrt(sum(w * delta^2) + eps), w = 1 or F^2.
+    """
+    anchor = _anchor(theta, theta_prev, fisher, config)
+    if anchor is None:
+        return 0.0, ParamVector.zeros(theta.layout)
+    w, c = anchor
+    lam = config.strength
+    delta = theta.values - theta_prev.values
+    if config.form == "squared":
+        value = lam * float(np.sum(w * delta * delta))
+        grad = c * delta
     else:
-        w = fisher * fisher if config.kind == "ewc" else 1.0
-        c = lam * w
-        tmp = np.empty(theta.layout.size)
+        root = np.sqrt(np.sum(w * delta * delta) + config.epsilon)
+        value = lam * float(root)
+        grad = c * delta / root
+    return value, ParamVector(theta.layout, grad)
+
+
+def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
+    """The SGD step of a run anchored by `config`: step(data_grad) updates
+    theta in place, and is the only step train takes.
+
+    The anchor is checked here, once, so a bad one fails before training
+    starts. When the penalty is off (kind "none" or strength 0) the step is
+    sparse: apply_freeze, then `theta -= lr * grad` on the coordinates the
+    data gradient touches. Otherwise it is fused: the float operations of
+    penalty, the data gradient's scatter-add, apply_freeze and the dense
+    `theta -= lr * grad`, in the same order, in one preallocated buffer, so
+    theta comes out bit-identical without the dense temporaries.
+
+    A squared-form anchored step multiplies theta - theta_prev by
+    1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
+    < 2; past that the coordinates of largest w oscillate and grow.
+    """
+    anchor = _anchor(theta, theta_prev, fisher, config)
+    if anchor is None:
+        def sparse_step(data_grad):
+            grad = apply_freeze(data_grad, freeze)
+            theta.values[grad.index] -= lr * grad.data
+
+        return sparse_step
+    w, c = anchor
+    # the norm form's reduction buffer
+    tmp = None if config.form == "squared" else np.empty(theta.layout.size)
     frozen = [theta.layout.slice_of(name) for name in freeze.frozen]
     prev = theta_prev.values
     buf = np.empty(theta.layout.size)

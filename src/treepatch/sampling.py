@@ -54,16 +54,14 @@ def build_replay(d1, p, seed):
     return tuple(ids[i] for i in sorted(picked))
 
 
-def epoch_plan(d1, d2, config, epoch_index, replay_buffer=None):
+def epoch_plan(d1, d2, config, epoch_index):
     """Shuffled id order for one epoch.
 
-    replay mode: d2 plus the fixed buffer (built here when not supplied).
+    replay mode: d2 plus the fixed buffer, the same draw every epoch.
     sample mode: d2 plus a fresh per-epoch draw from d1 without replacement.
     """
     if config.mode == "replay":
-        if replay_buffer is None:
-            replay_buffer = build_replay(d1, config.p, config.seed)
-        old_ids = list(replay_buffer)
+        old_ids = list(build_replay(d1, config.p, config.seed))
     else:
         # balanced supersampling: successive windows of one seeded
         # permutation (mod |d1|), so every old example's inclusion frequency

@@ -115,10 +115,9 @@ def test_criterion_4_sampler_proportions():
 
     # replay mode: the old-id set never changes across epochs
     cfg = SamplerConfig(mode="replay", p=0.2, seed=11)
-    buf = build_replay(d1, 0.2, cfg.seed)
-    olds = {frozenset(epoch_plan(d1, d2, cfg, e, replay_buffer=buf).ids) - new_ids
+    olds = {frozenset(epoch_plan(d1, d2, cfg, e).ids) - new_ids
             for e in range(10)}
-    assert len(olds) == 1
+    assert olds == {frozenset(build_replay(d1, 0.2, cfg.seed))}
     _ok(4, "sampler proportions, inclusion frequency, replay invariance")
 
 
@@ -248,6 +247,17 @@ PINNED_SHA256 = {
         "473ab451b289a6e3ea3784a438493c85bcbaa73fc83c5e7b47253a74aa0bf745",
     "ft.ckpt":
         "451d9370d76c00136faf78fd91e2fead7284f36d4283a61add62635ed1a8c412",
+    # naive fine-tune: kind "none" takes the sparse step from a prev
+    "naive.json":
+        "d6f8fe862d0f0486628a509e29e32d30e6e059eb22f6d33e540065b489aac2ff",
+    "naive.ckpt":
+        "e4ab2f7de4d1e079b377d537954cdd31f4d35df2b1c2291ce74207cafab88eb5",
+    # replay-mode move-norm with a frozen head: the fused step, freezing and
+    # the replay buffer
+    "replay_mn.json":
+        "f01deccb2b9f83e1e45cc45a94a27e1b8ba4aa8a9cc606f490ef9137aca8294d",
+    "replay_mn.ckpt":
+        "848b03292080b8eaff7d46fb24a917c02353fc9e3a21818e7b5ba34aea2e303e",
 }
 
 
@@ -271,7 +281,15 @@ def test_criterion_7_outputs_match_pinned_digests(tmp_path):
              "--report", f"{out}/d1.json"],
             ["finetune", *config, "--preset", "ewc_sample_20",
              "--prev", f"{out}/d1.ckpt", "--ckpt", f"{out}/ft.ckpt",
-             "--report", f"{out}/ft.json"]):
+             "--report", f"{out}/ft.json"],
+            ["finetune", *config, "--set", "sampler.p=0",
+             "--set", "reg.kind=none", "--prev", f"{out}/d1.ckpt",
+             "--ckpt", f"{out}/naive.ckpt", "--report", f"{out}/naive.json"],
+            ["finetune", *config, "--set", "sampler.mode=replay",
+             "--set", "reg.kind=movenorm", "--set", "reg.strength=1.0",
+             "--set", 'freeze=["intent_head"]', "--prev", f"{out}/d1.ckpt",
+             "--ckpt", f"{out}/replay_mn.ckpt",
+             "--report", f"{out}/replay_mn.json"]):
         assert cli_main(argv) == 0, argv
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_SHA256}

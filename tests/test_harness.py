@@ -91,6 +91,15 @@ class TestConfig:
         ({"model": {"hidden_dim": 3}}, "model.hidden_dim"),
         ({"model": {"hidden_dim": 0.0}}, "model.hidden_dim"),
         ({"freeze": ["encoder"]}, "freeze"),
+        ({"train": {"patience": "x"}}, "train.patience"),
+        ({"train": {"patience": 0}}, "train.patience"),
+        ({"train": {"eval_every": -3}}, "train.eval_every"),
+        ({"train": {"eval_every": 1.5}}, "train.eval_every"),
+        ({"data": {"n_train": 0}}, "data.n_train"),
+        ({"data": {"n_test": 0}}, "data.n_test"),
+        ({"split": {"percentage": 150}}, "split.percentage"),
+        ({"split": {"percentage": 0}}, "split.percentage"),
+        ({"split": {"coverage_per_class": 0}}, "split.coverage_per_class"),
     ])
     def test_bad_value_rejected_naming_its_key(self, raw, key):
         with pytest.raises(ConfigError, match=key):

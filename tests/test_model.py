@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from treepatch import model as m
 from treepatch.dataset import Dataset, Example
 from treepatch.metrics import exact_match
-from treepatch.model import (ChecksumError, DimMismatch, EmptyQuery,
-                             Encoded, TaggerModel, TrainConfig, UnknownLabel,
-                             decode_tree, encode, encode_targets, featurize,
-                             forward, load_checkpoint, loss_and_grad,
-                             predict_encoded, predict_trees, save_checkpoint,
-                             train)
-from treepatch.regularizers import (FisherAccumulator, FreezeMask,
-                                    LayoutMismatch, MissingAnchor,
+from treepatch.model import (Checkpoint, ChecksumError, DimMismatch,
+                             EmptyQuery, Encoded, TaggerModel, TrainConfig,
+                             UnknownLabel, decode_tree, encode, encode_targets,
+                             featurize, forward, load_checkpoint,
+                             loss_and_grad, predict_encoded, predict_trees,
+                             save_checkpoint, train)
+from treepatch.regularizers import (FreezeMask, LayoutMismatch, MissingAnchor,
                                     MissingFisher, ParamVector, RegConfig,
                                     anchored_step, apply_freeze, penalty)
 from treepatch.sampling import batches
@@ -360,12 +359,12 @@ class TestTrain:
         net = tiny_model(feature_dim=256)
         before = net.theta.values.copy()
         by_id = {e.id: e for e in corpus}
-        acc = FisherAccumulator(net.layout)
         result = train(net, by_id, simple_plan(by_id, 0),
                        TrainConfig(lr=0.0, batch_size=16, max_epochs=1,
                                    eval_every=0, patience=10),
-                       em_evaluator(list(corpus)), fisher_acc=acc)
+                       em_evaluator(list(corpus)))
         np.testing.assert_array_equal(net.theta.values, before)
+        acc = result.final.fisher_accumulator()
         assert acc.steps == result.total_steps > 0
         assert acc.fisher().sum() > 0
 
@@ -436,9 +435,7 @@ def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
                       reg=RegConfig(kind=kind, strength=strength, form=form),
                       freeze=FreezeMask.of(*frozen))
     result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
-                   lambda net: {"em": 0.0}, theta_prev=prev.model().theta,
-                   fisher_prev=prev.fisher_accumulator().fisher(),
-                   fisher_acc=prev.fisher_accumulator())
+                   lambda net: {"em": 0.0}, prev=prev)
     theta, acc = reference_train(prev.model(), by_id, simple_plan(by_id, 5),
                                  cfg, prev.model().theta,
                                  prev.fisher_accumulator().fisher(),
@@ -472,30 +469,36 @@ def test_train_encodes_only_drawn_examples(monkeypatch):
               TrainConfig(max_epochs=1, eval_every=0), lambda net: {"em": 0.0})
 
 
+# prev: no checkpoint (False), one of the model (True) or one of another
+# layout; fisher: none recorded (False, fisher_steps 0), one (True) or one
+# of the wrong shape
 @pytest.mark.parametrize("kind, prev, fisher, error", [
     ("movenorm", False, False, MissingAnchor),
     ("ewc", False, True, MissingAnchor),
     ("ewc", True, False, MissingFisher),
     ("movenorm", "other_layout", False, LayoutMismatch),
     ("ewc", True, "wrong_shape", LayoutMismatch),
+    ("none", "other_layout", True, LayoutMismatch),
 ])
 def test_penalty_without_its_anchor_fails_before_encoding(
         monkeypatch, kind, prev, fisher, error):
     corpus = toy_corpus()
     by_id = {e.id: e for e in corpus}
     net = tiny_model()
-    anchors = {False: None, True: net.theta.copy(),
-               "other_layout": tiny_model(feature_dim=32).theta}
-    fishers = {False: None, True: np.ones(net.layout.size),
-               "wrong_shape": np.ones(net.layout.size - 1)}
+    source = {True: net, "other_layout": tiny_model(feature_dim=32)}.get(prev)
+    ckpt = None if source is None else Checkpoint(
+        intents=source.intents, slots=source.slots,
+        feature_dim=source.feature_dim,
+        theta_values=source.theta.values.copy(),
+        fisher_sum_sq=np.ones(source.layout.size - (fisher == "wrong_shape")),
+        fisher_steps=int(bool(fisher)), step=0)
     calls = []
     monkeypatch.setattr(m, "encode", lambda *args: calls.append(args))
     with pytest.raises(error):
         train(net, by_id, simple_plan(by_id, 0),
               TrainConfig(max_epochs=1, eval_every=0,
                           reg=RegConfig(kind=kind, strength=1.0)),
-              lambda net: {"em": 0.0},
-              theta_prev=anchors[prev], fisher_prev=fishers[fisher])
+              lambda net: {"em": 0.0}, prev=ckpt)
     assert calls == []
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
-                                    LayoutMismatch, MissingFisher,
-                                    ParamLayout, ParamVector, RegConfig,
-                                    SparseGrad, anchored_step, apply_freeze,
-                                    penalty)
+                                    LayoutMismatch, MissingAnchor,
+                                    MissingFisher, ParamLayout, ParamVector,
+                                    RegConfig, SparseGrad, anchored_step,
+                                    apply_freeze, penalty)
 
 LAYOUT = ParamLayout((("encoder", 3), ("intent_head", 2), ("tag_head", 4)))
 
@@ -217,7 +217,47 @@ class TestAnchoredStep:
                                                 ("movenorm", 0.0),
                                                 ("ewc", 0.0)])
     def test_off_penalty_has_no_fused_step(self, kind, strength):
-        theta = rand_vec(np.random.default_rng(0))
-        assert anchored_step(theta, theta.copy(), np.ones(LAYOUT.size),
-                             RegConfig(kind=kind, strength=strength),
-                             0.1, FreezeMask()) is None
+        """An off penalty's step is the sparse one: apply_freeze, then the
+        update of the touched coordinates alone."""
+        rng = np.random.default_rng(0)
+        for mask in (FreezeMask(), FreezeMask.of("intent_head")):
+            theta = rand_vec(rng)
+            sparse = theta.copy()
+            step = anchored_step(theta, theta.copy(), np.ones(LAYOUT.size),
+                                 RegConfig(kind=kind, strength=strength), 0.1,
+                                 mask)
+            for _ in range(3):
+                grad = SparseGrad(LAYOUT, np.array([0, 3, 4, 7]),
+                                  rng.normal(size=4))
+                step(grad)
+                frozen = apply_freeze(grad, mask)
+                sparse.values[frozen.index] -= 0.1 * frozen.data
+            assert theta.values.tobytes() == sparse.values.tobytes()
+
+
+OTHER_LAYOUT = ParamLayout((("g", 9),))
+
+
+@pytest.mark.parametrize("strength", [1.0, 0.0])
+@pytest.mark.parametrize("kind, prev, fisher, error", [
+    pytest.param("movenorm", None, None, MissingAnchor,
+                 id="movenorm-no-theta-prev"),
+    pytest.param("ewc", None, np.ones(9), MissingAnchor,
+                 id="ewc-no-theta-prev"),
+    pytest.param("movenorm", ParamVector(OTHER_LAYOUT, np.zeros(9)), None,
+                 LayoutMismatch, id="movenorm-theta-prev-other-layout"),
+    pytest.param("ewc", ParamVector(OTHER_LAYOUT, np.zeros(9)), np.ones(9),
+                 LayoutMismatch, id="ewc-theta-prev-other-layout"),
+    pytest.param("ewc", vec(np.zeros(9)), None, MissingFisher,
+                 id="ewc-no-fisher"),
+    pytest.param("ewc", vec(np.zeros(9)), np.ones(8), LayoutMismatch,
+                 id="ewc-fisher-wrong-shape"),
+])
+def test_penalty_and_anchored_step_reject_a_bad_anchor_alike(
+        kind, prev, fisher, error, strength):
+    theta = vec(np.arange(9.0))
+    config = RegConfig(kind=kind, strength=strength)
+    with pytest.raises(error):
+        penalty(theta, prev, fisher, config)
+    with pytest.raises(error):
+        anchored_step(theta, prev, fisher, config, 0.1, FreezeMask())
