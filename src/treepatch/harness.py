@@ -18,8 +18,8 @@ import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
-from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, encode,
-                    predict_encoded, train)
+from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, bio_spans,
+                    encode, predict_ids, train)
 from .regularizers import FreezeMask, RegConfig
 from .treebank import serialize
 from .utils import derive_seed
@@ -80,11 +80,24 @@ def _reject_unknown_keys(d, defaults, prefix=""):
             _reject_unknown_keys(value, defaults[key], f"{prefix}{key}.")
 
 
+def _lookup(raw, dotted):
+    for key in dotted.split("."):
+        raw = raw[key]
+    return raw
+
+
 def _check_int(raw, dotted, minimum):
-    section, key = dotted.split(".")
-    value = raw[section][key]
+    value = _lookup(raw, dotted)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"{dotted} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_number(raw, dotted):
+    """A number, not a bool or a string; ranges are checked where the value
+    is used (SamplerConfig, RegConfig, SplitSpec)."""
+    value = _lookup(raw, dotted)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{dotted} must be a number, got {value!r}")
 
 
 def _deep_merge(base, override):
@@ -116,6 +129,12 @@ class ExperimentConfig:
                                 ("train.eval_every", 0), ("train.patience", 1),
                                 ("data.n_train", 1), ("data.n_test", 1)):
             _check_int(merged, dotted, minimum)
+        seed = merged["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        for dotted in ("sampler.p", "reg.strength", "reg.epsilon",
+                       "split.percentage", "data.tail_exponent"):
+            _check_number(merged, dotted)
         hidden_dim = merged["model"]["hidden_dim"]
         if type(hidden_dim) is not int or hidden_dim != 0:
             raise ConfigError(f"model.hidden_dim must be 0 (the tagger is "
@@ -229,41 +248,109 @@ def prepare(cfg):
     return DataBundle(train=train_set, test=test_set, split=split)
 
 
+def _flat_tags(tree, tokens):
+    """BIO tag names of a gold tree whose top-level slots each hold one or
+    more tokens and nothing else, and whose leaves are `tokens`, its query's
+    tokens; None for any other tree, which no prediction (an intent over
+    flat slot spans of the query) matches exactly."""
+    tags, leaves = [], []
+    for child in tree.root.children:
+        if isinstance(child, str):
+            tags.append("O")
+            leaves.append(child)
+        elif child.children and all(isinstance(c, str) for c in child.children):
+            tags.append("B-" + child.name)
+            tags += ["I-" + child.name] * (len(child.children) - 1)
+            leaves += child.children
+        else:
+            return None
+    return tags if leaves == tokens else None
+
+
 def make_evaluator(test_set, k, seed, classes=None):
-    """Closure computing one evaluation record. Gold paths and fold
-    assignment are computed once up front; the test set is encoded once per
-    feature_dim, on the first evaluation that needs it, and each evaluation
-    predicts it with batched forwards."""
-    gold = [ex.tree for ex in test_set]
-    gold_paths = [metrics.extract_paths(t) for t in gold]
-    folds = metrics.fold_indices(len(gold), k, seed)
+    """Closure computing one evaluation record by scoring spans, not trees.
+
+    Up front: the fold assignment, the gold paths (extract_paths, once per
+    gold tree) as entries of a PathVocab, and each gold tree's intent and
+    BIO tag names (see _flat_tags). The test set is encoded once per
+    feature_dim, and the gold names are mapped to a model's ids once per
+    label vocabulary; a label the model lacks, like a tree no flat
+    prediction matches, maps to -1, which matches nothing. Each evaluation
+    takes the argmax intents and tags of batched forwards, reads their slot
+    spans as decode_tree would (model.bio_spans) and interns each span's
+    path (its labels, and its tokens joined by spaces) into the same
+    PathVocab; a query without spans has its intent's slotless path. Exact
+    match is the same intent and the same repaired tags. The record equals
+    evaluation_record of the trees predict_trees decodes; no tree is built.
+    """
+    folds = metrics.fold_indices(len(test_set), k, seed)
     classes = sorted(test_set.classes() if classes is None else classes)
     queries = [ex.query for ex in test_set]
+    query_tokens = [query.split() for query in queries]
+    tokens = [tok for toks in query_tokens for tok in toks]
+    paths = metrics.PathVocab(classes)
+    gold = paths.entries([metrics.extract_paths(ex.tree) for ex in test_set])
+    gold_intents = [ex.tree.root.name for ex in test_set]
+    # a tree no flat prediction matches gets no tag name (id -1) at all
+    gold_tags = [tag for ex, toks in zip(test_set, query_tokens)
+                 for tag in (_flat_tags(ex.tree, toks) or [None] * len(toks))]
     encoded_by_dim = {}
+    ids_by_vocab = {}  # gold intent and tag ids, slotless path ids
 
     def evaluator(model):
         dim = model.feature_dim
         if dim not in encoded_by_dim:
             encoded_by_dim[dim] = encode(queries, dim)
-        pred = predict_encoded(model, queries, encoded_by_dim[dim])
-        return evaluation_record(gold, pred, folds, classes,
-                                 gold_paths=gold_paths)
+        batch = encoded_by_dim[dim]
+        vocab = (model.intents, model.tags)
+        if vocab not in ids_by_vocab:
+            ids_by_vocab[vocab] = (
+                np.array([model.intent_ids.get(x, -1) for x in gold_intents]),
+                np.array([model.tag_ids.get(x, -1) for x in gold_tags]),
+                np.array([paths.id((x,), "") for x in model.intents]))
+        gold_intent, gold_tag, slotless_path = ids_by_vocab[vocab]
+
+        intent, tag = predict_ids(model, batch)
+        start, end, slot, repaired = bio_spans(tag, batch.offsets)
+        example_of_span = np.searchsorted(batch.offsets, start, side="right") - 1
+        span_ids = [
+            paths.id((model.intents[i], model.slots[s]), " ".join(tokens[a:b]))
+            for i, s, a, b in zip(intent[example_of_span].tolist(), slot.tolist(),
+                                  start.tolist(), end.tolist())]
+        spanless = np.flatnonzero(
+            np.bincount(example_of_span, minlength=len(intent)) == 0)
+        pred_example = np.concatenate([example_of_span, spanless])
+        pred = (pred_example, np.concatenate([np.array(span_ids, dtype=np.int64),
+                                              slotless_path[intent[spanless]]]),
+                np.ones(len(pred_example), dtype=np.int64))
+        counts = metrics.counts_from_entries(len(intent), paths.mentions,
+                                             gold, pred)
+        tags_differ = np.logical_or.reduceat(repaired != gold_tag,
+                                             batch.offsets[:-1])
+        em_hits = ((intent == gold_intent) & ~tags_differ).astype(float)
+        return _record(em_hits, counts, folds, classes)
 
     return evaluator
 
 
-def evaluation_record(gold, pred, folds, classes, gold_paths=None):
-    """One JSON-able record: EM (point + folds), global TP-F1, and fold-based
-    per-class TP-F1 scores."""
-    if gold_paths is None:
-        gold_paths = [metrics.extract_paths(t) for t in gold]
-    pred_paths = [metrics.extract_paths(t) for t in pred]
+def evaluation_record(gold, pred, folds, classes):
+    """One JSON-able record from gold and predicted trees: EM (point and
+    folds), global TP-F1, and fold-based per-class TP-F1 scores. This is the
+    tree-based oracle of make_evaluator's span scorer; no evaluation calls
+    it."""
+    counts = metrics.path_counts([metrics.extract_paths(t) for t in gold],
+                                 [metrics.extract_paths(t) for t in pred],
+                                 classes)
     em_hits = np.array([serialize(g) == serialize(p) for g, p in zip(gold, pred)],
                        dtype=float)
+    return _record(em_hits, counts, folds, classes)
 
+
+def _record(em_hits, counts, folds, classes):
+    """The evaluation record of per-example EM hits (0.0 or 1.0) and
+    path_counts-shaped counts."""
     em_folds = metrics.UncertainScore.from_folds(
         [em_hits[idx].mean() for idx in folds])
-    counts = metrics.path_counts(gold_paths, pred_paths, classes)
     global_report = metrics.report_from_counts(*counts[:, 0].sum(axis=0))
     fold_counts = [counts[idx].sum(axis=0) for idx in folds]
     per_class = {

@@ -120,35 +120,83 @@ def extract_paths(tree):
     return paths
 
 
-def path_counts(gold_paths, pred_paths, classes=()):
-    """Integer (n_correct, n_predicted, n_expected) per example, for all paths
-    and for the paths mentioning each class.
+class PathVocab:
+    """Distinct tree paths as consecutive ids, each with one row of class
+    mentions: column 0 is always set (every path counts in the global
+    score), column 1 + j is path_mentions(path, classes[j]). A path is keyed
+    by its (labels, value) pair; its row is computed once, when the path is
+    first seen."""
 
-    `gold_paths`/`pred_paths` are aligned lists of path multisets (as from
-    extract_paths). Returns an int64 array of shape
-    (n_examples, 1 + len(classes), 3): column 0 counts every path, column
-    1 + j the paths for which path_mentions(path, classes[j]) holds. Totals
-    over folds or the whole set are sums over rows.
+    def __init__(self, classes=()):
+        self.classes = tuple(classes)
+        self._ids = {}  # (labels, value) -> id
+        self._mentions = np.zeros((64, 1 + len(self.classes)), dtype=bool)
+
+    def id(self, labels, value):
+        pid = self._ids.get((labels, value))
+        if pid is None:
+            pid = self._ids[(labels, value)] = len(self._ids)
+            if pid == len(self._mentions):  # double the capacity
+                self._mentions = np.concatenate(
+                    [self._mentions, np.zeros_like(self._mentions)])
+            path = TreePath(labels, value)
+            self._mentions[pid] = [True] + [path_mentions(path, cls)
+                                            for cls in self.classes]
+        return pid
+
+    @property
+    def mentions(self):
+        """(paths, 1 + classes) bool: the mention row of each path id."""
+        return self._mentions[:len(self._ids)]
+
+    def entries(self, path_multisets):
+        """(example, path id, count) int64 arrays of a list of path
+        multisets (as from extract_paths), one entry per distinct path."""
+        rows = [(i, self.id(path.labels, path.value), n)
+                for i, paths in enumerate(path_multisets)
+                for path, n in paths.items()]
+        return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def counts_from_entries(n_examples, mentions, gold, pred):
+    """Integer (n_correct, n_predicted, n_expected) per example, for all
+    paths and for the paths mentioning each class.
+
+    `gold` and `pred` are (example, path id, count) entry arrays; an example
+    and path may appear in several entries, whose counts add. Per example
+    and path, n_correct is the smaller of the gold and predicted counts.
+    `mentions` is a PathVocab's mention matrix. Returns an int64 array of
+    shape (n_examples, mentions.shape[1], 3); totals over folds or the whole
+    set are sums over rows.
+    """
+    n_paths, width = max(len(mentions), 1), mentions.shape[1]
+    keys, inverse = np.unique(np.concatenate(
+        [gold[0] * n_paths + gold[1], pred[0] * n_paths + pred[1]]),
+        return_inverse=True)
+    expected = np.zeros(len(keys), dtype=np.int64)
+    predicted = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(expected, inverse[:len(gold[0])], gold[2])
+    np.add.at(predicted, inverse[len(gold[0]):], pred[2])
+    per_path = np.stack([np.minimum(expected, predicted), predicted, expected],
+                        axis=1)
+    example, pid = np.divmod(keys, n_paths)
+    path_of, column = np.nonzero(mentions[pid])
+    counts = np.zeros((n_examples * width, 3), dtype=np.int64)
+    np.add.at(counts, example[path_of] * width + column, per_path[path_of])
+    return counts.reshape(n_examples, width, 3)
+
+
+def path_counts(gold_paths, pred_paths, classes=()):
+    """counts_from_entries of aligned lists of path multisets (as from
+    extract_paths): (n_examples, 1 + len(classes), 3), where column 0
+    counts every path and column 1 + j the paths for which
+    path_mentions(path, classes[j]) holds.
     """
     if len(gold_paths) != len(pred_paths):
         raise LengthMismatch(len(gold_paths), len(pred_paths))
-    path_ids = {}  # distinct path -> row of `mentions`
-    entries = []  # (example, path id, count column, count)
-    for i, (gold, pred) in enumerate(zip(gold_paths, pred_paths)):
-        for path, n in gold.items():
-            pid = path_ids.setdefault(path, len(path_ids))
-            entries.append((i, pid, 2, n))
-            if path in pred:
-                entries.append((i, pid, 0, min(n, pred[path])))
-        for path, n in pred.items():
-            entries.append((i, path_ids.setdefault(path, len(path_ids)), 1, n))
-    mentions = np.array(
-        [[True] + [path_mentions(path, cls) for cls in classes] for path in path_ids],
-        dtype=np.int64).reshape(len(path_ids), 1 + len(classes))
-    example, pid, column, n = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-    counts = np.zeros((len(gold_paths), 3, 1 + len(classes)), dtype=np.int64)
-    np.add.at(counts, (example, column), mentions[pid] * n[:, None])
-    return counts.transpose(0, 2, 1)
+    vocab = PathVocab(classes)
+    gold, pred = vocab.entries(gold_paths), vocab.entries(pred_paths)
+    return counts_from_entries(len(gold_paths), vocab.mentions, gold, pred)
 
 
 def report_from_counts(n_correct, n_predicted, n_expected):

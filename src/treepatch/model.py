@@ -394,23 +394,50 @@ def decode_tree(query, intent, tags):
     return ParseTree(Node(intent, tuple(children)))
 
 
+def bio_spans(tags, offsets):
+    """The slot spans decode_tree reads from BIO tag ids, in numpy.
+
+    `tags` are tag ids in tag_vocab's layout (0 is O, 2s + 1 is B- and
+    2s + 2 is I- of slot s) of consecutive queries, which start and end at
+    `offsets` (as Encoded.offsets). A span starts at every non-O token that
+    is B-X, starts its query or follows a token of another slot (or O), so
+    an orphan I-X acts as B-X. Returns the (start, end, slot) arrays of the
+    spans, end exclusive, and the tags with each span's first tag B- and
+    the rest I-.
+    """
+    slot = (tags - 1) // 2  # -1 for O
+    prev_slot = np.empty_like(slot)
+    prev_slot[1:] = slot[:-1]
+    prev_slot[offsets[:-1]] = -1  # a query's first token follows nothing
+    inside = tags > 0
+    starts = inside & ((tags % 2 == 1) | (prev_slot != slot))
+    start = np.flatnonzero(starts)
+    lengths = np.bincount(np.cumsum(starts)[inside] - 1, minlength=len(start))
+    repaired = np.where(inside, 2 * slot + 2 - starts, 0)
+    return start, start + lengths, slot[start], repaired
+
+
 PREDICT_CHUNK = 256  # examples per batched forward: bounds its temporaries
+
+
+def predict_ids(model, batch):
+    """Most likely intent ids (examples,) and tag ids (tokens,) of an
+    Encoded batch, forwarded PREDICT_CHUNK examples at a time."""
+    intents, tags = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for rows in batches(range(len(batch)), PREDICT_CHUNK):
+        p_int, p_tag = forward(model, batch.take(rows))
+        intents.append(p_int.argmax(axis=1))
+        tags.append(p_tag.argmax(axis=1))
+    return np.concatenate(intents), np.concatenate(tags)
 
 
 def predict_encoded(model, queries, batch):
     """Most likely trees for `queries`, given their Encoded batch."""
-    trees = []
-    for rows in batches(range(len(batch)), PREDICT_CHUNK):
-        chunk = batch.take(rows)
-        p_int, p_tag = forward(model, chunk)
-        intents = p_int.argmax(axis=1).tolist()
-        tags = p_tag.argmax(axis=1).tolist()
-        offsets = chunk.offsets.tolist()
-        for i, row in enumerate(rows):
-            tag_names = [model.tags[t] for t in tags[offsets[i]:offsets[i + 1]]]
-            trees.append(decode_tree(queries[row], model.intents[intents[i]],
-                                     tag_names))
-    return trees
+    intents, tags = predict_ids(model, batch)
+    tags, offsets = tags.tolist(), batch.offsets.tolist()
+    return [decode_tree(query, model.intents[intent],
+                        [model.tags[t] for t in tags[offsets[i]:offsets[i + 1]]])
+            for i, (query, intent) in enumerate(zip(queries, intents.tolist()))]
 
 
 def predict_trees(model, examples):

@@ -68,7 +68,8 @@ class Node:
             raise BadLabel(self.name)
         for child in self.children:
             if isinstance(child, str):
-                if not child or "[" in child or "]" in child or any(c.isspace() for c in child):
+                # split() finds no token in "" and splits at whitespace
+                if "[" in child or "]" in child or child.split() != [child]:
                     raise BadToken(child)
             elif isinstance(child, Node):
                 if self.is_intent and child.is_intent:

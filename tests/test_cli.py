@@ -138,6 +138,14 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     ("train.max_epochs=0", "train.max_epochs"),
     ("data.format=xml", "data.format"),
     ("model=5", "model"),
+    ("sampler.p=x", "sampler.p"),
+    ("reg.strength=x", "reg.strength"),
+    ("reg.epsilon=x", "reg.epsilon"),
+    ("split.percentage=x", "split.percentage"),
+    ("seed=x", "seed"),
+    ("data.tail_exponent=x", "data.tail_exponent"),
+    ("sampler.p=true", "sampler.p"),
+    ("seed=false", "seed"),
 ])
 def test_bad_set_value_rejected(workdir, capsys, assignment, key):
     assert run(["split", "--config", workdir / "config.json",

@@ -1,14 +1,20 @@
 import copy
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treepatch import harness
+from treepatch import harness, metrics, treebank
+from treepatch import model as model_module
+from treepatch.dataset import Dataset, Example
 from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
                                cmd_compare, parity_step)
 from treepatch.model import (Checkpoint, TaggerModel, UnknownLabel,
                              load_checkpoint, predict_trees)
 from treepatch.regularizers import MissingFisher
+from treepatch.treebank import Node, ParseTree, token_leaves
 
 SMALL = {
     "seed": 7,
@@ -100,6 +106,19 @@ class TestConfig:
         ({"split": {"percentage": 150}}, "split.percentage"),
         ({"split": {"percentage": 0}}, "split.percentage"),
         ({"split": {"coverage_per_class": 0}}, "split.coverage_per_class"),
+        ({"sampler": {"p": "x"}}, "sampler.p"),
+        ({"reg": {"strength": "x"}}, "reg.strength"),
+        ({"reg": {"epsilon": "x"}}, "reg.epsilon"),
+        ({"split": {"percentage": "x"}}, "split.percentage"),
+        ({"seed": "x"}, "seed"),
+        ({"data": {"tail_exponent": "x"}}, "data.tail_exponent"),
+        ({"sampler": {"p": True}}, "sampler.p"),
+        ({"reg": {"strength": False}}, "reg.strength"),
+        ({"reg": {"epsilon": True}}, "reg.epsilon"),
+        ({"split": {"percentage": True}}, "split.percentage"),
+        ({"seed": True}, "seed"),
+        ({"data": {"tail_exponent": None}}, "data.tail_exponent"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_bad_value_rejected_naming_its_key(self, raw, key):
         with pytest.raises(ConfigError, match=key):
@@ -310,3 +329,90 @@ def test_run_report_round_trip(scratch):
     back = RunReport.from_dict(json.loads(json.dumps(report.as_dict())))
     assert back.total_steps == report.total_steps
     assert back.records == report.records
+
+
+# Span scorer against the tree oracle. Few tokens, so that a value repeats
+# within a query and across queries; "xSL:DATEy" holds a class label as a
+# substring, which path_mentions counts. Gold trees nest (a slot holds an
+# intent) and use labels some models lack; IN:NEW and SL:NEW are labels
+# only a model has.
+GOLD_INTENTS = ("IN:A", "IN:GET_EVENT")
+GOLD_SLOTS = ("SL:DATE", "SL:DATE_EVENT", "SL:X")
+TOKENS = st.sampled_from(("a", "b", "xSL:DATEy"))
+
+
+def gold_slots(depth):
+    child = TOKENS if depth == 0 else st.one_of(TOKENS, gold_intents(depth - 1))
+    return st.builds(Node, st.sampled_from(GOLD_SLOTS),
+                     st.lists(child, min_size=1, max_size=3).map(tuple))
+
+
+def gold_intents(depth):
+    return st.builds(Node, st.sampled_from(GOLD_INTENTS), st.lists(
+        st.one_of(TOKENS, gold_slots(depth)), min_size=1, max_size=4).map(tuple))
+
+
+TEST_SETS = st.lists(gold_intents(2), min_size=5, max_size=12).map(
+    lambda roots: Dataset(tuple(
+        Example(f"t{i}", " ".join(token_leaves(ParseTree(root))), ParseTree(root))
+        for i, root in enumerate(roots))))
+
+
+@st.composite
+def random_models(draw):
+    """A tagger with random theta over a label set drawn from the gold
+    labels and two the gold trees lack; a large O bias gives queries with
+    no predicted span."""
+    intents = draw(st.lists(st.sampled_from(GOLD_INTENTS + ("IN:NEW",)),
+                            min_size=1, unique=True))
+    slots = draw(st.lists(st.sampled_from(GOLD_SLOTS + ("SL:NEW",)), unique=True))
+    net = TaggerModel.init(intents, slots,
+                           feature_dim=draw(st.sampled_from((8, 32))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net.theta.values[:] = rng.normal(0.0, draw(st.sampled_from((0.3, 3.0))),
+                                     net.theta.values.size)
+    net._views()["b_tag"][0] += draw(st.sampled_from((0.0, 2.0, 50.0)))
+    return net
+
+
+@settings(max_examples=150, deadline=None)
+@given(TEST_SETS, st.lists(random_models(), min_size=1, max_size=2),
+       st.integers(2, 5), st.integers(0, 3))
+def test_span_scorer_equals_tree_oracle(test_set, nets, k, seed):
+    classes = sorted(test_set.classes() | {"SL:DATE", "SL:NOWHERE"})
+    evaluator = harness.make_evaluator(test_set, k, seed, classes)
+    gold = [ex.tree for ex in test_set]
+    folds = metrics.fold_indices(len(test_set), k, seed)
+    for net in nets:  # later calls reuse the evaluator's path ids
+        got = evaluator(net)
+        expected = harness.evaluation_record(
+            gold, predict_trees(net, test_set), folds, classes)
+        assert got == expected
+        assert (json.dumps(got, sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
+
+
+def test_evaluator_builds_no_tree(bundle, scratch, monkeypatch):
+    gold_trees = []
+    extract_paths = metrics.extract_paths
+    monkeypatch.setattr(metrics, "extract_paths",
+                        lambda tree: gold_trees.append(tree) or extract_paths(tree))
+    evaluator = harness.make_evaluator(bundle.test, 5, 0)
+    assert gold_trees == [ex.tree for ex in bundle.test]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an evaluator call built or scored a tree")
+
+    monkeypatch.setattr(model_module, "decode_tree", forbidden)
+    for module in (treebank, metrics, harness):
+        if hasattr(module, "serialize"):
+            monkeypatch.setattr(module, "serialize", forbidden)
+    monkeypatch.setattr(harness, "evaluation_record", forbidden)
+    monkeypatch.setattr(Node, "__post_init__", forbidden)
+    monkeypatch.setattr(ParseTree, "__post_init__", forbidden)
+    trained = scratch[0].best.model()
+    for net in (trained, TaggerModel(trained.intents, trained.slots,
+                                     trained.feature_dim)):
+        record = evaluator(net)
+        assert 0.0 <= record["em"] <= 1.0
+    assert len(gold_trees) == len(bundle.test)

@@ -114,6 +114,22 @@ def test_bad_tokens_rejected():
         parse_top("[IN:A we[ird ]")
 
 
+@pytest.mark.parametrize("token", [
+    "", " ", "\x1c", "\x1f", "\x85", "a\u3000b", "a\xa0b", "a ", "\ta",
+    "a\u2028", "\u200b", "x", "when", "4", "xSL:DATEy", "\xe9t\xe9"])
+def test_token_check_is_the_whitespace_scan(token):
+    """Node rejects a token by split(); the character scan it replaced
+    rejects exactly the same tokens."""
+    scan_rejects = not token or any(c.isspace() for c in token)
+    try:
+        Node("IN:A", (token,))
+    except treebank.BadToken:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == scan_rejects == (token.split() != [token])
+
+
 def _random_tree(rng, depth=1):
     name = f"IN:N{rng.integers(0, 5)}"
     children = []
