@@ -146,6 +146,16 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     ("data.tail_exponent=x", "data.tail_exponent"),
     ("sampler.p=true", "sampler.p"),
     ("seed=false", "seed"),
+    ("sampler.p=2.0", "sampler.p"),
+    ("sampler.mode=bogus", "sampler.mode"),
+    ("reg.strength=-1", "reg.strength"),
+    ("reg.epsilon=0", "reg.epsilon"),
+    ("reg.kind=bogus", "reg.kind"),
+    ("reg.form=bogus", "reg.form"),
+    ("data.tail_exponent=NaN", "data.tail_exponent"),
+    ("data.tail_exponent=Infinity", "data.tail_exponent"),
+    ("data.tail_exponent=0", "data.tail_exponent"),
+    ("data.tail_exponent=-1", "data.tail_exponent"),
 ])
 def test_bad_set_value_rejected(workdir, capsys, assignment, key):
     assert run(["split", "--config", workdir / "config.json",

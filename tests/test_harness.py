@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treepatch import harness, metrics, treebank
@@ -119,6 +119,16 @@ class TestConfig:
         ({"seed": True}, "seed"),
         ({"data": {"tail_exponent": None}}, "data.tail_exponent"),
         ({"seed": 1.5}, "seed"),
+        ({"sampler": {"p": 2.0}}, "sampler.p"),
+        ({"sampler": {"mode": "bogus"}}, "sampler.mode"),
+        ({"reg": {"strength": -1}}, "reg.strength"),
+        ({"reg": {"epsilon": 0}}, "reg.epsilon"),
+        ({"reg": {"kind": "bogus"}}, "reg.kind"),
+        ({"reg": {"form": "bogus"}}, "reg.form"),
+        ({"data": {"tail_exponent": float("nan")}}, "data.tail_exponent"),
+        ({"data": {"tail_exponent": float("inf")}}, "data.tail_exponent"),
+        ({"data": {"tail_exponent": 0}}, "data.tail_exponent"),
+        ({"data": {"tail_exponent": -1}}, "data.tail_exponent"),
     ])
     def test_bad_value_rejected_naming_its_key(self, raw, key):
         with pytest.raises(ConfigError, match=key):
@@ -218,7 +228,8 @@ def test_evaluator_featurizes_once_and_matches_predict_trees(
     net = scratch[0].best.model()
     evaluator = harness.make_evaluator(bundle.test, 5, 0)
     first, second = evaluator(net), evaluator(net)
-    assert len(calls) == len(bundle.test)
+    # each distinct query once, in first-occurrence order
+    assert calls == list(dict.fromkeys(ex.query for ex in bundle.test))
     folds = harness.metrics.fold_indices(len(bundle.test), 5, 0)
     expected = harness.evaluation_record(
         [ex.tree for ex in bundle.test], predict_trees(net, bundle.test),
@@ -392,13 +403,65 @@ def test_span_scorer_equals_tree_oracle(test_set, nets, k, seed):
                 == json.dumps(expected, sort_keys=True))
 
 
+@st.composite
+def repeating_test_sets(draw):
+    """A test set whose drawn examples repeat under new ids, in a drawn
+    order, with one query under two gold trees: a drawn tree and the same
+    tokens under the other root intent."""
+    roots = draw(st.lists(gold_intents(2), min_size=3, max_size=6))
+    other = GOLD_INTENTS[1 - GOLD_INTENTS.index(roots[0].name)]
+    roots.append(Node(other, roots[0].children))
+    repeats = draw(st.lists(st.integers(0, len(roots) - 1), min_size=1,
+                            max_size=3 * len(roots)))
+    order = draw(st.permutations(list(range(len(roots))) + repeats))
+    return Dataset(tuple(
+        Example(f"t{i}", " ".join(token_leaves(ParseTree(roots[r]))),
+                ParseTree(roots[r]))
+        for i, r in enumerate(order)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_test_sets(), random_models(), st.integers(2, 5),
+       st.integers(0, 3))
+def test_repeated_cases_score_as_the_tree_oracle(test_set, net, k, seed):
+    classes = sorted(test_set.classes())
+    got = harness.make_evaluator(test_set, k, seed, classes)(net)
+    expected = harness.evaluation_record(
+        [ex.tree for ex in test_set], predict_trees(net, test_set),
+        metrics.fold_indices(len(test_set), k, seed), classes)
+    assert got == expected
+    assert (json.dumps(got, sort_keys=True)
+            == json.dumps(expected, sort_keys=True))
+
+
+@st.composite
+def count_triples(draw):
+    """(n_correct, n_predicted, n_expected), small or above 10**6."""
+    size = st.one_of(st.integers(0, 20), st.integers(10**6, 2**53 - 1))
+    predicted, expected = draw(size), draw(size)
+    return draw(st.integers(0, min(predicted, expected))), predicted, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(count_triples(), min_size=1, max_size=30))
+@example([(0, 0, 0), (0, 0, 7), (0, 7, 0), (0, 3, 4), (3, 3, 3), (2, 3, 5),
+          (10**6 + 1, 10**7 + 3, 2**53 - 1)])
+def test_fold_f1_kernel_is_report_from_counts_bit_for_bit(triples):
+    got = harness._f1(np.array(triples, dtype=np.int64)).tolist()
+    assert ([x.hex() for x in got]
+            == [metrics.report_from_counts(*t).f1.hex() for t in triples])
+
+
 def test_evaluator_builds_no_tree(bundle, scratch, monkeypatch):
     gold_trees = []
     extract_paths = metrics.extract_paths
     monkeypatch.setattr(metrics, "extract_paths",
                         lambda tree: gold_trees.append(tree) or extract_paths(tree))
     evaluator = harness.make_evaluator(bundle.test, 5, 0)
-    assert gold_trees == [ex.tree for ex in bundle.test]
+    # once per distinct (query, tree), in first-occurrence order
+    cases = list(dict.fromkeys((ex.query, ex.tree) for ex in bundle.test))
+    assert len(cases) < len(bundle.test)
+    assert gold_trees == [tree for _, tree in cases]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an evaluator call built or scored a tree")
@@ -415,4 +478,4 @@ def test_evaluator_builds_no_tree(bundle, scratch, monkeypatch):
                                      trained.feature_dim)):
         record = evaluator(net)
         assert 0.0 <= record["em"] <= 1.0
-    assert len(gold_trees) == len(bundle.test)
+    assert len(gold_trees) == len(cases)
