@@ -110,8 +110,8 @@ def cmd_finetune(args):
 def cmd_evaluate(args):
     ckpt = load_checkpoint(args.ckpt)
     test_set = ds.load_tsv(args.test)
-    record = harness.cmd_evaluate(ckpt, test_set, args.k, seed=args.fold_seed)
-    _write_json(record, args.report)
+    evaluator = harness.make_evaluator(test_set, args.k, args.fold_seed)
+    _write_json(evaluator(ckpt.model()), args.report)
 
 
 def cmd_compare(args):

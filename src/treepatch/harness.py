@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,35 +70,62 @@ LOADERS = {"top": ds.load_top_tsv, "canonical": ds.load_tsv,
            "snips": ds.load_snips}
 
 
-def _reject_unknown_keys(d, defaults, prefix=""):
-    for key, value in d.items():
+# what a leaf must meet beyond its default's type, as (bound, argument);
+# the ranges of sampler, reg and split come from the objects they build
+LIMITS = {
+    "data.kind": ("in", ("synthetic", "tsv", "snips")),
+    "data.n_train": (">=", 1),
+    "data.n_test": (">=", 1),
+    "data.tail_exponent": (">", 0),
+    "data.format": ("in", tuple(LOADERS)),
+    "freeze": ("all in", GROUPS),
+    "model.feature_dim": (">=", 1),
+    "model.hidden_dim": ("in", (0,)),  # the tagger is linear
+    "train.lr": (">", 0),
+    "train.batch_size": (">=", 1),
+    "train.max_epochs": (">=", 1),
+    "train.eval_every": (">=", 0),
+    "train.patience": (">=", 1),
+    "eval.k": (">=", 2),
+    "parity.require": ("in", PARITY_REQUIRE),
+}
+
+_BOUNDS = {">=": operator.ge, ">": operator.gt,
+           "in": lambda value, allowed: value in allowed,
+           "all in": lambda values, allowed: all(v in allowed for v in values)}
+
+# the types a leaf takes, by its default's type: a float default takes any
+# finite int or float, a None default a string; bools are never numbers
+_LEAF_TYPES = {int: (int, "an integer"),
+               float: ((int, float), "a finite number"),
+               str: (str, "a string"),
+               type(None): ((str, type(None)), "a string or null"),
+               list: (list, "a list")}
+
+
+def _check(section, defaults, prefix=""):
+    """Raise ConfigError naming the dotted key of the first unknown key,
+    section that is not an object, or leaf without its default's type or
+    outside its LIMITS."""
+    for key, value in section.items():
+        dotted = prefix + str(key)
         if key not in defaults:
-            raise ConfigError(f"unknown config key {prefix + str(key)!r}")
-        if isinstance(defaults[key], dict):
+            raise ConfigError(f"unknown config key {dotted!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config section {prefix + str(key)!r} must "
-                                  f"be an object, got {value!r}")
-            _reject_unknown_keys(value, defaults[key], f"{prefix}{key}.")
-
-
-def _lookup(raw, dotted):
-    for key in dotted.split("."):
-        raw = raw[key]
-    return raw
-
-
-def _check_int(raw, dotted, minimum):
-    value = _lookup(raw, dotted)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{dotted} must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_number(raw, dotted):
-    """A number, not a bool or a string; ranges are checked where the value
-    is used (SamplerConfig, RegConfig, SplitSpec)."""
-    value = _lookup(raw, dotted)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{dotted} must be a number, got {value!r}")
+                raise ConfigError(f"config section {dotted!r} must be an "
+                                  f"object, got {value!r}")
+            _check(value, default, dotted + ".")
+            continue
+        types, name = _LEAF_TYPES[type(default)]
+        if (not isinstance(value, types) or isinstance(value, bool)
+                or (isinstance(value, float) and not math.isfinite(value))):
+            raise ConfigError(f"{dotted} must be {name}, got {value!r}")
+        if dotted in LIMITS:
+            bound, arg = LIMITS[dotted]
+            if not _BOUNDS[bound](value, arg):
+                raise ConfigError(f"{dotted} must be {bound} {arg}, got {value!r}")
 
 
 def _deep_merge(base, override):
@@ -117,44 +145,20 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d, preset=None):
         """Defaults, then the preset, then `d`: keys set in `d` win."""
-        _reject_unknown_keys(d or {}, DEFAULT_CONFIG)
+        if not isinstance(d or {}, dict):
+            raise ConfigError(f"a config must be an object, got {d!r}")
         base = DEFAULT_CONFIG
         if preset is not None:
             if preset not in PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
             base = _deep_merge(base, PRESETS[preset])
         merged = _deep_merge(base, d or {})
-        for dotted, minimum in (("eval.k", 2), ("model.feature_dim", 1),
-                                ("train.batch_size", 1), ("train.max_epochs", 1),
-                                ("train.eval_every", 0), ("train.patience", 1),
-                                ("data.n_train", 1), ("data.n_test", 1)):
-            _check_int(merged, dotted, minimum)
-        seed = merged["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        for dotted in ("sampler.p", "reg.strength", "reg.epsilon",
-                       "split.percentage"):
-            _check_number(merged, dotted)
-        hidden_dim = merged["model"]["hidden_dim"]
-        if type(hidden_dim) is not int or hidden_dim != 0:
-            raise ConfigError(f"model.hidden_dim must be 0 (the tagger is "
-                              f"linear), got {hidden_dim!r}")
-        for dotted in ("train.lr", "data.tail_exponent"):
-            value = _lookup(merged, dotted)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value) or value <= 0):
-                raise ConfigError(f"{dotted} must be a positive finite "
-                                  f"number, got {value!r}")
-        if merged["data"]["format"] not in LOADERS:
-            raise ConfigError(f"data.format must be one of {tuple(LOADERS)}, "
-                              f"got {merged['data']['format']!r}")
-        freeze = merged["freeze"]
-        if not isinstance(freeze, list) or not all(g in GROUPS for g in freeze):
-            raise ConfigError(f"freeze must be a list of parameter groups "
-                              f"from {GROUPS}, got {freeze!r}")
-        if merged["parity"]["require"] not in PARITY_REQUIRE:
-            raise ConfigError(f"parity.require must be one of {PARITY_REQUIRE}, "
-                              f"got {merged['parity']['require']!r}")
+        _check(merged, DEFAULT_CONFIG)
+        data = merged["data"]
+        if data["kind"] != "synthetic" and not (data["train_path"]
+                                                and data["test_path"]):
+            raise ConfigError(f"data.kind {data['kind']!r} needs "
+                              f"data.train_path and data.test_path")
         cfg = cls(raw=merged)
         # validate eagerly; each error's message starts with its field
         for section, build, error in (
@@ -239,12 +243,8 @@ def load_data(cfg):
                                     n_test=int(d["n_test"]),
                                     tail_exponent=float(d["tail_exponent"]))
         return datagen.generate(grammar, gen_cfg)
-    if d["kind"] in ("tsv", "snips"):
-        if not d["train_path"] or not d["test_path"]:
-            raise ConfigError("data.train_path and data.test_path are required")
-        load = LOADERS["snips" if d["kind"] == "snips" else d["format"]]
-        return load(d["train_path"]), load(d["test_path"])
-    raise ConfigError(f"unknown data.kind {d['kind']!r}")
+    load = LOADERS["snips" if d["kind"] == "snips" else d["format"]]
+    return load(d["train_path"]), load(d["test_path"])
 
 
 def prepare(cfg):
@@ -510,11 +510,6 @@ def degradation_from_records(before_record, after_record):
     after = {c: metrics.UncertainScore(**{**v, "per_fold": tuple(v["per_fold"])})
              for c, v in after_record["per_class"].items()}
     return metrics.degraded_classes(before, after).as_dict()
-
-
-def cmd_evaluate(ckpt, test_set, k, seed=0):
-    """Metrics record for a stored checkpoint on a test set."""
-    return make_evaluator(test_set, k, seed)(ckpt.model())
 
 
 def parity_step(finetune_report, scratch_report, target_class, require="both"):

@@ -9,6 +9,7 @@ form is the literal L2 distance with an epsilon guard at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,10 +109,10 @@ class RegConfig:
             raise RegError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.form not in FORMS:
             raise RegError(f"form must be one of {FORMS}, got {self.form!r}")
-        if self.strength < 0:
-            raise RegError("strength must be >= 0")
-        if self.epsilon <= 0:
-            raise RegError("epsilon must be > 0")
+        if not (math.isfinite(self.strength) and self.strength >= 0):
+            raise RegError(f"strength must be finite and >= 0, got {self.strength!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise RegError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
 
 
 def _checked_fisher(fisher, theta):

@@ -156,6 +156,20 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     ("data.tail_exponent=Infinity", "data.tail_exponent"),
     ("data.tail_exponent=0", "data.tail_exponent"),
     ("data.tail_exponent=-1", "data.tail_exponent"),
+    ("split.coverage_per_class=x", "split.coverage_per_class"),
+    ("split.coverage_per_class=1.5", "split.coverage_per_class"),
+    ("split.coverage_per_class=true", "split.coverage_per_class"),
+    ("split.target_class=5", "split.target_class"),
+    ("split.target_class=null", "split.target_class"),
+    ("data.kind=bogus", "data.kind"),
+    ("data.grammar=5", "data.grammar"),
+    ("data.train_path=5", "data.train_path"),
+    ("data.test_path=5", "data.test_path"),
+    ('data.format=["top"]', "data.format"),
+    ("reg.strength=NaN", "reg.strength"),
+    ("reg.strength=Infinity", "reg.strength"),
+    ("reg.epsilon=NaN", "reg.epsilon"),
+    ("reg.epsilon=Infinity", "reg.epsilon"),
 ])
 def test_bad_set_value_rejected(workdir, capsys, assignment, key):
     assert run(["split", "--config", workdir / "config.json",

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ def scratch(bundle):
 def prev(bundle):
     cfg = ExperimentConfig.from_dict(SMALL)
     return harness.cmd_train(cfg, bundle, on="d1")
+
+
+def _leaves(config, prefix=""):
+    """The dotted key of every leaf of a nested config."""
+    out = []
+    for key, value in config.items():
+        if isinstance(value, dict):
+            out += _leaves(value, f"{prefix}{key}.")
+        else:
+            out.append(prefix + key)
+    return out
 
 
 class TestConfig:
@@ -129,10 +141,39 @@ class TestConfig:
         ({"data": {"tail_exponent": float("inf")}}, "data.tail_exponent"),
         ({"data": {"tail_exponent": 0}}, "data.tail_exponent"),
         ({"data": {"tail_exponent": -1}}, "data.tail_exponent"),
+        ({"split": {"coverage_per_class": "x"}}, "split.coverage_per_class"),
+        ({"split": {"coverage_per_class": 1.5}}, "split.coverage_per_class"),
+        ({"split": {"coverage_per_class": True}}, "split.coverage_per_class"),
+        ({"split": {"target_class": 5}}, "split.target_class"),
+        ({"split": {"target_class": None}}, "split.target_class"),
+        ({"data": {"kind": "bogus"}}, "data.kind"),
+        ({"data": {"grammar": 5}}, "data.grammar"),
+        ({"data": {"train_path": 5}}, "data.train_path"),
+        ({"data": {"test_path": 5}}, "data.test_path"),
+        ({"data": {"format": ["top"]}}, "data.format"),
+        ({"reg": {"strength": float("nan")}}, "reg.strength"),
+        ({"reg": {"strength": float("inf")}}, "reg.strength"),
+        ({"reg": {"epsilon": float("nan")}}, "reg.epsilon"),
+        ({"reg": {"epsilon": float("inf")}}, "reg.epsilon"),
+        ([1], "config"),
     ])
     def test_bad_value_rejected_naming_its_key(self, raw, key):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("dotted", _leaves(harness.DEFAULT_CONFIG))
+    def test_wrong_type_rejected_naming_its_leaf(self, dotted):
+        raw = [[]]
+        for key in reversed(dotted.split(".")):
+            raw = {key: raw}
+        with pytest.raises(ConfigError, match=re.escape(dotted)):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("kind", ["tsv", "snips"])
+    def test_file_kind_needs_both_paths(self, kind):
+        with pytest.raises(ConfigError, match="data.train_path and data.test_path"):
+            ExperimentConfig.from_dict({"data": {"kind": kind,
+                                                 "train_path": "a.tsv"}})
 
     def test_edge_values_accepted(self):
         cfg = ExperimentConfig.from_dict({

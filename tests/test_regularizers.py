@@ -4,8 +4,8 @@ import pytest
 from treepatch.regularizers import (FisherAccumulator, FreezeMask,
                                     LayoutMismatch, MissingAnchor,
                                     MissingFisher, ParamLayout, ParamVector,
-                                    RegConfig, SparseGrad, anchored_step,
-                                    apply_freeze, penalty)
+                                    RegConfig, RegError, SparseGrad,
+                                    anchored_step, apply_freeze, penalty)
 
 LAYOUT = ParamLayout((("encoder", 3), ("intent_head", 2), ("tag_head", 4)))
 
@@ -28,6 +28,21 @@ class TestLayout:
     def test_shape_checked(self):
         with pytest.raises(LayoutMismatch):
             ParamVector(LAYOUT, np.zeros(5))
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"kind": "bogus"}, "kind"),
+    ({"form": "bogus"}, "form"),
+    ({"strength": -1.0}, "strength"),
+    ({"strength": float("nan")}, "strength"),
+    ({"strength": float("inf")}, "strength"),
+    ({"epsilon": 0.0}, "epsilon"),
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"epsilon": float("inf")}, "epsilon"),
+])
+def test_reg_config_rejects_bad_value(kwargs, field):
+    with pytest.raises(RegError, match=f"^{field} "):
+        RegConfig(**kwargs)
 
 
 class TestPenalty:
