@@ -44,9 +44,9 @@ fd = (penalty(hi, prev, fisher, cfg)[0] - penalty(lo, prev, fisher, cfg)[0]) / (
 print(f"\ncoordinate {i}: analytic {grad.values[i]:.8f} vs fd {fd:.8f}")
 
 # Freezing is the hard-constraint limit: zero the update for whole groups.
-from treepatch.regularizers import FreezeMask, apply_freeze
+from treepatch.regularizers import apply_freeze
 
-mask = FreezeMask.of("intent_head")
-update = apply_freeze(ParamVector(layout, np.ones(layout.size)), mask)
+update = apply_freeze(ParamVector(layout, np.ones(layout.size)),
+                      frozenset({"intent_head"}))
 print("frozen intent_head update:", update.group("intent_head"))
 print("tag_head update untouched:", update.group("tag_head")[:4], "...")

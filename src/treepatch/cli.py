@@ -9,8 +9,9 @@
     treepatch sweep    --config cfg.json --prev m.ckpt --scratch-report s.json --out m.csv
 
 Config is a single JSON file (see harness.DEFAULT_CONFIG for the full key
-schema); any key can be overridden with repeated `--set dotted.key=value`.
-Errors exit nonzero with a machine-readable JSON object on stderr.
+schema); any key can be overridden with repeated `--set dotted.key=value`,
+and a bad one raises harness.ConfigError. Errors exit nonzero with a
+machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from . import harness
 from .model import load_checkpoint, save_checkpoint
 
 
-class CliError(ValueError):
-    pass
-
-
 def _parse_value(text):
     try:
         return json.loads(text)
@@ -38,12 +35,16 @@ def _parse_value(text):
 def _apply_sets(raw, assignments):
     for item in assignments or []:
         if "=" not in item:
-            raise CliError(f"--set needs dotted.key=value, got {item!r}")
+            raise harness.ConfigError(f"--set needs dotted.key=value, got {item!r}")
         dotted, value = item.split("=", 1)
         node = raw
         keys = dotted.split(".")
-        for key in keys[:-1]:
+        for depth, key in enumerate(keys[:-1], 1):
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise harness.ConfigError(
+                    f"--set {dotted}: config key {'.'.join(keys[:depth])!r} "
+                    f"holds {node!r}, not an object")
         node[keys[-1]] = _parse_value(value)
     return raw
 
@@ -130,11 +131,15 @@ def cmd_sweep(args):
     prev = load_checkpoint(args.prev)
     with open(args.scratch_report, encoding="utf-8") as fh:
         scratch = harness.RunReport.from_dict(json.load(fh))
-    rows = harness.cmd_sweep(
-        cfg, bundle, prev, scratch,
-        methods=args.methods.split(",") if args.methods else None,
-        p_values=tuple(float(x) for x in args.p.split(",")),
-        strengths=tuple(float(x) for x in args.strengths.split(",")))
+    # only the flags given: harness.cmd_sweep holds the defaults
+    options = {}
+    if args.methods:
+        options["methods"] = args.methods.split(",")
+    if args.p is not None:
+        options["p_values"] = tuple(float(x) for x in args.p.split(","))
+    if args.strengths is not None:
+        options["strengths"] = tuple(float(x) for x in args.strengths.split(","))
+    rows = harness.cmd_sweep(cfg, bundle, prev, scratch, **options)
     harness.sweep_rows_to_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
 
@@ -196,8 +201,8 @@ def build_parser():
     p.add_argument("--prev", required=True)
     p.add_argument("--scratch-report", required=True)
     p.add_argument("--methods", help="comma list; default all")
-    p.add_argument("--p", default="0,0.1,0.2,0.5,1.0")
-    p.add_argument("--strengths", default="10.0")
+    p.add_argument("--p", help="comma list of sampler.p values")
+    p.add_argument("--strengths", help="comma list of reg.strength values")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

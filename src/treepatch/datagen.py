@@ -59,19 +59,6 @@ class Grammar:
                 return templates
         raise GrammarError(f"unknown intent {label}")
 
-    def classes(self):
-        out = set()
-        for label, templates in self.intents:
-            out.add(label)
-            for tpl in templates:
-                out.update(item for item in tpl if item.startswith("SL:"))
-        for slot, alts in self.fillers.items():
-            out.add(slot)
-            for alt in alts:
-                if isinstance(alt, str):
-                    out.add(alt)
-        return out
-
 
 @dataclass(frozen=True)
 class GenConfig:

@@ -21,7 +21,7 @@ from . import dataset as ds
 from . import datagen, metrics, sampling
 from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, bio_spans,
                     encode, predict_ids, train)
-from .regularizers import FreezeMask, RegConfig, RegError
+from .regularizers import RegConfig, RegError
 from .treebank import serialize
 from .utils import derive_seed
 
@@ -205,7 +205,7 @@ class ExperimentConfig:
             max_epochs=int(t["max_epochs"]), eval_every=int(t["eval_every"]),
             patience=int(t["patience"]),
             reg=reg if reg is not None else RegConfig(),
-            freeze=FreezeMask(frozenset(self.raw["freeze"])))
+            freeze=frozenset(self.raw["freeze"]))
 
     def split_spec(self):
         s = self.raw["split"]
@@ -566,10 +566,15 @@ METHODS = {
 SWEEP_P_DEFAULT = (0.0, 0.1, 0.2, 0.5, 1.0)
 
 
+def _method(name):
+    """The config override of a sweep method."""
+    if name not in METHODS:
+        raise ConfigError(f"unknown method {name!r}; have {sorted(METHODS)}")
+    return METHODS[name]
+
+
 def sweep_cell_config(cfg, method, p, strength):
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; have {sorted(METHODS)}")
-    override = _deep_merge(METHODS[method], {"sampler": {"p": p}})
+    override = _deep_merge(_method(method), {"sampler": {"p": p}})
     if override["reg"]["kind"] != "none":
         override = _deep_merge(override, {"reg": {"strength": strength}})
     return ExperimentConfig.from_dict(_deep_merge(cfg.raw, override))
@@ -580,32 +585,36 @@ def cmd_sweep(cfg, bundle, prev_ckpt, scratch_report, methods=None,
     """One row per (method, p, lambda) cell, plot-ready.
 
     Each cell derives its own config (hence its own seeds) and is therefore
-    reproducible in isolation via cmd_finetune with the same overrides."""
-    methods = list(methods or METHODS)
+    reproducible in isolation via cmd_finetune with the same overrides.
+    Every cell's config is built, and so checked, before the first cell
+    trains."""
     target = cfg["split"]["target_class"]
     require = cfg["parity"]["require"]
-    rows = []
-    for method in methods:
-        regged = METHODS[method]["reg"]["kind"] != "none"
+    cells = []  # (method, p, strength column, cell config)
+    for method in list(methods or METHODS):
+        regged = _method(method)["reg"]["kind"] != "none"
         for strength in (strengths if regged else (0.0,)):
             for p in p_values:
-                cell_cfg = sweep_cell_config(cfg, method, p, strength)
-                _, report = cmd_finetune(cell_cfg, bundle, prev_ckpt)
-                cmd_compare(report, scratch_report, target, require)
-                final = report.final_record
-                rows.append({
-                    "method": method,
-                    "p": p,
-                    "strength": strength if regged else "",
-                    "em": final["em"],
-                    "em_std": final["em_folds"]["std"],
-                    "target_tp_f1": final["per_class"][target]["mean"],
-                    "target_tp_f1_std": final["per_class"][target]["std"],
-                    "degraded_classes": report.degradation["degraded_count"],
-                    "steps": report.total_steps,
-                    "steps_to_parity": report.steps_to_parity,
-                    "relative_steps": report.relative_steps,
-                })
+                cells.append((method, p, strength if regged else "",
+                              sweep_cell_config(cfg, method, p, strength)))
+    rows = []
+    for method, p, strength, cell_cfg in cells:
+        _, report = cmd_finetune(cell_cfg, bundle, prev_ckpt)
+        cmd_compare(report, scratch_report, target, require)
+        final = report.final_record
+        rows.append({
+            "method": method,
+            "p": p,
+            "strength": strength,
+            "em": final["em"],
+            "em_std": final["em_folds"]["std"],
+            "target_tp_f1": final["per_class"][target]["mean"],
+            "target_tp_f1_std": final["per_class"][target]["std"],
+            "degraded_classes": report.degradation["degraded_count"],
+            "steps": report.total_steps,
+            "steps_to_parity": report.steps_to_parity,
+            "relative_steps": report.relative_steps,
+        })
     return rows
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .treebank import Node, serialize, _serialize_node
+from .treebank import Node, serialize, serialize_children
 
 
 class LengthMismatch(ValueError):
@@ -94,13 +94,6 @@ def _has_slot_below(node):
     return False
 
 
-def _slot_value(node):
-    parts = []
-    for child in node.children:
-        parts.append(child if isinstance(child, str) else _serialize_node(child))
-    return " ".join(parts)
-
-
 def extract_paths(tree):
     """Multiset (Counter) of TreePath for one tree."""
     paths = Counter()
@@ -108,7 +101,7 @@ def extract_paths(tree):
     def visit(node, prefix):
         prefix = prefix + (node.name,)
         if node.is_slot:
-            paths[TreePath(prefix, _slot_value(node))] += 1
+            paths[TreePath(prefix, serialize_children(node))] += 1
         elif not _has_slot_below(node):
             paths[TreePath(prefix, "")] += 1
             return  # nothing below can emit paths

@@ -4,7 +4,7 @@ Two linear heads read the hashed features of each token directly, with
 no encoder between them: an intent classifier over the mean of a query's
 token features and a per-token BIO slot tagger. Tag sequences decode to
 depth-2 bracket trees. The flat parameter vector keeps intent_head /
-tag_head as named groups so freeze masks and per-group bookkeeping line up
+tag_head as named groups so frozen groups and per-group bookkeeping line up
 with the two heads.
 """
 
@@ -18,9 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .regularizers import (FisherAccumulator, FreezeMask, LayoutMismatch,
-                           ParamLayout, ParamVector, RegConfig, SparseGrad,
-                           anchored_step)
+from .regularizers import (FisherAccumulator, LayoutMismatch, ParamLayout,
+                           ParamVector, RegConfig, SparseGrad, anchored_step)
 from .sampling import batches
 from .treebank import Node, ParseTree
 
@@ -431,18 +430,15 @@ def predict_ids(model, batch):
     return np.concatenate(intents), np.concatenate(tags)
 
 
-def predict_encoded(model, queries, batch):
-    """Most likely trees for `queries`, given their Encoded batch."""
+def predict_trees(model, examples):
+    """Most likely tree of each example's query."""
+    queries = [ex.query for ex in examples]
+    batch = encode(queries, model.feature_dim)
     intents, tags = predict_ids(model, batch)
     tags, offsets = tags.tolist(), batch.offsets.tolist()
     return [decode_tree(query, model.intents[intent],
                         [model.tags[t] for t in tags[offsets[i]:offsets[i + 1]]])
             for i, (query, intent) in enumerate(zip(queries, intents.tolist()))]
-
-
-def predict_trees(model, examples):
-    queries = [ex.query for ex in examples]
-    return predict_encoded(model, queries, encode(queries, model.feature_dim))
 
 
 @dataclass
@@ -545,7 +541,7 @@ class TrainConfig:
     eval_every: int = 200
     patience: int = 10
     reg: RegConfig = field(default_factory=RegConfig)
-    freeze: FreezeMask = field(default_factory=FreezeMask)
+    freeze: frozenset = frozenset()  # names of the groups not trained
 
 
 @dataclass

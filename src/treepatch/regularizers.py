@@ -10,7 +10,7 @@ form is the literal L2 distance with an epsilon guard at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,8 @@ def penalty(theta, theta_prev, fisher, config):
 
 def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     """The SGD step of a run anchored by `config`: step(data_grad) updates
-    theta in place, and is the only step train takes.
+    theta in place, and is the only step train takes. `freeze` holds the
+    names of the groups whose gradient is zeroed.
 
     The anchor is checked here, once, so a bad one fails before training
     starts. When the penalty is off (kind "none" or strength 0) the step is
@@ -193,7 +194,7 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     w, c = anchor
     # the norm form's reduction buffer
     tmp = None if config.form == "squared" else np.empty(theta.layout.size)
-    frozen = [theta.layout.slice_of(name) for name in freeze.frozen]
+    frozen = [theta.layout.slice_of(name) for name in freeze]
     prev = theta_prev.values
     buf = np.empty(theta.layout.size)
 
@@ -253,22 +254,11 @@ class FisherAccumulator:
         return self.sum_sq / self.steps
 
 
-@dataclass(frozen=True)
-class FreezeMask:
-    """Per-group flags; frozen groups get zero gradient."""
-
-    frozen: frozenset = frozenset()
-
-    @classmethod
-    def of(cls, *names):
-        return cls(frozenset(names))
-
-
-def apply_freeze(grad, mask):
-    """Copy of a ParamVector or SparseGrad with the entries of frozen groups
-    zeroed; others unchanged."""
+def apply_freeze(grad, frozen):
+    """Copy of a ParamVector or SparseGrad with the entries of the groups
+    named in `frozen` zeroed; others unchanged."""
     out = grad.copy()
-    for name in mask.frozen:
+    for name in frozen:
         group = grad.layout.slice_of(name)
         if isinstance(out, SparseGrad):
             lo, hi = np.searchsorted(out.index, (group.start, group.stop))

@@ -143,17 +143,21 @@ def parse_top(text):
         raise UnbalancedBrackets(len(tokens))
     if root is None:
         raise UnbalancedBrackets(0)
-    if not root.is_intent:
-        raise RootNotIntent(root.name)
-    return ParseTree(root)
+    return ParseTree(root)  # raises RootNotIntent for a slot root
+
+
+def serialize_children(node):
+    """A node's children in canonical form, single-spaced: the value of a
+    slot's tree path (see metrics.extract_paths); "" for no children."""
+    parts = []
+    for child in node.children:
+        parts.append(child if isinstance(child, str) else _serialize_node(child))
+    return " ".join(parts)
 
 
 def _serialize_node(node):
-    parts = [f"[{node.name}"]
-    for child in node.children:
-        parts.append(child if isinstance(child, str) else _serialize_node(child))
-    parts.append("]")
-    return " ".join(parts)
+    children = serialize_children(node)
+    return f"[{node.name} {children} ]" if children else f"[{node.name} ]"
 
 
 def serialize(tree):

@@ -85,6 +85,22 @@ def test_sweep_csv(workdir):
     assert lines[0].startswith("method,p,strength,em")
 
 
+def test_sweep_unknown_method_rejected(workdir, capsys, monkeypatch):
+    def no_training(*args):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(harness, "cmd_finetune", no_training)
+    assert run(["sweep", "--config", workdir / "config.json",
+                "--prev", workdir / "prev.ckpt",
+                "--scratch-report", workdir / "scratch.json",
+                "--methods", "sample,bogus", "--out",
+                workdir / "bogus.csv"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "'bogus'" in err["message"]
+    assert not (workdir / "bogus.csv").exists()
+
+
 def test_set_override(workdir, capsys):
     out = workdir / "s2.json"
     assert run(["split", "--config", workdir / "config.json",
@@ -170,6 +186,9 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     ("reg.strength=Infinity", "reg.strength"),
     ("reg.epsilon=NaN", "reg.epsilon"),
     ("reg.epsilon=Infinity", "reg.epsilon"),
+    ("train.lr.x=1", "train.lr"),
+    ("seed.x=1", "seed"),
+    ("foo", "foo"),
 ])
 def test_bad_set_value_rejected(workdir, capsys, assignment, key):
     assert run(["split", "--config", workdir / "config.json",

@@ -181,7 +181,7 @@ class TestConfig:
             "train": {"batch_size": 1, "max_epochs": 1, "lr": 1},
             "data": {"format": "canonical"}, "parity": {"require": "either"},
             "freeze": ["intent_head", "tag_head"]})
-        assert cfg.train_config().freeze.frozen == {"intent_head", "tag_head"}
+        assert cfg.train_config().freeze == {"intent_head", "tag_head"}
 
     def test_explicit_keys_win_over_preset(self):
         cfg = ExperimentConfig.from_dict({"reg": {"strength": 100.0}},
@@ -359,6 +359,23 @@ class TestSweep:
         cfg = ExperimentConfig.from_dict(SMALL)
         with pytest.raises(ConfigError):
             harness.sweep_cell_config(cfg, "bogus", 0.1, 1.0)
+
+    @pytest.mark.parametrize("options, key", [
+        ({"methods": ["sample", "bogus"]}, "bogus"),
+        ({"methods": ["sample", "ewc+sample"], "p_values": (0.2, 2.0)},
+         "sampler.p"),
+        ({"methods": ["sample", "ewc+sample"], "strengths": (1.0, -1.0)},
+         "reg.strength"),
+    ])
+    def test_bad_cell_fails_before_any_cell_trains(self, monkeypatch,
+                                                   options, key):
+        def no_training(*args):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness, "cmd_finetune", no_training)
+        cfg = ExperimentConfig.from_dict(SMALL)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            harness.cmd_sweep(cfg, None, None, None, **options)
 
 
 def test_snips_kind_loads_snips_json(tmp_path):

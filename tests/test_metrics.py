@@ -11,7 +11,7 @@ from treepatch.metrics import (DegradationReport, LengthMismatch,
                                degraded_classes, exact_match, extract_paths,
                                path_counts, path_mentions, per_class_tp_f1,
                                report_from_counts, tp_f1)
-from treepatch.treebank import Node, ParseTree, parse_top
+from treepatch.treebank import Node, ParseTree, parse_top, serialize
 
 FIG1_GOLD = parse_top(
     "[IN:GET_DEPARTURE when should i leave for my "
@@ -60,6 +60,17 @@ class TestExtractPaths:
         got = paths_as_strings(tree)
         assert got == Counter({"IN:A>SL:B=[IN:C foo ]": 1,
                                "IN:A>SL:B>IN:C=": 1})
+
+    def test_empty_slot_has_empty_value(self):
+        tree = parse_top("[IN:A [SL:X ] ]")
+        assert serialize(tree) == "[IN:A [SL:X ] ]"
+        assert paths_as_strings(tree) == Counter({"IN:A>SL:X=": 1})
+
+    def test_empty_slot_inside_nested_intent(self):
+        tree = parse_top("[IN:A x [SL:X [IN:B [SL:Y ] y ] ] ]")
+        assert serialize(tree) == "[IN:A x [SL:X [IN:B [SL:Y ] y ] ] ]"
+        assert paths_as_strings(tree) == Counter({
+            "IN:A>SL:X=[IN:B [SL:Y ] y ]": 1, "IN:A>SL:X>IN:B>SL:Y=": 1})
 
 
 class TestTpF1:

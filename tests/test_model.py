@@ -15,9 +15,9 @@ from treepatch.model import (Checkpoint, ChecksumError, DimMismatch,
                              EmptyQuery, Encoded, TaggerModel, TrainConfig,
                              UnknownLabel, decode_tree, encode, encode_targets,
                              featurize, forward, load_checkpoint,
-                             loss_and_grad, predict_encoded, predict_trees,
-                             save_checkpoint, train)
-from treepatch.regularizers import (FreezeMask, LayoutMismatch, MissingAnchor,
+                             loss_and_grad, predict_trees, save_checkpoint,
+                             train)
+from treepatch.regularizers import (LayoutMismatch, MissingAnchor,
                                     MissingFisher, ParamVector, RegConfig,
                                     anchored_step, apply_freeze, penalty)
 from treepatch.sampling import batches
@@ -249,7 +249,7 @@ class TestLossAndGrad:
         prev = net.theta.copy()
         step = anchored_step(net.theta, prev, None,
                              RegConfig(kind="movenorm", strength=1e9), 1e-10,
-                             FreezeMask())
+                             frozenset())
         for _ in range(20):
             step(loss_and_grad(net, batch)[1])
         assert np.linalg.norm(net.theta.values - prev.values) < 1e-6
@@ -391,7 +391,7 @@ class TestTrain:
         train(net, by_id, simple_plan(by_id, 0),
               TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0,
                           patience=10,
-                          freeze=FreezeMask.of("intent_head", "tag_head")),
+                          freeze=frozenset({"intent_head", "tag_head"})),
               em_evaluator(list(corpus)))
         np.testing.assert_array_equal(net.theta.values, before)
 
@@ -433,7 +433,7 @@ def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
                  lambda net: {"em": 0.0}).final
     cfg = TrainConfig(lr=0.3, batch_size=7, max_epochs=2, eval_every=0,
                       reg=RegConfig(kind=kind, strength=strength, form=form),
-                      freeze=FreezeMask.of(*frozen))
+                      freeze=frozenset(frozen))
     result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
                    lambda net: {"em": 0.0}, prev=prev)
     theta, acc = reference_train(prev.model(), by_id, simple_plan(by_id, 5),
@@ -598,7 +598,6 @@ def test_tag_vocabulary_built_once():
 
 def test_predict_emits_valid_trees():
     net = tiny_model()
-    tree = predict_encoded(net, ["hello out there"],
-                           encoded(net, "hello out there"))[0]
+    tree = predict_trees(net, [example("q", "[IN:A hello out there ]")])[0]
     assert serialize(tree)
     assert list(token_leaves(tree)) == "hello out there".split()

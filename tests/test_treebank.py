@@ -4,7 +4,8 @@ import pytest
 from treepatch import treebank
 from treepatch.treebank import (BadLabel, EmptyNode, Node, ParseTree,
                                 RootNotIntent, UnbalancedBrackets, classes_of,
-                                parse_top, serialize, token_leaves)
+                                parse_top, serialize, serialize_children,
+                                token_leaves)
 
 FIG1 = ("[IN:GET_DEPARTURE when should i leave for my "
         "[SL:DESTINATION [IN:GET_EVENT [SL:NAME_EVENT dentist ] "
@@ -57,6 +58,13 @@ def test_serialize_is_inverse_of_parse():
     tree = ParseTree(Node("IN:CANCEL", ("never", "mind")))
     assert serialize(tree) == "[IN:CANCEL never mind ]"
     assert parse_top(serialize(tree)) == tree
+
+
+def test_serialize_children_of_empty_and_nested_nodes():
+    root = parse_top("[IN:A x [SL:X ] [SL:Y [IN:B y ] ] ]").root
+    assert serialize_children(root) == "x [SL:X ] [SL:Y [IN:B y ] ]"
+    assert serialize_children(root.children[1]) == ""
+    assert serialize_children(root.children[2]) == "[IN:B y ]"
 
 
 def test_whitespace_collapses_to_canonical():
