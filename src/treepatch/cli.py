@@ -53,8 +53,9 @@ def _load_config(args):
     raw = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    raw = _apply_sets(raw, getattr(args, "set", None))
+            raw = json.load(fh) or {}  # as from_dict reads an empty config
+    if isinstance(raw, dict):  # from_dict rejects any other config
+        raw = _apply_sets(raw, getattr(args, "set", None))
     return harness.ExperimentConfig.from_dict(raw, preset=getattr(args, "preset", None))
 
 
@@ -125,20 +126,31 @@ def cmd_compare(args):
     _write_json(record, args.report)
 
 
+def _numbers(flag, text):
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise harness.ConfigError(
+                f"{flag} takes a comma list of numbers, got {item!r}") from None
+    return tuple(values)
+
+
 def cmd_sweep(args):
-    cfg = _load_config(args)
-    bundle = harness.prepare(cfg)
-    prev = load_checkpoint(args.prev)
-    with open(args.scratch_report, encoding="utf-8") as fh:
-        scratch = harness.RunReport.from_dict(json.load(fh))
     # only the flags given: harness.cmd_sweep holds the defaults
     options = {}
     if args.methods:
         options["methods"] = args.methods.split(",")
     if args.p is not None:
-        options["p_values"] = tuple(float(x) for x in args.p.split(","))
+        options["p_values"] = _numbers("--p", args.p)
     if args.strengths is not None:
-        options["strengths"] = tuple(float(x) for x in args.strengths.split(","))
+        options["strengths"] = _numbers("--strengths", args.strengths)
+    cfg = _load_config(args)
+    bundle = harness.prepare(cfg)
+    prev = load_checkpoint(args.prev)
+    with open(args.scratch_report, encoding="utf-8") as fh:
+        scratch = harness.RunReport.from_dict(json.load(fh))
     rows = harness.cmd_sweep(cfg, bundle, prev, scratch, **options)
     harness.sweep_rows_to_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")

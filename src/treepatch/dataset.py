@@ -267,8 +267,14 @@ def save_tsv(dataset, path):
 
 
 def load_tsv(path):
-    """Read the canonical 3-column export written by save_tsv."""
+    """Read the canonical 3-column export written by save_tsv.
+
+    Each distinct (query, serialization) pair is parsed and checked once, at
+    its first line; the lines that repeat it share that line's immutable tree
+    and class set.
+    """
     examples = []
+    first = {}  # (query, serialization) -> the Example of its first line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -277,9 +283,16 @@ def load_tsv(path):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise LineParseError(path, lineno, "expected 3 tab-separated fields")
+            eid, query, serialization = parts
+            key = query, serialization
+            seen = first.get(key)
+            if seen is not None:
+                examples.append(Example(eid, query, seen.tree, seen.classes))
+                continue
             try:
-                tree = parse_top(parts[2])
+                tree = parse_top(serialization)
             except treebank.TreeError as exc:
                 raise LineParseError(path, lineno, exc) from exc
-            examples.append(_make_example(parts[0], parts[1], tree))
+            seen = first[key] = _make_example(eid, query, tree)
+            examples.append(seen)
     return Dataset(tuple(examples))

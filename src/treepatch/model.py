@@ -499,28 +499,25 @@ def save_checkpoint(ckpt, path):
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(_MAGIC) + 32 or blob[: len(_MAGIC)] != _MAGIC:
+    start = len(_MAGIC) + 32
+    if len(blob) < start or blob[: len(_MAGIC)] != _MAGIC:
         raise ChecksumError(f"{path}: not a checkpoint file")
-    digest = blob[len(_MAGIC): len(_MAGIC) + 32]
-    payload = blob[len(_MAGIC) + 32:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = memoryview(blob)[start:]  # slicing a view copies no bytes
+    if hashlib.sha256(payload).digest() != blob[len(_MAGIC): start]:
         raise ChecksumError(f"{path}: payload checksum mismatch")
     header_len = int.from_bytes(payload[:8], "big")
-    meta = json.loads(payload[8: 8 + header_len].decode("utf-8"))
+    meta = json.loads(str(payload[8: 8 + header_len], "utf-8"))
     if meta["hidden_dim"] != 0:
         raise DimMismatch(f"{path}: hidden_dim {meta['hidden_dim']!r}; only "
                           f"the linear model (hidden_dim 0) is supported")
     body = payload[8 + header_len:]
     n_theta, n_fisher = meta["n_theta"], meta["n_fisher"]
-    theta = np.frombuffer(body[: 8 * n_theta], dtype=np.float64).copy()
-    fisher = np.frombuffer(body[8 * n_theta: 8 * (n_theta + n_fisher)],
-                           dtype=np.float64).copy()
     ckpt = Checkpoint(
         intents=tuple(meta["intents"]),
         slots=tuple(meta["slots"]),
         feature_dim=int(meta["feature_dim"]),
-        theta_values=theta,
-        fisher_sum_sq=fisher,
+        theta_values=None,  # read from the body once its length is checked
+        fisher_sum_sq=None,
         fisher_steps=int(meta["fisher_steps"]),
         step=int(meta["step"]),
         config_digest=meta["config_digest"],
@@ -530,6 +527,14 @@ def load_checkpoint(path):
     if n_theta != size or n_fisher != size:
         raise DimMismatch(f"{path}: n_theta {n_theta} and n_fisher {n_fisher} "
                           f"do not match the header's layout size {size}")
+    if len(body) != 8 * (n_theta + n_fisher):
+        raise DimMismatch(f"{path}: the body holds {len(body)} bytes, not the "
+                          f"{8 * (n_theta + n_fisher)} of n_theta {n_theta} "
+                          f"and n_fisher {n_fisher} float64 values")
+    values = np.frombuffer(body, dtype=np.float64)
+    # one copy each: aligned, writable arrays that own their memory
+    ckpt.theta_values = values[:n_theta].copy()
+    ckpt.fisher_sum_sq = values[n_theta:].copy()
     return ckpt
 
 

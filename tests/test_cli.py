@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treepatch import harness
+from treepatch import cli, harness
 from treepatch.cli import main
 from treepatch.model import Checkpoint, TaggerModel, save_checkpoint
 
@@ -19,6 +19,7 @@ CONFIG = {
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
     (path / "config.json").write_text(json.dumps(CONFIG))
+    (path / "list.json").write_text("[1]")
     return path
 
 
@@ -101,6 +102,28 @@ def test_sweep_unknown_method_rejected(workdir, capsys, monkeypatch):
     assert not (workdir / "bogus.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, item", [
+    ("--p", "0,x", "'x'"),
+    ("--p", "0,,1", "''"),
+    ("--strengths", "1e", "'1e'"),
+])
+def test_sweep_bad_number_rejected_before_any_work(workdir, capsys, monkeypatch,
+                                                   flag, value, item):
+    def no_work(*args):
+        raise AssertionError("data prepared or a checkpoint loaded")
+
+    monkeypatch.setattr(harness, "prepare", no_work)
+    monkeypatch.setattr(cli, "load_checkpoint", no_work)
+    assert run(["sweep", "--config", workdir / "config.json",
+                "--prev", workdir / "missing.ckpt",
+                "--scratch-report", workdir / "missing.json",
+                flag, value, "--out", workdir / "bad.csv"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert flag in err["message"] and item in err["message"]
+    assert not (workdir / "bad.csv").exists()
+
+
 def test_set_override(workdir, capsys):
     out = workdir / "s2.json"
     assert run(["split", "--config", workdir / "config.json",
@@ -141,7 +164,8 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     assert "eval.k" in err["message"]
 
 
-@pytest.mark.parametrize("assignment, key", [
+# (--set assignment, the dotted key its ConfigError names)
+BAD_SETS = [
     ("model.feature_dim=0", "model.feature_dim"),
     ("model.hidden_dim=-1", "model.hidden_dim"),
     ("model.hidden_dim=8", "model.hidden_dim"),
@@ -189,9 +213,18 @@ def test_eval_k_below_two_rejected(workdir, capsys):
     ("train.lr.x=1", "train.lr"),
     ("seed.x=1", "seed"),
     ("foo", "foo"),
+]
+
+
+@pytest.mark.parametrize("config, assignment, key", [
+    *(pytest.param("config.json", assignment, key, id=f"{assignment}-{key}")
+      for assignment, key in BAD_SETS),
+    # the config file itself is not an object: the same error as without --set
+    pytest.param("list.json", "seed=1", "a config must be an object, got [1]",
+                 id="seed=1-list-config"),
 ])
-def test_bad_set_value_rejected(workdir, capsys, assignment, key):
-    assert run(["split", "--config", workdir / "config.json",
+def test_bad_set_value_rejected(workdir, capsys, config, assignment, key):
+    assert run(["split", "--config", workdir / config,
                 "--set", assignment, "--out-dir", workdir]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"

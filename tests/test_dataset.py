@@ -137,6 +137,71 @@ def test_tsv_round_trip(tmp_path):
     assert [serialize(e.tree) for e in back] == [serialize(e.tree) for e in src]
 
 
+CANCEL = "[IN:CANCEL never mind ]"
+WEATHER = "[IN:GET_WEATHER weather [SL:DATE today ] ]"
+
+
+class TestLoadTsvRepeats:
+    """load_tsv parses and checks each distinct (query, serialization) pair
+    once; the lines that repeat it share its tree."""
+
+    LINES = [("a", "never mind", CANCEL),
+             ("b", "weather today", WEATHER),
+             ("c", "never mind", CANCEL),
+             ("d", "never  mind", CANCEL),  # another query, the same leaves
+             ("e", "weather today", WEATHER),
+             ("f", "never mind", CANCEL)]
+
+    @staticmethod
+    def _write(path, lines):
+        path.write_text("".join("\t".join(line) + "\n" for line in lines))
+        return path
+
+    def test_parses_each_distinct_pair_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_top(text)
+
+        monkeypatch.setattr(ds, "parse_top", counting)
+        load_tsv(self._write(tmp_path / "rep.tsv", self.LINES))
+        assert calls == [CANCEL, WEATHER, CANCEL]
+
+    def test_repeated_lines_share_one_tree(self, tmp_path):
+        data = load_tsv(self._write(tmp_path / "rep.tsv", self.LINES))
+        by_id = data.by_id
+        assert by_id["a"].tree is by_id["c"].tree is by_id["f"].tree
+        assert by_id["a"].classes is by_id["c"].classes
+        assert by_id["b"].tree is by_id["e"].tree
+        assert by_id["d"].tree is not by_id["a"].tree
+        assert by_id["d"].query == "never  mind"
+
+    def test_equals_a_parse_of_every_line(self, tmp_path):
+        data = load_tsv(self._write(tmp_path / "rep.tsv", self.LINES))
+        expected = tuple(Example(id=eid, query=query, tree=parse_top(text))
+                         for eid, query, text in self.LINES)
+        assert data.examples == expected
+        save_tsv(data, tmp_path / "again.tsv")
+        assert ((tmp_path / "again.tsv").read_text()
+                == (tmp_path / "rep.tsv").read_text())
+
+    def test_repeated_bad_line_names_its_first_line(self, tmp_path):
+        bad = ("x", "y", "[IN:BROKEN y")
+        path = self._write(tmp_path / "bad.tsv",
+                           [self.LINES[0], bad, self.LINES[1], bad])
+        with pytest.raises(LineParseError) as err:
+            load_tsv(path)
+        assert err.value.lineno == 2
+
+    def test_repeated_mismatch_names_its_first_id(self, tmp_path):
+        path = self._write(tmp_path / "bad.tsv",
+                           [self.LINES[0], ("m1", "hello there", CANCEL),
+                            ("m2", "hello there", CANCEL)])
+        with pytest.raises(ds.DatasetError, match="^m1: query tokens"):
+            load_tsv(path)
+
+
 def test_duplicate_ids_rejected():
     e = ex("same", "[IN:CANCEL hi ]")
     with pytest.raises(ds.DatasetError):

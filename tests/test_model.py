@@ -579,6 +579,32 @@ class TestCheckpoint:
         with pytest.raises(DimMismatch, match=f": hidden_dim {hidden_dim!r};"):
             load_checkpoint(path)
 
+    def test_loaded_arrays_own_aligned_writable_memory(self, tmp_path):
+        result, _ = self._trained()
+        path = tmp_path / "o.ckpt"
+        save_checkpoint(result.best, path)
+        loaded = load_checkpoint(path)
+        for values in (loaded.theta_values, loaded.fisher_sum_sq):
+            assert values.dtype == np.float64
+            assert values.flags.writeable and values.flags.aligned
+            assert values.flags.c_contiguous and values.flags.owndata
+            assert values.base is None
+        assert not np.shares_memory(loaded.theta_values, loaded.fisher_sum_sq)
+
+    def test_short_body_rejected_naming_both_lengths(self, tmp_path):
+        net = TaggerModel.init(("IN:A",), ("SL:X",), feature_dim=16)
+        assert net.layout.size == 68
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(Checkpoint(intents=net.intents, slots=net.slots,
+                                   feature_dim=16,
+                                   theta_values=net.theta.values,
+                                   fisher_sum_sq=net.theta.values ** 2,
+                                   fisher_steps=1, step=1), path)
+        payload = path.read_bytes()[len(m._MAGIC) + 32:][:-8 * 5]
+        path.write_bytes(m._MAGIC + hashlib.sha256(payload).digest() + payload)
+        with pytest.raises(DimMismatch, match=r"holds 1048 bytes, not the 1088"):
+            load_checkpoint(path)
+
     def test_loaded_model_reproduces_metrics(self, tmp_path):
         result, corpus = self._trained()
         path = tmp_path / "d.ckpt"
