@@ -133,19 +133,22 @@ def load_grammar(path):
     order in the file is the Zipf rank order."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    intents = tuple(
-        (label, tuple(tuple(tpl) for tpl in templates))
-        for label, templates in data["intents"].items()
-    )
-    fillers = {}
-    for slot, alts in data.get("fillers", {}).items():
-        parsed = []
-        for alt in alts:
-            if isinstance(alt, dict):
-                parsed.append(alt["intent"])
-            else:
-                parsed.append(tuple(alt))
-        fillers[slot] = tuple(parsed)
+    try:
+        intents = tuple(
+            (label, tuple(tuple(tpl) for tpl in templates))
+            for label, templates in data["intents"].items()
+        )
+        fillers = {}
+        for slot, alts in data.get("fillers", {}).items():
+            parsed = []
+            for alt in alts:
+                if isinstance(alt, dict):
+                    parsed.append(alt["intent"])
+                else:
+                    parsed.append(tuple(alt))
+            fillers[slot] = tuple(parsed)
+    except KeyError as err:
+        raise GrammarError(f"{path}: missing key {err}") from None
     return Grammar(intents=intents, fillers=fillers, max_depth=data.get("max_depth", 3))
 
 

@@ -106,18 +106,11 @@ class SplitResult:
     coverage_ids: tuple
 
 
-def _make_example(eid, query, tree):
-    leaves = treebank.token_leaves(tree)
-    if query.split() != leaves:
-        raise DatasetError(f"{eid}: query tokens {query.split()} != tree leaves {leaves}")
-    return Example(id=eid, query=query, tree=tree)
-
-
 def load_top_tsv(path, lenient=False):
     """Load `raw<TAB>tokenized<TAB>bracket_serialization` lines.
 
-    Ids are `line:<n>` (1-based). Malformed lines raise LineParseError unless
-    `lenient`, in which case they are skipped.
+    Ids are `line:<n>` (1-based). Malformed lines, and trees without tokens,
+    raise LineParseError unless `lenient`, in which case they are skipped.
     """
     examples = []
     with open(path, encoding="utf-8") as fh:
@@ -132,6 +125,8 @@ def load_top_tsv(path, lenient=False):
                 serialization = parts[-1]
                 tree = parse_top(serialization)
                 query = " ".join(treebank.token_leaves(tree))
+                if not query:
+                    raise DatasetError("the tree has no tokens")
                 examples.append(Example(id=f"line:{lineno}", query=query, tree=tree))
             except (treebank.TreeError, DatasetError) as exc:
                 if not lenient:
@@ -153,7 +148,8 @@ def load_snips(path):
 
     Expected schema: a list (or {"examples": [...]}) of objects with
     `intent` and `text` chunks: [{"text": "weather "}, {"text": "today",
-    "slot": "DATE"}, ...]. Slot chunks become `[SL:<SLOT> tokens ]`.
+    "slot": "DATE"}, ...]. Slot chunks become `[SL:<SLOT> tokens ]`. Other
+    shapes and utterances without tokens raise SchemaError naming them.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -168,6 +164,8 @@ def load_snips(path):
         chunks = utt["text"]
         if isinstance(chunks, str):
             chunks = [{"text": chunks}]
+        if not isinstance(chunks, list) or not all(isinstance(c, dict) for c in chunks):
+            raise SchemaError(f"utterance {i}: text is not a string or a list of objects")
         children = []
         for chunk in chunks:
             tokens = str(chunk.get("text", "")).split()
@@ -178,26 +176,13 @@ def load_snips(path):
                 children.extend(tokens)
             else:
                 children.append(treebank.Node("SL:" + _snips_label(slot), tuple(tokens)))
+        if not children:
+            raise SchemaError(f"utterance {i} has no tokens")
         root = treebank.Node("IN:" + _snips_label(utt["intent"]), tuple(children))
         tree = ParseTree(root)
         query = " ".join(treebank.token_leaves(tree))
         examples.append(Example(id=f"snips:{i}", query=query, tree=tree))
     return Dataset(tuple(examples))
-
-
-def _class_multiplicity(tree, cls):
-    count = 0
-
-    def visit(node):
-        nonlocal count
-        if node.name == cls:
-            count += 1
-        for child in node.children:
-            if not isinstance(child, str):
-                visit(child)
-
-    visit(tree.root)
-    return count
 
 
 def make_split(src, spec):
@@ -230,7 +215,10 @@ def make_split(src, spec):
         holders = [ex for ex in d2 if cls in ex.classes and ex.id not in coverage_ids]
         if not holders:
             raise CoverageImpossible(cls)
-        holders.sort(key=lambda ex: _class_multiplicity(ex.tree, spec.target_class))
+        # fewest target-class nodes first: each node serializes as one
+        # "[LABEL" token, and no token holds a bracket
+        holders.sort(key=lambda ex: serialize(ex.tree).split().count(
+            "[" + spec.target_class))
         for ex in holders[: spec.coverage_per_class]:
             coverage_ids.append(ex.id)
             covered |= ex.classes
@@ -271,7 +259,7 @@ def load_tsv(path):
 
     Each distinct (query, serialization) pair is parsed and checked once, at
     its first line; the lines that repeat it share that line's immutable tree
-    and class set.
+    and class set. A bad tree or an empty query raises LineParseError.
     """
     examples = []
     first = {}  # (query, serialization) -> the Example of its first line
@@ -291,8 +279,13 @@ def load_tsv(path):
                 continue
             try:
                 tree = parse_top(serialization)
-            except treebank.TreeError as exc:
+                if not query.split():
+                    raise DatasetError("the query has no tokens")
+            except (treebank.TreeError, DatasetError) as exc:
                 raise LineParseError(path, lineno, exc) from exc
-            seen = first[key] = _make_example(eid, query, tree)
+            leaves = treebank.token_leaves(tree)
+            if query.split() != leaves:
+                raise DatasetError(f"{eid}: query tokens {query.split()} != tree leaves {leaves}")
+            seen = first[key] = Example(eid, query, tree)
             examples.append(seen)
     return Dataset(tuple(examples))

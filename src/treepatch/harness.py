@@ -20,9 +20,9 @@ import numpy as np
 from . import dataset as ds
 from . import datagen, metrics, sampling
 from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, bio_spans,
-                    encode, predict_ids, train)
+                    encode, gold_targets, predict_ids, train)
 from .regularizers import RegConfig, RegError
-from .treebank import serialize
+from .treebank import serialize, token_leaves
 from .utils import derive_seed
 
 
@@ -253,52 +253,35 @@ def prepare(cfg):
     return DataBundle(train=train_set, test=test_set, split=split)
 
 
-def _flat_tags(tree, tokens):
-    """BIO tag names of a gold tree whose top-level slots each hold one or
-    more tokens and nothing else, and whose leaves are `tokens`, its query's
-    tokens; None for any other tree, which no prediction (an intent over
-    flat slot spans of the query) matches exactly."""
-    tags, leaves = [], []
-    for child in tree.root.children:
-        if isinstance(child, str):
-            tags.append("O")
-            leaves.append(child)
-        elif child.children and all(isinstance(c, str) for c in child.children):
-            tags.append("B-" + child.name)
-            tags += ["I-" + child.name] * (len(child.children) - 1)
-            leaves += child.children
-        else:
-            return None
-    return tags if leaves == tokens else None
-
-
 def make_evaluator(test_set, k, seed, classes=None):
     """Closure computing one evaluation record by scoring spans, not trees,
     once per case: a distinct (query, gold tree) pair of the test set.
 
     Up front: the fold assignment; the cases, in first-occurrence order, and
     the case of each example; per case, the gold paths (extract_paths) as
-    entries of a PathVocab and the gold tree's intent and BIO tag names (see
-    _flat_tags). Each distinct query is encoded once per feature_dim, and the
-    gold names are mapped to a model's ids once per label vocabulary; a label
-    the model lacks, like a tree no flat prediction matches, maps to -1,
-    which matches nothing. Each evaluation takes the argmax intents and tags
-    of batched forwards of the cases, reads their slot spans as decode_tree
-    would (model.bio_spans) and interns each span's path (its labels, and its
-    tokens joined by spaces) into the same PathVocab; a case without spans
-    has its intent's slotless path. Exact match is the same intent and the
-    same repaired tags. A prediction depends on its query's tokens alone, so
-    each example's EM hit and path counts are its case's; the record equals
+    entries of a PathVocab. Once per model vocabulary and feature_dim, the
+    cases' queries are encoded with their gold targets, read by
+    model.gold_targets as training reads them; a label the model lacks gets
+    -1, and so does every token of a tree that is not flat or whose leaves
+    are not its query's tokens, as no prediction (an intent over flat slot
+    spans of the query) matches such a tree. Each evaluation takes the
+    argmax intents and tags of batched forwards of the cases, reads their
+    slot spans as decode_tree would (model.bio_spans) and interns each
+    span's path (its labels, and its tokens joined by spaces) into the same
+    PathVocab; a case without spans has its intent's slotless path. Exact
+    match is the same intent and the same repaired tags as the gold
+    targets. A prediction depends on its query's tokens alone, so each
+    example's EM hit and path counts are its case's; the record equals
     evaluation_record of the trees predict_trees decodes. No tree is built.
     """
     folds = metrics.fold_indices(len(test_set), k, seed)
     classes = sorted(test_set.classes() if classes is None else classes)
     # looked up by query first: a gold tree is compared only with the
     # earlier trees of its query, and never hashed
-    cases_of_query = {}  # query -> (its index, [(gold tree, case)])
-    cases, query_of_case, case_of = [], [], []
+    cases_of_query = {}  # query -> [(gold tree, case)]
+    cases, case_of = [], []
     for ex in test_set:
-        q, known = cases_of_query.setdefault(ex.query, (len(cases_of_query), []))
+        known = cases_of_query.setdefault(ex.query, [])
         for tree, case in known:
             if tree == ex.tree:
                 break
@@ -306,33 +289,27 @@ def make_evaluator(test_set, k, seed, classes=None):
             case = len(cases)
             known.append((ex.tree, case))
             cases.append(ex)
-            query_of_case.append(q)
         case_of.append(case)
     case_of = np.array(case_of, dtype=np.int64)
-    queries = list(cases_of_query)
-    query_tokens = [ex.query.split() for ex in cases]
+    queries = [ex.query for ex in cases]
+    query_tokens = [q.split() for q in queries]
     tokens = [tok for toks in query_tokens for tok in toks]
+    aligned = [token_leaves(ex.tree) == toks
+               for ex, toks in zip(cases, query_tokens)]
     paths = metrics.PathVocab(classes)
     gold = paths.entries([metrics.extract_paths(ex.tree) for ex in cases])
-    gold_intents = [ex.tree.root.name for ex in cases]
-    # a tree no flat prediction matches gets no tag name (id -1) at all
-    gold_tags = [tag for ex, toks in zip(cases, query_tokens)
-                 for tag in (_flat_tags(ex.tree, toks) or [None] * len(toks))]
-    encoded_by_dim = {}  # the cases' queries, encoded
-    ids_by_vocab = {}  # gold intent and tag ids, slotless path ids
+    encoded = {}  # per model vocabulary: encoded cases, slotless path ids
 
     def evaluator(model):
-        dim = model.feature_dim
-        if dim not in encoded_by_dim:
-            encoded_by_dim[dim] = encode(queries, dim).take(query_of_case)
-        batch = encoded_by_dim[dim]
-        vocab = (model.intents, model.tags)
-        if vocab not in ids_by_vocab:
-            ids_by_vocab[vocab] = (
-                np.array([model.intent_ids.get(x, -1) for x in gold_intents]),
-                np.array([model.tag_ids.get(x, -1) for x in gold_tags]),
+        vocab = (model.feature_dim, model.intents, model.tags)
+        if vocab not in encoded:
+            targets = [gold_targets(model, ex.tree) for ex in cases]
+            encoded[vocab] = (encode(queries, model.feature_dim, [
+                (intent, tags if flat and ok else [-1] * len(toks))
+                for (intent, tags, flat), ok, toks
+                in zip(targets, aligned, query_tokens)]),
                 np.array([paths.id((x,), "") for x in model.intents]))
-        gold_intent, gold_tag, slotless_path = ids_by_vocab[vocab]
+        batch, slotless_path = encoded[vocab]
 
         intent, tag = predict_ids(model, batch)
         start, end, slot, repaired = bio_spans(tag, batch.offsets)
@@ -349,9 +326,9 @@ def make_evaluator(test_set, k, seed, classes=None):
                 np.ones(len(pred_case), dtype=np.int64))
         counts = metrics.counts_from_entries(len(intent), paths.mentions,
                                              gold, pred)
-        tags_differ = np.logical_or.reduceat(repaired != gold_tag,
+        tags_differ = np.logical_or.reduceat(repaired != batch.tags,
                                              batch.offsets[:-1])
-        em_hits = ((intent == gold_intent) & ~tags_differ).astype(float)
+        em_hits = ((intent == batch.intents) & ~tags_differ).astype(float)
         return _record(em_hits[case_of], counts[case_of], folds, classes)
 
     return evaluator

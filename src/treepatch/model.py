@@ -15,6 +15,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -93,8 +94,8 @@ class TaggerModel:
         return {label: i for i, label in enumerate(self.intents)}
 
     @cached_property
-    def tag_ids(self):
-        return {label: i for i, label in enumerate(self.tags)}
+    def bio_ids(self):  # slot s -> its B- and I- ids in tag_vocab: 2s+1, 2s+2
+        return {slot: (2 * s + 1, 2 * s + 2) for s, slot in enumerate(self.slots)}
 
     @property
     def layout(self):
@@ -126,8 +127,8 @@ class Encoded:
 
     feats: (tokens, MAX_FEATS) hashed feature ids of each token, unused
     slots -1; offsets: (examples + 1,) where each example's tokens start and
-    end. intents (examples,) and tags (tokens,) are target ids, None when
-    the queries are only to be predicted.
+    end. intents (examples,) and tags (tokens,) are gold target ids (see
+    gold_targets), None when the queries are only to be predicted.
     """
 
     feats: np.ndarray
@@ -179,8 +180,8 @@ def _hashes(prefix, words, dim):
 
 
 def encode(queries, feature_dim, targets=None):
-    """Encoded batch of whitespace-tokenized queries and, for training, one
-    (intent id, tag ids) pair per query (from encode_targets).
+    """Encoded batch of whitespace-tokenized queries and, for training or
+    scoring, one (intent id, tag ids) pair per query (see gold_targets).
 
     Each token's features are the crc32 hashes, modulo feature_dim, of
     "w=tok", "prev=p", "next=n" and "bi=p_tok", where p and n are its
@@ -222,10 +223,10 @@ def encode(queries, feature_dim, targets=None):
         return Encoded(feats, offsets)
     if any(len(tags) != n for n, (_, tags) in zip(lengths.tolist(), targets)):
         raise DimMismatch("tag targets do not align with tokens")
-    tags = [np.asarray(tags, dtype=np.int64) for _, tags in targets]
     return Encoded(feats, offsets,
                    np.array([intent for intent, _ in targets], dtype=np.int64),
-                   np.concatenate([np.empty(0, dtype=np.int64), *tags]))
+                   np.fromiter(chain.from_iterable(tags for _, tags in targets),
+                               dtype=np.int64, count=len(feats)))
 
 
 def _column_sums(W, feats):
@@ -274,24 +275,43 @@ def forward(model, batch):
     return _softmax(int_logits), _softmax(tag_logits)
 
 
-def encode_targets(model, example):
-    """(intent id, per-token tag ids) for a gold tree; tokens inside a
-    top-level slot get B-/I- tags, everything else O."""
-    intent = example.tree.root.name
-    if intent not in model.intent_ids:
-        raise UnknownLabel(intent)
-    tag_ids = []
-    ids = model.tag_ids
-    for child in example.tree.root.children:
+def gold_targets(model, tree):
+    """(intent id, per-leaf tag ids, flat) of a gold tree, the one reading
+    of its BIO targets: a top-level slot's leaves get its B- id, then I- ids
+    (TaggerModel.bio_ids), other top-level tokens O (0). An empty slot gets
+    no tag, a label the model lacks -1. flat: each top-level slot holds one
+    or more tokens and nothing else, as predicted trees do."""
+    bio_ids = model.bio_ids
+    tags, flat = [], True
+    for child in tree.root.children:
         if isinstance(child, str):
-            tag_ids.append(0)
+            tags.append(0)
+            continue
+        n_leaves = 0
+        for c in child.children:
+            if isinstance(c, str):
+                n_leaves += 1
+            else:
+                n_leaves += _count_leaves(c)
+                flat = False
+        if n_leaves:
+            b, i = bio_ids.get(child.name, (-1, -1))
+            tags.append(b)
+            tags += [i] * (n_leaves - 1)
         else:
-            if "B-" + child.name not in ids:
-                raise UnknownLabel(child.name)
-            n_leaves = _count_leaves(child)
-            tag_ids.append(ids["B-" + child.name])
-            tag_ids.extend([ids["I-" + child.name]] * (n_leaves - 1))
-    return model.intent_ids[intent], np.array(tag_ids, dtype=np.int64)
+            flat = False
+    return model.intent_ids.get(tree.root.name, -1), tags, flat
+
+
+def encode_targets(model, example):
+    """(intent id, per-token tag ids) of a training example, its
+    gold_targets. A target label the model lacks (-1) raises UnknownLabel
+    naming every label of the example the model lacks."""
+    intent, tags, _ = gold_targets(model, example.tree)
+    if intent < 0 or -1 in tags:
+        raise UnknownLabel(", ".join(sorted(
+            example.classes - model.intent_ids.keys() - model.bio_ids.keys())))
+    return intent, tags
 
 
 def _count_leaves(node):
@@ -396,13 +416,13 @@ def decode_tree(query, intent, tags):
 def bio_spans(tags, offsets):
     """The slot spans decode_tree reads from BIO tag ids, in numpy.
 
-    `tags` are tag ids in tag_vocab's layout (0 is O, 2s + 1 is B- and
-    2s + 2 is I- of slot s) of consecutive queries, which start and end at
-    `offsets` (as Encoded.offsets). A span starts at every non-O token that
-    is B-X, starts its query or follows a token of another slot (or O), so
-    an orphan I-X acts as B-X. Returns the (start, end, slot) arrays of the
-    spans, end exclusive, and the tags with each span's first tag B- and
-    the rest I-.
+    `tags` are tag ids in tag_vocab's layout (0 is O, and slot s has B- id
+    2s + 1 and I- id 2s + 2, TaggerModel.bio_ids) of consecutive queries,
+    which start and end at `offsets` (as Encoded.offsets). A span starts at
+    every non-O token that is B-X, starts its query or follows a token of
+    another slot (or O), so an orphan I-X acts as B-X. Returns the (start,
+    end, slot) arrays of the spans, end exclusive, and the tags with each
+    span's first tag B- and the rest I-.
     """
     slot = (tags - 1) // 2  # -1 for O
     prev_slot = np.empty_like(slot)
@@ -424,7 +444,8 @@ def predict_ids(model, batch):
     Encoded batch, forwarded PREDICT_CHUNK examples at a time."""
     intents, tags = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for rows in batches(range(len(batch)), PREDICT_CHUNK):
-        p_int, p_tag = forward(model, batch.take(rows))
+        p_int, p_tag = forward(model, batch if len(rows) == len(batch)
+                               else batch.take(rows))
         intents.append(p_int.argmax(axis=1))
         tags.append(p_tag.argmax(axis=1))
     return np.concatenate(intents), np.concatenate(tags)
@@ -507,22 +528,25 @@ def load_checkpoint(path):
         raise ChecksumError(f"{path}: payload checksum mismatch")
     header_len = int.from_bytes(payload[:8], "big")
     meta = json.loads(str(payload[8: 8 + header_len], "utf-8"))
-    if meta["hidden_dim"] != 0:
-        raise DimMismatch(f"{path}: hidden_dim {meta['hidden_dim']!r}; only "
-                          f"the linear model (hidden_dim 0) is supported")
+    try:
+        if meta["hidden_dim"] != 0:
+            raise DimMismatch(f"{path}: hidden_dim {meta['hidden_dim']!r}; only "
+                              f"the linear model (hidden_dim 0) is supported")
+        n_theta, n_fisher = meta["n_theta"], meta["n_fisher"]
+        ckpt = Checkpoint(
+            intents=tuple(meta["intents"]),
+            slots=tuple(meta["slots"]),
+            feature_dim=int(meta["feature_dim"]),
+            theta_values=None,  # read from the body once its length is checked
+            fisher_sum_sq=None,
+            fisher_steps=int(meta["fisher_steps"]),
+            step=int(meta["step"]),
+            config_digest=meta["config_digest"],
+            history=tuple(meta["history"]),
+        )
+    except KeyError as err:
+        raise ChecksumError(f"{path}: the header lacks {err}") from None
     body = payload[8 + header_len:]
-    n_theta, n_fisher = meta["n_theta"], meta["n_fisher"]
-    ckpt = Checkpoint(
-        intents=tuple(meta["intents"]),
-        slots=tuple(meta["slots"]),
-        feature_dim=int(meta["feature_dim"]),
-        theta_values=None,  # read from the body once its length is checked
-        fisher_sum_sq=None,
-        fisher_steps=int(meta["fisher_steps"]),
-        step=int(meta["step"]),
-        config_digest=meta["config_digest"],
-        history=tuple(meta["history"]),
-    )
     size = ckpt.layout.size
     if n_theta != size or n_fisher != size:
         raise DimMismatch(f"{path}: n_theta {n_theta} and n_fisher {n_fisher} "

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from treepatch import datagen
-from treepatch.datagen import (GenConfig, Grammar, builtin_grammar, generate,
-                               load_grammar, zipf_weights)
+from treepatch.datagen import (GenConfig, Grammar, GrammarError,
+                               builtin_grammar, generate, load_grammar,
+                               zipf_weights)
 from treepatch.treebank import parse_top, serialize
 
 
@@ -131,6 +132,19 @@ def test_grammar_json_round_trip(tmp_path):
     trees = {serialize(ex.tree) for ex in train}
     assert "[IN:A go to [SL:X home ] ]" in trees
     assert "[IN:A go to [SL:X [IN:B see [SL:Y that ] ] ] ]" in trees
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"fillers": {"SL:X": [["home"]]}}, "'intents'"),
+    ({"intents": {"IN:A": [["go", "SL:X"]]},
+      "fillers": {"SL:X": [{"nested": "IN:A"}]}}, "'intent'"),
+])
+def test_grammar_without_a_key_rejected_naming_it(tmp_path, data, key):
+    import json
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(GrammarError, match=f"g.json: missing key {key}$"):
+        load_grammar(path)
 
 
 def test_depth_budget_excludes_unreachable_nesting():

@@ -42,6 +42,14 @@ class TestTopTsv:
         path.write_text("x\tx\t[IN:CANCEL x ]\ny\ty\t[IN:BROKEN y\n")
         assert len(load_top_tsv(path, lenient=True)) == 1
 
+    def test_tree_without_tokens_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("x\tx\t[IN:CANCEL x ]\n\t\t[IN:B ]\n")
+        with pytest.raises(LineParseError, match="no tokens") as err:
+            load_top_tsv(path)
+        assert err.value.lineno == 2
+        assert len(load_top_tsv(path, lenient=True)) == 1
+
     def test_duplicate_serializations_both_kept(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("hi\thi\t[IN:CANCEL hi ]\nhi\thi\t[IN:CANCEL hi ]\n")
@@ -70,6 +78,20 @@ class TestSnips:
         path = tmp_path / "snips.json"
         path.write_text(json.dumps([{"utterance": "no intent key"}]))
         with pytest.raises(SchemaError):
+            load_snips(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("", "utterance 1 has no tokens"),
+        ([{"text": " "}, {"text": "", "slot": "DATE"}],
+         "utterance 1 has no tokens"),
+        ([{"text": "a"}, 5], "utterance 1: text is not a string or a list"),
+        (5, "utterance 1: text is not a string or a list"),
+    ])
+    def test_bad_utterance_rejected_naming_it(self, tmp_path, text, error):
+        path = tmp_path / "snips.json"
+        path.write_text(json.dumps([{"intent": "Cancel", "text": "never mind"},
+                                    {"intent": "Cancel", "text": text}]))
+        with pytest.raises(SchemaError, match=error):
             load_snips(path)
 
 
@@ -191,6 +213,13 @@ class TestLoadTsvRepeats:
         path = self._write(tmp_path / "bad.tsv",
                            [self.LINES[0], bad, self.LINES[1], bad])
         with pytest.raises(LineParseError) as err:
+            load_tsv(path)
+        assert err.value.lineno == 2
+
+    def test_tree_without_tokens_rejected_at_its_line(self, tmp_path):
+        path = self._write(tmp_path / "empty.tsv",
+                           [self.LINES[0], ("z", "", "[IN:B ]")])
+        with pytest.raises(LineParseError, match="no tokens") as err:
             load_tsv(path)
         assert err.value.lineno == 2
 

@@ -265,12 +265,14 @@ def test_evaluator_featurizes_once_and_matches_predict_trees(
     calls = []  # every query passed to the encoder
     encode = harness.encode
     monkeypatch.setattr(harness, "encode",
-                        lambda queries, dim: calls.extend(queries) or encode(queries, dim))
+                        lambda queries, dim, targets: calls.extend(queries)
+                        or encode(queries, dim, targets))
     net = scratch[0].best.model()
     evaluator = harness.make_evaluator(bundle.test, 5, 0)
     first, second = evaluator(net), evaluator(net)
-    # each distinct query once, in first-occurrence order
-    assert calls == list(dict.fromkeys(ex.query for ex in bundle.test))
+    # each case's query once, in first-occurrence order
+    assert calls == [query for query, _ in dict.fromkeys(
+        (ex.query, ex.tree) for ex in bundle.test)]
     folds = harness.metrics.fold_indices(len(bundle.test), 5, 0)
     expected = harness.evaluation_record(
         [ex.tree for ex in bundle.test], predict_trees(net, bundle.test),
@@ -403,8 +405,8 @@ def test_run_report_round_trip(scratch):
 # Span scorer against the tree oracle. Few tokens, so that a value repeats
 # within a query and across queries; "xSL:DATEy" holds a class label as a
 # substring, which path_mentions counts. Gold trees nest (a slot holds an
-# intent) and use labels some models lack; IN:NEW and SL:NEW are labels
-# only a model has.
+# intent), hold empty slots and use labels some models lack; IN:NEW and
+# SL:NEW are labels only a model has.
 GOLD_INTENTS = ("IN:A", "IN:GET_EVENT")
 GOLD_SLOTS = ("SL:DATE", "SL:DATE_EVENT", "SL:X")
 TOKENS = st.sampled_from(("a", "b", "xSL:DATEy"))
@@ -413,7 +415,7 @@ TOKENS = st.sampled_from(("a", "b", "xSL:DATEy"))
 def gold_slots(depth):
     child = TOKENS if depth == 0 else st.one_of(TOKENS, gold_intents(depth - 1))
     return st.builds(Node, st.sampled_from(GOLD_SLOTS),
-                     st.lists(child, min_size=1, max_size=3).map(tuple))
+                     st.lists(child, max_size=3).map(tuple))
 
 
 def gold_intents(depth):
@@ -421,7 +423,9 @@ def gold_intents(depth):
         st.one_of(TOKENS, gold_slots(depth)), min_size=1, max_size=4).map(tuple))
 
 
-TEST_SETS = st.lists(gold_intents(2), min_size=5, max_size=12).map(
+# a query has at least one token
+GOLD_ROOTS = gold_intents(2).filter(lambda root: token_leaves(ParseTree(root)))
+TEST_SETS = st.lists(GOLD_ROOTS, min_size=5, max_size=12).map(
     lambda roots: Dataset(tuple(
         Example(f"t{i}", " ".join(token_leaves(ParseTree(root))), ParseTree(root))
         for i, root in enumerate(roots))))
@@ -466,7 +470,7 @@ def repeating_test_sets(draw):
     """A test set whose drawn examples repeat under new ids, in a drawn
     order, with one query under two gold trees: a drawn tree and the same
     tokens under the other root intent."""
-    roots = draw(st.lists(gold_intents(2), min_size=3, max_size=6))
+    roots = draw(st.lists(GOLD_ROOTS, min_size=3, max_size=6))
     other = GOLD_INTENTS[1 - GOLD_INTENTS.index(roots[0].name)]
     roots.append(Node(other, roots[0].children))
     repeats = draw(st.lists(st.integers(0, len(roots) - 1), min_size=1,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import zlib
 
 import numpy as np
@@ -507,10 +508,27 @@ def test_encode_targets_ids():
     intent, tags = encode_targets(
         net, example("e", "[IN:B go [SL:Y now then ] [SL:X x ] fast ]"))
     assert intent == 1
-    assert tags.tolist() == [0, 3, 4, 1, 0]
-    for text in ("[IN:Z a ]", "[IN:A a [SL:Z b ] ]"):
-        with pytest.raises(UnknownLabel):
+    assert tags == [0, 3, 4, 1, 0]
+    # a nested slot tags all its leaves; an empty slot tags none
+    intent, tags = encode_targets(
+        net, example("e", "[IN:A go [SL:X [IN:B a [SL:Y b ] ] c ] ]"))
+    assert (intent, tags) == (0, [0, 1, 2, 2])
+    intent, tags = encode_targets(net, example("e", "[IN:A x [SL:X ] y ]"))
+    assert (intent, tags) == (0, [0, 0])
+    for text, label in (("[IN:Z a ]", "IN:Z"), ("[IN:A a [SL:Z b ] ]", "SL:Z")):
+        with pytest.raises(UnknownLabel, match=f"^{label}$"):
             encode_targets(net, example("e", text))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[IN:B go [SL:Y now then ] fast ]", (1, [0, 3, 4, 0], True)),
+    ("[IN:A hi ]", (0, [0], True)),
+    ("[IN:A go [SL:X [IN:B a ] c ] ]", (0, [0, 1, 2], False)),
+    ("[IN:A x [SL:X ] y ]", (0, [0, 0], False)),
+    ("[IN:Z a [SL:Z b c ] [SL:Y d ] ]", (-1, [0, -1, -1, 3], True)),
+])
+def test_gold_targets(text, expected):
+    assert m.gold_targets(tiny_model(), parse_top(text)) == expected
 
 
 class TestCheckpoint:
@@ -549,15 +567,31 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "junk")
 
     @staticmethod
-    def _edit_header(path, **changes):
-        """Rewrite a checkpoint's header with `changes`, re-checksummed."""
+    def _edit_header(path, *dropped, **changes):
+        """Rewrite a checkpoint's header without the keys `dropped` and with
+        `changes`, re-checksummed; returns the header it read."""
         payload = path.read_bytes()[len(m._MAGIC) + 32:]
         header_len = int.from_bytes(payload[:8], "big")
-        meta = json.loads(payload[8:8 + header_len])
+        read = json.loads(payload[8:8 + header_len])
+        meta = {k: v for k, v in read.items() if k not in dropped}
         meta.update(changes)
         header = json.dumps(meta, sort_keys=True).encode("utf-8")
         payload = len(header).to_bytes(8, "big") + header + payload[8 + header_len:]
         path.write_bytes(m._MAGIC + hashlib.sha256(payload).digest() + payload)
+        return read
+
+    def test_header_without_a_key_rejected_naming_it(self, tmp_path):
+        result, _ = self._trained()
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(result.best, path)
+        saved = path.read_bytes()
+        for key in self._edit_header(path):
+            path.write_bytes(saved)
+            self._edit_header(path, key)
+            with pytest.raises(ChecksumError,
+                               match=f"^{re.escape(str(path))}: the header "
+                                     f"lacks '{key}'$"):
+                load_checkpoint(path)
 
     def test_header_layout_mismatch_names_both_sizes(self, tmp_path):
         result, _ = self._trained()
