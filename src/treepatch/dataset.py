@@ -106,6 +106,13 @@ class SplitResult:
     coverage_ids: tuple
 
 
+def _make_example(eid, query, tree):
+    leaves = treebank.token_leaves(tree)
+    if query.split() != leaves:
+        raise DatasetError(f"{eid}: query tokens {query.split()} != tree leaves {leaves}")
+    return Example(id=eid, query=query, tree=tree)
+
+
 def load_top_tsv(path, lenient=False):
     """Load `raw<TAB>tokenized<TAB>bracket_serialization` lines.
 
@@ -185,6 +192,21 @@ def load_snips(path):
     return Dataset(tuple(examples))
 
 
+def _class_multiplicity(tree, cls):
+    count = 0
+
+    def visit(node):
+        nonlocal count
+        if node.name == cls:
+            count += 1
+        for child in node.children:
+            if not isinstance(child, str):
+                visit(child)
+
+    visit(tree.root)
+    return count
+
+
 def make_split(src, spec):
     """Partition `src` into d1 (old) and d2 (new) per the split spec.
 
@@ -215,10 +237,7 @@ def make_split(src, spec):
         holders = [ex for ex in d2 if cls in ex.classes and ex.id not in coverage_ids]
         if not holders:
             raise CoverageImpossible(cls)
-        # fewest target-class nodes first: each node serializes as one
-        # "[LABEL" token, and no token holds a bracket
-        holders.sort(key=lambda ex: serialize(ex.tree).split().count(
-            "[" + spec.target_class))
+        holders.sort(key=lambda ex: _class_multiplicity(ex.tree, spec.target_class))
         for ex in holders[: spec.coverage_per_class]:
             coverage_ids.append(ex.id)
             covered |= ex.classes
@@ -283,9 +302,6 @@ def load_tsv(path):
                     raise DatasetError("the query has no tokens")
             except (treebank.TreeError, DatasetError) as exc:
                 raise LineParseError(path, lineno, exc) from exc
-            leaves = treebank.token_leaves(tree)
-            if query.split() != leaves:
-                raise DatasetError(f"{eid}: query tokens {query.split()} != tree leaves {leaves}")
-            seen = first[key] = Example(eid, query, tree)
+            seen = first[key] = _make_example(eid, query, tree)
             examples.append(seen)
     return Dataset(tuple(examples))

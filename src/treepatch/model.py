@@ -444,8 +444,7 @@ def predict_ids(model, batch):
     Encoded batch, forwarded PREDICT_CHUNK examples at a time."""
     intents, tags = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for rows in batches(range(len(batch)), PREDICT_CHUNK):
-        p_int, p_tag = forward(model, batch if len(rows) == len(batch)
-                               else batch.take(rows))
+        p_int, p_tag = forward(model, batch.take(rows))
         intents.append(p_int.argmax(axis=1))
         tags.append(p_tag.argmax(axis=1))
     return np.concatenate(intents), np.concatenate(tags)
