@@ -44,5 +44,5 @@ print(f"sample: inclusion over {epochs} epochs "
 
 # Plans chunk into shuffled minibatches for the trainer.
 plan = epoch_plan(d1, d2, cfg, 0)
-chunks = batches(plan, batch_size=16)
+chunks = batches(plan.ids, batch_size=16)
 print(f"\nepoch 0: {len(plan.ids)} examples -> {len(chunks)} batches of <=16")

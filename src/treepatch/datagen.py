@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, Example
-from .treebank import Node, ParseTree, token_leaves
+from .treebank import Node, ParseTree
 from .utils import derive_seed
 
 
@@ -40,18 +40,25 @@ class Grammar:
         if self.max_depth < 2:
             raise GrammarError("max_depth must be >= 2")
         labels = [label for label, _ in self.intents]
+        if not labels:
+            raise GrammarError("the grammar has no intents")
         if len(set(labels)) != len(labels):
             raise GrammarError("duplicate intent labels")
         for label, templates in self.intents:
             if not templates:
                 raise GrammarError(f"{label} has no templates")
             for tpl in templates:
+                if not tpl:
+                    raise GrammarError(f"{label} has an empty template")
                 for item in tpl:
                     if item.startswith("SL:") and item not in self.fillers:
                         raise GrammarError(f"{item} has no fillers")
         for slot, alts in self.fillers.items():
             if not alts:
                 raise GrammarError(f"{slot} has no fillers")
+            for alt in alts:
+                if not isinstance(alt, tuple) and alt not in labels:
+                    raise GrammarError(f"{slot} filler {alt!r} is not an intent")
 
     def intent_templates(self, label):
         for name, templates in self.intents:
@@ -112,7 +119,7 @@ def _sample_corpus(grammar, rng, n, s, id_prefix):
     for i in range(n):
         label = grammar.intents[rng.choice(len(grammar.intents), p=weights)][0]
         tree = ParseTree(_sample_intent(grammar, label, rng, s, depth=1))
-        query = " ".join(token_leaves(tree))
+        query = " ".join(tree.leaves)
         examples.append(Example(id=f"{id_prefix}:{i}", query=query, tree=tree))
     return Dataset(tuple(examples))
 
@@ -129,27 +136,42 @@ def generate(grammar, config):
 
 def load_grammar(path):
     """Grammar from JSON: {"max_depth": int, "intents": {label: [templates]},
-    "fillers": {slot: [tokens-list | {"intent": label}]}}. Intent and filler
-    order in the file is the Zipf rank order."""
+    "fillers": {slot: [tokens-list | {"intent": label}]}}, where a template is
+    a tokens-list too. Intent and filler order in the file is the Zipf rank
+    order. A file of another shape raises GrammarError naming the path and
+    the key, intent or slot."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+
+    def check(ok, where, shape):
+        if not ok:
+            raise GrammarError(f"{path}: {where} is not {shape}")
+
+    def tokens(value, where):
+        check(isinstance(value, list) and all(isinstance(t, str) for t in value),
+              where, "a list of token strings")
+        return tuple(value)
+
+    check(isinstance(data, dict), "the file", "an object")
     try:
-        intents = tuple(
-            (label, tuple(tuple(tpl) for tpl in templates))
-            for label, templates in data["intents"].items()
-        )
-        fillers = {}
-        for slot, alts in data.get("fillers", {}).items():
-            parsed = []
-            for alt in alts:
-                if isinstance(alt, dict):
-                    parsed.append(alt["intent"])
-                else:
-                    parsed.append(tuple(alt))
-            fillers[slot] = tuple(parsed)
+        intents, fillers = data["intents"], data.get("fillers", {})
+        check(isinstance(intents, dict), "intents", "an object")
+        check(isinstance(fillers, dict), "fillers", "an object")
+        for name, alts in (*intents.items(), *fillers.items()):
+            check(isinstance(alts, list), name, "a list")
+        intents = tuple((label, tuple(tokens(tpl, label) for tpl in templates))
+                        for label, templates in intents.items())
+        fillers = {slot: tuple(alt["intent"] if isinstance(alt, dict)
+                               else tokens(alt, slot) for alt in alts)
+                   for slot, alts in fillers.items()}
     except KeyError as err:
         raise GrammarError(f"{path}: missing key {err}") from None
-    return Grammar(intents=intents, fillers=fillers, max_depth=data.get("max_depth", 3))
+    max_depth = data.get("max_depth", 3)
+    check(type(max_depth) is int, "max_depth", "an integer")
+    try:
+        return Grammar(intents=intents, fillers=fillers, max_depth=max_depth)
+    except GrammarError as err:
+        raise GrammarError(f"{path}: {err}") from None
 
 
 def builtin_grammar():

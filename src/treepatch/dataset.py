@@ -42,12 +42,22 @@ class CoverageImpossible(DatasetError):
 
 @dataclass(frozen=True)
 class Example:
+    """A query and its gold tree, whose leaves are the query's tokens (at
+    least one); a pair that breaks this raises DatasetError naming the id."""
+
     id: str
     query: str
     tree: ParseTree
     classes: frozenset = field(default=None)
 
     def __post_init__(self):
+        leaves = self.tree.leaves
+        if not leaves:
+            raise DatasetError(f"{self.id}: the tree has no tokens")
+        # a token holds no whitespace, so a single-spaced query needs no split
+        if self.query != " ".join(leaves) and tuple(self.query.split()) != leaves:
+            raise DatasetError(f"{self.id}: query tokens {self.query.split()}"
+                               f" != tree leaves {list(leaves)}")
         if self.classes is None:
             object.__setattr__(self, "classes", frozenset(classes_of(self.tree)))
 
@@ -106,13 +116,6 @@ class SplitResult:
     coverage_ids: tuple
 
 
-def _make_example(eid, query, tree):
-    leaves = treebank.token_leaves(tree)
-    if query.split() != leaves:
-        raise DatasetError(f"{eid}: query tokens {query.split()} != tree leaves {leaves}")
-    return Example(id=eid, query=query, tree=tree)
-
-
 def load_top_tsv(path, lenient=False):
     """Load `raw<TAB>tokenized<TAB>bracket_serialization` lines.
 
@@ -131,9 +134,7 @@ def load_top_tsv(path, lenient=False):
                     raise DatasetError(f"expected >=2 tab-separated fields, got {len(parts)}")
                 serialization = parts[-1]
                 tree = parse_top(serialization)
-                query = " ".join(treebank.token_leaves(tree))
-                if not query:
-                    raise DatasetError("the tree has no tokens")
+                query = " ".join(tree.leaves)
                 examples.append(Example(id=f"line:{lineno}", query=query, tree=tree))
             except (treebank.TreeError, DatasetError) as exc:
                 if not lenient:
@@ -187,7 +188,7 @@ def load_snips(path):
             raise SchemaError(f"utterance {i} has no tokens")
         root = treebank.Node("IN:" + _snips_label(utt["intent"]), tuple(children))
         tree = ParseTree(root)
-        query = " ".join(treebank.token_leaves(tree))
+        query = " ".join(tree.leaves)
         examples.append(Example(id=f"snips:{i}", query=query, tree=tree))
     return Dataset(tuple(examples))
 
@@ -276,9 +277,9 @@ def save_tsv(dataset, path):
 def load_tsv(path):
     """Read the canonical 3-column export written by save_tsv.
 
-    Each distinct (query, serialization) pair is parsed and checked once, at
-    its first line; the lines that repeat it share that line's immutable tree
-    and class set. A bad tree or an empty query raises LineParseError.
+    Each distinct (query, serialization) pair is parsed once, at its first
+    line; the lines that repeat it share that line's immutable tree and
+    class set. A bad tree, or a pair Example rejects, raises LineParseError.
     """
     examples = []
     first = {}  # (query, serialization) -> the Example of its first line
@@ -297,11 +298,8 @@ def load_tsv(path):
                 examples.append(Example(eid, query, seen.tree, seen.classes))
                 continue
             try:
-                tree = parse_top(serialization)
-                if not query.split():
-                    raise DatasetError("the query has no tokens")
+                seen = first[key] = Example(eid, query, parse_top(serialization))
             except (treebank.TreeError, DatasetError) as exc:
                 raise LineParseError(path, lineno, exc) from exc
-            seen = first[key] = _make_example(eid, query, tree)
             examples.append(seen)
     return Dataset(tuple(examples))

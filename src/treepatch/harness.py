@@ -22,7 +22,7 @@ from . import datagen, metrics, sampling
 from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, bio_spans,
                     encode, gold_targets, predict_ids, train)
 from .regularizers import RegConfig, RegError
-from .treebank import serialize, token_leaves
+from .treebank import serialize
 from .utils import derive_seed
 
 
@@ -262,17 +262,17 @@ def make_evaluator(test_set, k, seed, classes=None):
     entries of a PathVocab. Once per model vocabulary and feature_dim, the
     cases' queries are encoded with their gold targets, read by
     model.gold_targets as training reads them; a label the model lacks gets
-    -1, and so does every token of a tree that is not flat or whose leaves
-    are not its query's tokens, as no prediction (an intent over flat slot
-    spans of the query) matches such a tree. Each evaluation takes the
-    argmax intents and tags of batched forwards of the cases, reads their
-    slot spans as decode_tree would (model.bio_spans) and interns each
-    span's path (its labels, and its tokens joined by spaces) into the same
-    PathVocab; a case without spans has its intent's slotless path. Exact
-    match is the same intent and the same repaired tags as the gold
-    targets. A prediction depends on its query's tokens alone, so each
-    example's EM hit and path counts are its case's; the record equals
-    evaluation_record of the trees predict_trees decodes. No tree is built.
+    -1, and so does every token of a tree that is not flat, as no
+    prediction (an intent over flat slot spans of the query) matches such a
+    tree. Each evaluation takes the argmax intents and tags of batched
+    forwards of the cases, reads their slot spans as decode_tree would
+    (model.bio_spans) and interns each span's path (its labels, and its
+    tokens joined by spaces) into the same PathVocab; a case without spans
+    has its intent's slotless path. Exact match is the same intent and the
+    same repaired tags as the gold targets. A prediction depends on its
+    query's tokens alone, so each example's EM hit and path counts are its
+    case's; the record equals evaluation_record of the trees predict_trees
+    decodes. No tree is built.
     """
     folds = metrics.fold_indices(len(test_set), k, seed)
     classes = sorted(test_set.classes() if classes is None else classes)
@@ -292,10 +292,7 @@ def make_evaluator(test_set, k, seed, classes=None):
         case_of.append(case)
     case_of = np.array(case_of, dtype=np.int64)
     queries = [ex.query for ex in cases]
-    query_tokens = [q.split() for q in queries]
-    tokens = [tok for toks in query_tokens for tok in toks]
-    aligned = [token_leaves(ex.tree) == toks
-               for ex, toks in zip(cases, query_tokens)]
+    tokens = [tok for q in queries for tok in q.split()]
     paths = metrics.PathVocab(classes)
     gold = paths.entries([metrics.extract_paths(ex.tree) for ex in cases])
     encoded = {}  # per model vocabulary: encoded cases, slotless path ids
@@ -305,9 +302,8 @@ def make_evaluator(test_set, k, seed, classes=None):
         if vocab not in encoded:
             targets = [gold_targets(model, ex.tree) for ex in cases]
             encoded[vocab] = (encode(queries, model.feature_dim, [
-                (intent, tags if flat and ok else [-1] * len(toks))
-                for (intent, tags, flat), ok, toks
-                in zip(targets, aligned, query_tokens)]),
+                (intent, tags if flat else [-1] * len(tags))
+                for intent, tags, flat in targets]),
                 np.array([paths.id((x,), "") for x in model.intents]))
         batch, slotless_path = encoded[vocab]
 

@@ -82,9 +82,9 @@ def epoch_plan(d1, d2, config, epoch_index):
                      n_old=len(old_ids), n_new=len(d2))
 
 
-def batches(plan, batch_size):
-    """Contiguous batches of an EpochPlan (or plain id list); last may be short."""
+def batches(ids, batch_size):
+    """Contiguous batches of a sequence of ids; the last may be short."""
     if batch_size < 1:
         raise SamplerError("batch_size must be >= 1")
-    ids = list(plan.ids if isinstance(plan, EpochPlan) else plan)
+    ids = list(ids)
     return [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]

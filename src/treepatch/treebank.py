@@ -91,10 +91,13 @@ class Node:
 @dataclass(frozen=True)
 class ParseTree:
     root: Node
+    # the in-order tokens (token_leaves), walked once when the tree is built
+    leaves: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.root.is_intent:
             raise RootNotIntent(self.root.name)
+        object.__setattr__(self, "leaves", tuple(token_leaves(self)))
 
     def __str__(self):
         return serialize(self)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,31 @@ def test_grammar_without_a_key_rejected_naming_it(tmp_path, data, key):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
     with pytest.raises(GrammarError, match=f"g.json: missing key {key}$"):
+        load_grammar(path)
+
+
+@pytest.mark.parametrize("data, error", [
+    ([], "the file is not an object"),
+    ({"intents": [["IN:A"]]}, "intents is not an object"),
+    ({"intents": {"IN:A": [["a"]]}, "fillers": [1]}, "fillers is not an object"),
+    ({"intents": {"IN:A": [["a"]]}, "max_depth": "x"},
+     "max_depth is not an integer"),
+    ({"intents": {"IN:A": "a b"}}, "IN:A is not a list"),
+    ({"intents": {"IN:A": ["a b"]}}, "IN:A is not a list of token strings"),
+    ({"intents": {"IN:A": [["a", 1]]}}, "IN:A is not a list of token strings"),
+    ({"intents": {"IN:A": [[]]}}, "IN:A has an empty template"),
+    ({"intents": {}}, "the grammar has no intents"),
+    ({"intents": {"IN:A": [["a", "SL:X"]]}, "fillers": {"SL:X": ["boston"]}},
+     "SL:X is not a list of token strings"),
+    ({"intents": {"IN:A": [["a", "SL:X"]]},
+      "fillers": {"SL:X": [{"intent": "IN:B"}]}},
+     "SL:X filler 'IN:B' is not an intent"),
+])
+def test_grammar_of_the_wrong_shape_rejected_naming_it(tmp_path, data, error):
+    import json
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(GrammarError, match=f"g.json: {re.escape(error)}$"):
         load_grammar(path)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -227,8 +228,30 @@ class TestLoadTsvRepeats:
         path = self._write(tmp_path / "bad.tsv",
                            [self.LINES[0], ("m1", "hello there", CANCEL),
                             ("m2", "hello there", CANCEL)])
-        with pytest.raises(ds.DatasetError, match="^m1: query tokens"):
+        with pytest.raises(LineParseError) as err:
             load_tsv(path)
+        assert err.value.lineno == 2
+        assert str(err.value.cause).startswith("m1: query tokens")
+
+    def test_first_line_mismatch_rejected_at_its_line(self, tmp_path):
+        path = self._write(tmp_path / "bad.tsv",
+                           [("m0", "hello", CANCEL), self.LINES[0]])
+        with pytest.raises(LineParseError, match="m0: query tokens") as err:
+            load_tsv(path)
+        assert err.value.lineno == 1
+
+
+@pytest.mark.parametrize("query, text, error", [
+    ("a b c", "[IN:A a [SL:X b ] ]",
+     "e1: query tokens ['a', 'b', 'c'] != tree leaves ['a', 'b']"),
+    ("b a", "[IN:A a [SL:X b ] ]",
+     "e1: query tokens ['b', 'a'] != tree leaves ['a', 'b']"),
+    ("", "[IN:B ]", "e1: the tree has no tokens"),
+    ("x", "[IN:B [SL:X ] ]", "e1: the tree has no tokens"),
+], ids=["extra-token", "reordered", "empty", "empty-slot"])
+def test_example_rejects_a_query_that_is_not_its_leaves(query, text, error):
+    with pytest.raises(ds.DatasetError, match=f"^{re.escape(error)}$"):
+        Example("e1", query, parse_top(text))
 
 
 def test_duplicate_ids_rejected():

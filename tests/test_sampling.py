@@ -106,7 +106,7 @@ class TestEpochPlan:
 class TestBatches:
     def test_sizes(self):
         plan = EpochPlan(ids=tuple(range(10)), n_old=0, n_new=10)
-        assert [len(b) for b in batches(plan, 4)] == [4, 4, 2]
+        assert [len(b) for b in batches(plan.ids, 4)] == [4, 4, 2]
 
     def test_single_batch_when_large(self):
         assert len(batches(list(range(5)), 100)) == 1

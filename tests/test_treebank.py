@@ -108,6 +108,12 @@ def test_token_leaves_in_order():
         "when should i leave for my dentist appointment at 4 pm".split())
 
 
+def test_leaves_walked_once_per_tree():
+    tree = parse_top(FIG1)
+    assert tree.leaves is tree.leaves
+    assert tree.leaves == tuple(token_leaves(tree))
+
+
 def test_nesting_rule_enforced():
     with pytest.raises(treebank.BadNesting):
         Node("IN:A", (Node("IN:B", ("x",)),))
