@@ -17,6 +17,7 @@ machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -156,7 +157,10 @@ def cmd_sweep(args):
     print(f"wrote {len(rows)} sweep rows to {args.out}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: main parses every argv
+    with it, and argparse keeps nothing of one parse_args call for the next."""
     parser = argparse.ArgumentParser(prog="treepatch",
                                      description="incremental-training harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -222,8 +226,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, Example
-from .treebank import Node, ParseTree
+from .treebank import (INTENT_PREFIX, SLOT_PREFIX, Node, ParseTree,
+                       TreeError)
 from .utils import derive_seed
 
 
@@ -45,26 +46,45 @@ class Grammar:
         if len(set(labels)) != len(labels):
             raise GrammarError("duplicate intent labels")
         for label, templates in self.intents:
+            if not label.startswith(INTENT_PREFIX):
+                raise GrammarError(f"intent {label!r} lacks the "
+                                   f"{INTENT_PREFIX} prefix")
             if not templates:
                 raise GrammarError(f"{label} has no templates")
             for tpl in templates:
                 if not tpl:
                     raise GrammarError(f"{label} has an empty template")
                 for item in tpl:
-                    if item.startswith("SL:") and item not in self.fillers:
+                    if item.startswith(SLOT_PREFIX) and item not in self.fillers:
                         raise GrammarError(f"{item} has no fillers")
+                _check_node(label, [item for item in tpl
+                                    if not item.startswith(SLOT_PREFIX)])
         for slot, alts in self.fillers.items():
+            if not slot.startswith(SLOT_PREFIX):
+                raise GrammarError(f"filler slot {slot!r} lacks the "
+                                   f"{SLOT_PREFIX} prefix")
             if not alts:
                 raise GrammarError(f"{slot} has no fillers")
             for alt in alts:
                 if not isinstance(alt, tuple) and alt not in labels:
                     raise GrammarError(f"{slot} filler {alt!r} is not an intent")
+                _check_node(slot, alt if isinstance(alt, tuple) else ())
 
     def intent_templates(self, label):
         for name, templates in self.intents:
             if name == label:
                 return templates
         raise GrammarError(f"unknown intent {label}")
+
+
+def _check_node(label, tokens):
+    """Build the node generate builds of `label` over these tokens, so that
+    a bad label or token fails when the grammar is made, naming the intent
+    or slot."""
+    try:
+        Node(label, tuple(tokens))
+    except TreeError as err:
+        raise GrammarError(f"{label}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -94,7 +114,7 @@ def _sample_intent(grammar, label, rng, s, depth):
     tpl = templates[rng.choice(len(templates))]
     children = []
     for item in tpl:
-        if not item.startswith("SL:"):
+        if not item.startswith(SLOT_PREFIX):
             children.append(item)
             continue
         alts = grammar.fillers[item]

@@ -6,6 +6,15 @@ token features and a per-token BIO slot tagger. Tag sequences decode to
 depth-2 bracket trees. The flat parameter vector keeps intent_head /
 tag_head as named groups so frozen groups and per-group bookkeeping line up
 with the two heads.
+
+Each group is its head's weights, then its biases. In memory the weights
+are feature-major, a (feature_dim, rows) matrix: the rows of one hashed
+feature (one per intent or tag) lie side by side, so a batch's gradient,
+the Fisher update and the SGD step touch a few hundred contiguous feature
+rows instead of columns at stride feature_dim. A checkpoint stores them
+row-major, (rows, feature_dim), as files always have; the Checkpoint
+boundary (train's snapshots, Checkpoint.model and
+Checkpoint.fisher_accumulator) transposes, and only there.
 """
 
 from __future__ import annotations
@@ -106,14 +115,17 @@ class TaggerModel:
         return cls(tuple(sorted(intents)), tuple(sorted(slots)), feature_dim)
 
     def _views(self, theta=None):
+        """Views of theta's heads in memory order: W_int (feature_dim,
+        intents) and W_tag (feature_dim, tags), feature-major, and the
+        biases b_int and b_tag."""
         theta = theta if theta is not None else self.theta
         n_int, n_tag, w = len(self.intents), len(self.tags), self.feature_dim
         ih = theta.group("intent_head")
         th = theta.group("tag_head")
         return {
-            "W_int": ih[: n_int * w].reshape(n_int, w),
+            "W_int": ih[: n_int * w].reshape(w, n_int),
             "b_int": ih[n_int * w:],
-            "W_tag": th[: n_tag * w].reshape(n_tag, w),
+            "W_tag": th[: n_tag * w].reshape(w, n_tag),
             "b_tag": th[n_tag * w:],
         }
 
@@ -230,15 +242,16 @@ def encode(queries, feature_dim, targets=None):
 
 
 def _column_sums(W, feats):
-    """(tokens, rows of W): per token, the columns of W at its feature ids,
-    added slot by slot in order, as W[:, idx].sum(axis=1) adds them."""
-    out = np.zeros((len(feats), W.shape[0]))
+    """(tokens, columns of W): per token, the rows of the feature-major W at
+    its feature ids, added slot by slot in order, as W[idx].sum(axis=0)
+    adds them."""
+    out = np.zeros((len(feats), W.shape[1]))
     for j in range(MAX_FEATS):
         live = feats[:, j] >= 0
         if live.all():
-            out += W.T[feats[:, j]]
+            out += W[feats[:, j]]
         else:
-            out[live] += W.T[feats[live, j]]
+            out[live] += W[feats[live, j]]
     return out
 
 
@@ -321,10 +334,10 @@ def _count_leaves(node):
     return n
 
 
-def _column_index(start, n_rows, row_width, cols):
-    """Flat positions of columns `cols` of an (n_rows, row_width) matrix
-    stored row-major from `start`, row by row."""
-    return (start + np.arange(n_rows)[:, None] * row_width + cols).ravel()
+def _row_index(start, rows, row_width):
+    """Flat positions of rows `rows` of a matrix of rows of row_width
+    stored from `start`, row by row."""
+    return (start + rows[:, None] * row_width + np.arange(row_width)).ravel()
 
 
 def loss_and_grad(model, batch):
@@ -361,25 +374,26 @@ def loss_and_grad(model, batch):
         [(g_int / T[:, None])[example_of_token], g_tag], axis=1)
     # per coordinate, add the entries in (example, token, slot) order, the
     # order of the per-example loop this replaces: bincount adds in input
-    # order. block is (width of token_grad, touched columns).
+    # order. block is (touched features, width of token_grad), the touched
+    # feature rows of [W_int, W_tag].
     token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
     cols, col_of_entry = np.unique(batch.feats[token_of_entry, slot_of_entry],
                                    return_inverse=True)
     width = token_grad.shape[1]
     block = np.bincount(
-        (np.arange(width) * len(cols) + col_of_entry[:, None]).ravel(),
+        (col_of_entry[:, None] * width + np.arange(width)).ravel(),
         weights=token_grad[token_of_entry].ravel(),
-        minlength=width * len(cols)).reshape(width, len(cols))
+        minlength=len(cols) * width).reshape(len(cols), width)
 
     layout = model.layout
     ih, th = layout.slice_of("intent_head"), layout.slice_of("tag_head")
     n_int, n_tag, w = len(model.intents), len(model.tags), model.feature_dim
-    index = [_column_index(ih.start, n_int, w, cols),
+    index = [_row_index(ih.start, cols, n_int),
              np.arange(ih.start + n_int * w, ih.stop),
-             _column_index(th.start, n_tag, w, cols),
+             _row_index(th.start, cols, n_tag),
              np.arange(th.start + n_tag * w, th.stop)]
-    data = [block[:n_int].ravel(), _ordered_sums(g_int[None])[0],
-            block[n_int:].ravel(), _total(g_tag, batch)]
+    data = [block[:, :n_int].ravel(), _ordered_sums(g_int[None])[0],
+            block[:, n_int:].ravel(), _total(g_tag, batch)]
     return float(loss), SparseGrad(layout, np.concatenate(index),
                                    np.concatenate(data))
 
@@ -461,6 +475,23 @@ def predict_trees(model, examples):
             for i, (query, intent) in enumerate(zip(queries, intents.tolist()))]
 
 
+def _reordered(values, layout, feature_dim, to_memory):
+    """A copy of theta-sized `values` in the other order: checkpoint order
+    (each head's weights row-major, (rows, feature_dim)) to memory order
+    (feature-major, (feature_dim, rows)) when to_memory, else back. The
+    biases keep their place."""
+    out = np.empty_like(values)
+    for name, size in layout.groups:
+        group = layout.slice_of(name)
+        rows = size // (feature_dim + 1)
+        shape = (rows, feature_dim) if to_memory else (feature_dim, rows)
+        weights = slice(group.start, group.start + rows * feature_dim)
+        out[weights].reshape(shape[::-1])[...] = (
+            values[weights].reshape(shape).T)
+        out[weights.stop:group.stop] = values[weights.stop:group.stop]
+    return out
+
+
 @dataclass
 class Checkpoint:
     intents: tuple
@@ -474,9 +505,11 @@ class Checkpoint:
     history: tuple = ()
 
     def model(self):
-        m = TaggerModel(self.intents, self.slots, self.feature_dim)
-        m.theta.values[:] = self.theta_values
-        return m
+        """The model of theta_values, in memory order."""
+        theta = _reordered(self.theta_values, self.layout, self.feature_dim,
+                           to_memory=True)
+        return TaggerModel(self.intents, self.slots, self.feature_dim,
+                           ParamVector(self.layout, theta))
 
     @property
     def layout(self):
@@ -484,8 +517,11 @@ class Checkpoint:
                            len(tag_vocab(self.slots)))
 
     def fisher_accumulator(self):
-        return FisherAccumulator(self.layout, self.fisher_sum_sq.copy(),
-                                 self.fisher_steps)
+        """An accumulator that continues fisher_sum_sq, in memory order."""
+        return FisherAccumulator(
+            self.layout, _reordered(self.fisher_sum_sq, self.layout,
+                                    self.feature_dim, to_memory=True),
+            self.fisher_steps)
 
 
 _MAGIC = b"TPCK0001"
@@ -610,8 +646,15 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
         theta_prev = prev.model().theta
         fisher_acc = prev.fisher_accumulator()
         fisher_prev = fisher_acc.fisher() if fisher_acc.steps else None
-    sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
-                             cfg.lr, cfg.freeze)
+    def saved(values):  # theta-sized values in checkpoint order
+        return _reordered(values, model.layout, model.feature_dim,
+                          to_memory=False)
+
+    sgd_step = anchored_step(
+        model.theta, theta_prev, fisher_prev, cfg.reg, cfg.lr, cfg.freeze,
+        # in memory a head is one row per hashed feature, then its biases
+        {"intent_head": len(model.intents), "tag_head": len(model.tags)},
+        saved)
     corpus = encode([], model.feature_dim, [])  # the examples drawn so far
     row_of = {}  # example id -> its row in corpus
 
@@ -626,8 +669,8 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
         return Checkpoint(
             intents=model.intents, slots=model.slots,
             feature_dim=model.feature_dim,
-            theta_values=model.theta.values.copy(),
-            fisher_sum_sq=fisher_acc.sum_sq.copy(),
+            theta_values=saved(model.theta.values),
+            fisher_sum_sq=saved(fisher_acc.sum_sq),
             fisher_steps=fisher_acc.steps,
             step=step, config_digest=config_digest, history=tuple(history))
 

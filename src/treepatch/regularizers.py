@@ -81,7 +81,9 @@ class SparseGrad:
     """A gradient that is zero outside `index`: sorted, unique flat positions
     into the layout, with `data` the values there. Adding an untouched
     coordinate's +0.0 changes nothing, so Fisher accumulation, freezing and
-    the SGD update on these coordinates alone equal the dense ones exactly."""
+    the SGD update on these coordinates alone equal the dense ones exactly,
+    and the squared EWC step needs the dense step's arithmetic only on the
+    Fisher's support rows (see anchored_step)."""
 
     layout: ParamLayout
     index: np.ndarray
@@ -125,9 +127,10 @@ def _checked_fisher(fisher, theta):
 
 
 def _anchor(theta, theta_prev, fisher, config):
-    """(w, c): the weight of each delta^2 and the coefficient of the
-    penalty's gradient, or None when the penalty is off (kind "none" or
-    strength 0). Every anchor check is here, and runs at strength 0 too."""
+    """(w, scale): the weight of each delta^2, and the scale of the
+    coefficient c = scale * w of the penalty's gradient, or None when the
+    penalty is off (kind "none" or strength 0). Every anchor check is here,
+    and runs at strength 0 too."""
     if config.kind == "none":
         return None
     if theta_prev is None:
@@ -139,10 +142,8 @@ def _anchor(theta, theta_prev, fisher, config):
         return None
     lam = config.strength
     if config.form == "squared":
-        w = fisher if config.kind == "ewc" else 1.0
-        return w, 2.0 * lam * w
-    w = fisher * fisher if config.kind == "ewc" else 1.0
-    return w, lam * w
+        return (fisher if config.kind == "ewc" else 1.0), 2.0 * lam
+    return (fisher * fisher if config.kind == "ewc" else 1.0), lam
 
 
 def penalty(theta, theta_prev, fisher, config):
@@ -154,7 +155,8 @@ def penalty(theta, theta_prev, fisher, config):
     anchor = _anchor(theta, theta_prev, fisher, config)
     if anchor is None:
         return 0.0, ParamVector.zeros(theta.layout)
-    w, c = anchor
+    w, scale = anchor
+    c = scale * w
     lam = config.strength
     delta = theta.values - theta_prev.values
     if config.form == "squared":
@@ -167,7 +169,8 @@ def penalty(theta, theta_prev, fisher, config):
     return value, ParamVector(theta.layout, grad)
 
 
-def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
+def anchored_step(theta, theta_prev, fisher, config, lr, freeze,
+                  row_widths=None, sum_order=None):
     """The SGD step of a run anchored by `config`: step(data_grad) updates
     theta in place, and is the only step train takes. `freeze` holds the
     names of the groups whose gradient is zeroed.
@@ -175,10 +178,21 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     The anchor is checked here, once, so a bad one fails before training
     starts. When the penalty is off (kind "none" or strength 0) the step is
     sparse: apply_freeze, then `theta -= lr * grad` on the coordinates the
-    data gradient touches. Otherwise it is fused: the float operations of
+    data gradient touches. Otherwise it does the float operations of
     penalty, the data gradient's scatter-add, apply_freeze and the dense
-    `theta -= lr * grad`, in the same order, in one preallocated buffer, so
-    theta comes out bit-identical without the dense temporaries.
+    `theta -= lr * grad`, in the same order per coordinate, without the
+    dense temporaries, so theta comes out bit-identical:
+    - squared EWC steps over the Fisher's support rows only. `row_widths`
+      maps a group to the width of the consecutive rows its coordinates
+      form (1 for a group it does not name); the support is the rows of the
+      groups not frozen where F > 0 in some column. Those rows are gathered
+      into one buffer, stepped as the dense step steps them, and written
+      back; the touched coordinates outside them take the sparse step. Where
+      F = 0 the dense step adds delta * 0 = +-0, so the two agree.
+    - move-norm (w = 1) and the norm form are fused into one preallocated
+      theta-sized buffer. The norm form adds w * delta^2 in the order of
+      sum_order(values), a copy of theta-sized values in the order the sum
+      is defined in (theta's own order if None).
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
@@ -191,7 +205,11 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
             theta.values[grad.index] -= lr * grad.data
 
         return sparse_step
-    w, c = anchor
+    w, scale = anchor
+    if config.kind == "ewc" and config.form == "squared":
+        return _support_step(theta, theta_prev.values, w, scale, lr, freeze,
+                             row_widths or {})
+    c = scale * w
     # the norm form's reduction buffer
     tmp = None if config.form == "squared" else np.empty(theta.layout.size)
     frozen = [theta.layout.slice_of(name) for name in freeze]
@@ -205,7 +223,8 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
         else:
             np.multiply(w, buf, out=tmp)
             np.multiply(tmp, buf, out=tmp)
-            root = np.sqrt(np.sum(tmp) + config.epsilon)
+            summed = tmp if sum_order is None else sum_order(tmp)
+            root = np.sqrt(np.sum(summed) + config.epsilon)
             np.multiply(buf, c, out=buf)
             np.divide(buf, root, out=buf)
         buf[data_grad.index] += data_grad.data
@@ -213,6 +232,57 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
             buf[group] = 0.0
         np.multiply(buf, lr, out=buf)
         theta.values -= buf
+
+    return step
+
+
+def _support_step(theta, prev, fisher, scale, lr, freeze, row_widths):
+    """anchored_step's squared EWC step (see there): the dense fused step on
+    the rows where the Fisher is positive, the sparse step elsewhere."""
+    layout = theta.layout
+    # where each coordinate's step happens: its place in the support buffer,
+    # OUTSIDE (the sparse step) or FROZEN (none)
+    OUTSIDE, FROZEN = -1, -2
+    place = np.full(layout.size, OUTSIDE, dtype=np.int32)
+    blocks = []  # (group's rows, support row ids, its part of the buffer)
+    n_support = 0
+    for name, size in layout.groups:
+        group = layout.slice_of(name)
+        if name in freeze:
+            place[group] = FROZEN
+            continue
+        width = row_widths.get(name, 1)
+        if size % width:
+            raise LayoutMismatch(f"{name}: {size} coordinates do not form "
+                                 f"rows of {width}")
+        rows = np.flatnonzero(
+            (fisher[group].reshape(-1, width) > 0).any(axis=1))
+        if not len(rows):
+            continue
+        place[group].reshape(-1, width)[rows] = np.arange(
+            n_support, n_support + len(rows) * width).reshape(-1, width)
+        blocks.append((theta.values[group].reshape(-1, width), rows,
+                       slice(n_support, n_support + len(rows) * width), width))
+        n_support += len(rows) * width
+    support = np.flatnonzero(place >= 0)
+    prev_s, c_s = prev[support], scale * fisher[support]
+    theta_s, buf = np.empty(n_support), np.empty(n_support)
+    blocks = [(rows_of, rows, theta_s[part].reshape(-1, width))
+              for rows_of, rows, part, width in blocks]
+
+    def step(data_grad):
+        at = place[data_grad.index]
+        inside, outside = at >= 0, at == OUTSIDE
+        for rows_of, rows, block in blocks:
+            np.take(rows_of, rows, axis=0, out=block, mode="clip")
+        np.subtract(theta_s, prev_s, out=buf)  # delta
+        np.multiply(buf, c_s, out=buf)
+        buf[at[inside]] += data_grad.data[inside]
+        np.multiply(buf, lr, out=buf)
+        np.subtract(theta_s, buf, out=theta_s)
+        for rows_of, rows, block in blocks:
+            rows_of[rows] = block
+        theta.values[data_grad.index[outside]] -= lr * data_grad.data[outside]
 
     return step
 

@@ -74,6 +74,41 @@ def test_train_finetune_evaluate_compare(workdir):
     assert set(cmp_record) >= {"steps_to_parity", "relative_steps", "reached"}
 
 
+def test_one_parser_serves_every_call(workdir, monkeypatch):
+    """main parses with one parser per process: a parse keeps nothing of the
+    one before it, and an evaluate call and then a compare call write what
+    each writes with a fresh parser."""
+    one = cli.build_parser()
+    assert cli.build_parser() is one
+    fresh_parser = cli.build_parser.__wrapped__
+    for argv in (["split", "--config", "c.json", "--set", "a.b=1",
+                  "--out-dir", "d"],
+                 ["split", "--config", "c.json", "--out-dir", "d"],
+                 ["evaluate", "--ckpt", "m.ckpt", "--test", "t.tsv"],
+                 ["train", "--on", "d1"],
+                 ["train"]):
+        assert (vars(one.parse_args(argv))
+                == vars(fresh_parser().parse_args(argv)))
+
+    def calls(label):
+        return [["evaluate", "--ckpt", workdir / "ft.ckpt",
+                 "--test", workdir / "test.tsv",
+                 "--report", workdir / f"{label}-eval.json"],
+                ["compare", "--finetune", workdir / "ft.json",
+                 "--scratch", workdir / "scratch.json",
+                 "--target-class", "SL:ORGANIZER_EVENT",
+                 "--report", workdir / f"{label}-cmp.json"]]
+
+    written = {}
+    for label in ("one", "fresh"):
+        if label == "fresh":
+            monkeypatch.setattr(cli, "build_parser", fresh_parser)
+        for argv in calls(label):
+            assert run(argv) == 0
+        written[label] = [argv[-1].read_bytes() for argv in calls(label)]
+    assert written["one"] == written["fresh"]
+
+
 def test_sweep_csv(workdir):
     out = workdir / "sweep.csv"
     assert run(["sweep", "--config", workdir / "config.json",

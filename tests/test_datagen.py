@@ -165,6 +165,15 @@ def test_grammar_without_a_key_rejected_naming_it(tmp_path, data, key):
     ({"intents": {"IN:A": [["a", "SL:X"]]},
       "fillers": {"SL:X": [{"intent": "IN:B"}]}},
      "SL:X filler 'IN:B' is not an intent"),
+    ({"intents": {"IN:A": [["a b", "c"]]}},
+     "IN:A: token 'a b' contains brackets or whitespace"),
+    ({"intents": {"IN:A": [["a", "SL:X"]]}, "fillers": {"SL:X": [["[b"]]}},
+     "SL:X: token '[b' contains brackets or whitespace"),
+    ({"intents": {"in:a": [["a"]]}}, "intent 'in:a' lacks the IN: prefix"),
+    ({"intents": {"IN:a": [["a"]]}},
+     "IN:a: node label 'IN:a' lacks IN:/SL: prefix or has bad characters"),
+    ({"intents": {"IN:A": [["a"]]}, "fillers": {"X": [["b"]]}},
+     "filler slot 'X' lacks the SL: prefix"),
 ])
 def test_grammar_of_the_wrong_shape_rejected_naming_it(tmp_path, data, error):
     import json

@@ -81,13 +81,49 @@ def dense(grad):
     return out
 
 
+def row_major_views(net, theta=None):
+    """The heads of theta (default net's) as the oracles read them: W_int
+    (intents, feature_dim) and W_tag (tags, feature_dim), row-major views of
+    the feature-major weights in memory, each followed by its biases, in
+    checkpoint order. The library's _views is not used, so that the oracles
+    keep their own reading of the layout."""
+    theta = net.theta if theta is None else theta
+    views = {}
+    for group, head, rows in (("intent_head", "int", len(net.intents)),
+                              ("tag_head", "tag", len(net.tags))):
+        values = theta.group(group)
+        n_weights = rows * net.feature_dim
+        views[f"W_{head}"] = values[:n_weights].reshape(net.feature_dim,
+                                                        rows).T
+        views[f"b_{head}"] = values[n_weights:]
+    return views
+
+
+def checkpoint_order(net, values):
+    """Theta-sized values of net, in memory order, as a checkpoint stores
+    them: each head's weights row-major, then its biases."""
+    return np.concatenate([view.ravel() for view in row_major_views(
+        net, ParamVector(net.layout, values)).values()])
+
+
+def memory_order(net, values):
+    """The inverse of checkpoint_order."""
+    out = np.empty_like(values)
+    start = 0
+    for view in row_major_views(net, ParamVector(net.layout, out)).values():
+        view[...] = values[start:start + view.size].reshape(view.shape)
+        start += view.size
+    return out
+
+
 def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
                             fisher=None):
     """The per-example loop that the batched kernel replaced, kept as its
-    oracle. batch: list of (feats, intent_id, tag_ids); dense gradients."""
-    v = model._views()
+    oracle. batch: list of (feats, intent_id, tag_ids); dense gradients.
+    The penalty is taken in checkpoint order, the order of its sum."""
+    v = row_major_views(model)
     grad = ParamVector.zeros(model.layout)
-    gv = model._views(grad)
+    gv = row_major_views(model, grad)
     loss = 0.0
     B = len(batch)
     for feats, intent_id, tag_ids in batch:
@@ -114,9 +150,15 @@ def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
 
     data_grad = grad.copy()
     if reg is not None and reg.kind != "none":
-        pen_value, pen_grad = penalty(model.theta, theta_prev, fisher, reg)
+        def saved(vector):
+            return ParamVector(vector.layout,
+                               checkpoint_order(model, vector.values))
+
+        pen_value, pen_grad = penalty(
+            saved(model.theta), saved(theta_prev),
+            None if fisher is None else checkpoint_order(model, fisher), reg)
         loss += pen_value
-        grad.values += pen_grad.values
+        grad.values += memory_order(model, pen_grad.values)
     return float(loss), grad, data_grad
 
 
@@ -414,22 +456,27 @@ def reference_train(net, by_id, plan_fn, cfg, theta_prev, fisher_prev,
     return net.theta.values, fisher_acc
 
 
-@pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",),
-                                    ("intent_head", "tag_head")])
-@pytest.mark.parametrize("kind, form, strength", [
-    *(pytest.param(kind, "squared", 0.5, id=kind)
-      for kind in ("none", "movenorm", "ewc")),
-    *(pytest.param(kind, "norm", 0.5, id=f"{kind}-norm")
-      for kind in ("movenorm", "ewc")),
-    # reachable through config; train takes the sparse step, the reference
-    # adds penalty's dense zeros
-    pytest.param("movenorm", "squared", 0.0, id="movenorm-strength0"),
-])
-def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
-                                                 strength, frozen):
-    corpus = toy_corpus()
-    by_id = {e.id: e for e in corpus}
-    prev = train(tiny_model(feature_dim=32), by_id, simple_plan(by_id, 0),
+def fisher_support(net, fisher_sum_sq):
+    """The hashed features with a positive Fisher sum in some head row,
+    reading checkpoint-order sums row-major."""
+    found = np.zeros(net.feature_dim, dtype=bool)
+    start = 0
+    for rows in (len(net.intents), len(net.tags)):
+        weights = fisher_sum_sq[start:start + rows * net.feature_dim]
+        found |= (weights.reshape(rows, net.feature_dim) > 0).any(axis=0)
+        start += rows * net.feature_dim + rows
+    return set(np.flatnonzero(found).tolist())
+
+
+def fine_tune(kind, form, strength, prev_intent, frozen=()):
+    """(by_id, prev, cfg, result) of a two-epoch anchored fine-tune on the
+    toy corpus from prev, one epoch on it (only on its prev_intent examples,
+    at feature_dim 512, unless prev_intent is None: all, at 32)."""
+    by_id = {e.id: e for e in toy_corpus()}
+    prev_ids = {eid: ex for eid, ex in by_id.items()
+                if prev_intent in (None, ex.tree.root.name)}
+    net = tiny_model(feature_dim=32 if prev_intent is None else 512)
+    prev = train(net, prev_ids, simple_plan(prev_ids, 0),
                  TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0),
                  lambda net: {"em": 0.0}).final
     cfg = TrainConfig(lr=0.3, batch_size=7, max_epochs=2, eval_every=0,
@@ -437,17 +484,72 @@ def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
                       freeze=frozenset(frozen))
     result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
                    lambda net: {"em": 0.0}, prev=prev)
+    return by_id, prev, cfg, result
+
+
+@pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",),
+                                    ("intent_head", "tag_head")])
+@pytest.mark.parametrize("kind, form, strength, prev_intent", [
+    *(pytest.param(kind, "squared", 0.5, None, id=kind)
+      for kind in ("none", "movenorm", "ewc")),
+    *(pytest.param(kind, "norm", 0.5, None, id=f"{kind}-norm")
+      for kind in ("movenorm", "ewc")),
+    # reachable through config; train takes the sparse step, the reference
+    # adds penalty's dense zeros
+    pytest.param("movenorm", "squared", 0.0, None, id="movenorm-strength0"),
+    # prev saw only IN:A examples, at a feature_dim where the IN:B features
+    # are rows of zero Fisher: the EWC step's support is a strict subset of
+    # the rows, and the fine-tune touches rows outside it
+    pytest.param("ewc", "squared", 0.5, "IN:A", id="ewc-unseen-rows"),
+])
+def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
+                                                 strength, prev_intent, frozen):
+    by_id, prev, cfg, result = fine_tune(kind, form, strength, prev_intent,
+                                         frozen)
+    net = prev.model()
+    if prev_intent is not None:
+        support = fisher_support(net, prev.fisher_sum_sq)
+        touched = set(encode([ex.query for ex in by_id.values()],
+                             net.feature_dim).feats.ravel().tolist()) - {-1}
+        assert support < set(range(net.feature_dim))
+        assert touched - support and touched & support
     theta, acc = reference_train(prev.model(), by_id, simple_plan(by_id, 5),
                                  cfg, prev.model().theta,
                                  prev.fisher_accumulator().fisher(),
                                  prev.fisher_accumulator())
-    reference = dataclasses.replace(result.final, theta_values=theta,
-                                    fisher_sum_sq=acc.sum_sq,
-                                    fisher_steps=acc.steps)
+    reference = dataclasses.replace(
+        result.final, theta_values=checkpoint_order(net, theta),
+        fisher_sum_sq=checkpoint_order(net, acc.sum_sq),
+        fisher_steps=acc.steps)
     save_checkpoint(result.final, tmp_path / "train.ckpt")
     save_checkpoint(reference, tmp_path / "reference.ckpt")
     assert ((tmp_path / "train.ckpt").read_bytes()
             == (tmp_path / "reference.ckpt").read_bytes())
+
+
+# sha256 of the final checkpoint of fine_tune(kind, form, 0.5, prev_intent),
+# as the row-major parameter layout wrote it: the on-disk bytes must not
+# depend on the order of theta in memory, and no other pin covers the norm
+# form, whose sum adds in checkpoint order
+FINE_TUNE_SHA256 = {
+    ("movenorm", "norm", None):
+        "a0d968f8636ea6f3f4078460721e58ba0b080030c9e6bffa5b0a5c6f4398ba23",
+    ("ewc", "norm", None):
+        "5aaebc03e4088194a25cd597e1c1b4985df734da161b7f05149b01e5e78f1ab7",
+    ("ewc", "squared", "IN:A"):
+        "010431bbdfa5070e68eef2494a9f8e9085a84bc8bb57b1d63f2cbae80d37da3d",
+    ("ewc", "norm", "IN:A"):
+        "b256a361116732a6ba3dc2d28bd801c3ba577f2fbf6795de4fdb7e7e4bc989c9",
+}
+
+
+@pytest.mark.parametrize("kind, form, prev_intent", FINE_TUNE_SHA256)
+def test_fine_tune_checkpoint_keeps_its_bytes(tmp_path, kind, form,
+                                              prev_intent):
+    result = fine_tune(kind, form, 0.5, prev_intent)[3]
+    save_checkpoint(result.final, tmp_path / "f.ckpt")
+    digest = hashlib.sha256((tmp_path / "f.ckpt").read_bytes()).hexdigest()
+    assert digest == FINE_TUNE_SHA256[kind, form, prev_intent]
 
 
 def test_train_encodes_only_drawn_examples(monkeypatch):
@@ -648,6 +750,42 @@ class TestCheckpoint:
         best_record = [r for r in result.history
                        if r["step"] == result.best.step]
         assert best_record and best_record[-1]["em"] == em
+
+
+def test_checkpoint_stores_heads_row_major(tmp_path):
+    """A distinct value at every coordinate: the file holds each head's
+    weights row-major, then its biases (checkpoint_order's reading, not
+    _views'), for theta and the Fisher sums alike, and loading it gives the
+    model back the theta it had in memory."""
+    net = tiny_model(feature_dim=16)
+    size = net.layout.size
+    net.theta.values[:] = np.arange(1.0, size + 1)
+    fisher = np.arange(size + 1.0, 2 * size + 1)  # in checkpoint order
+    prev = Checkpoint(intents=net.intents, slots=net.slots, feature_dim=16,
+                      theta_values=checkpoint_order(net, net.theta.values),
+                      fisher_sum_sq=fisher, fisher_steps=3, step=0)
+    np.testing.assert_array_equal(prev.fisher_accumulator().sum_sq,
+                                  memory_order(net, fisher))
+    # no epoch: the run snapshots the theta and the Fisher sums it starts from
+    ckpt = train(net, {}, lambda epoch: [],
+                 TrainConfig(max_epochs=0, eval_every=0),
+                 lambda net: {"em": 0.0}, prev=prev).final
+    path = tmp_path / "o.ckpt"
+    save_checkpoint(ckpt, path)
+    payload = path.read_bytes()[len(m._MAGIC) + 32:]
+    header_len = int.from_bytes(payload[:8], "big")
+    body = np.frombuffer(payload[8 + header_len:], dtype=np.float64)
+    np.testing.assert_array_equal(body[:size],
+                                  checkpoint_order(net, net.theta.values))
+    np.testing.assert_array_equal(body[size:], fisher)
+    # the first row of W_int: intent 0's weight of each feature
+    np.testing.assert_array_equal(body[:16],
+                                  net.theta.values[:16 * 2:2])
+    loaded = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.model().theta.values,
+                                  net.theta.values)
+    np.testing.assert_array_equal(loaded.fisher_accumulator().sum_sq,
+                                  memory_order(net, fisher))
 
 
 def test_tag_vocabulary_built_once():

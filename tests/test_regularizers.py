@@ -228,6 +228,46 @@ class TestAnchoredStep:
             dense.values -= 1e-4 * apply_freeze(total, mask).values
         assert fused.values.tobytes() == dense.values.tobytes()
 
+    @pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",)])
+    @pytest.mark.parametrize("row_widths", [{}, {"intent_head": 10,
+                                                 "tag_head": 7}])
+    def test_support_step_bit_identical_with_zero_fisher_rows(
+            self, row_widths, frozen):
+        """Squared EWC over a Fisher that is zero on most rows, and on single
+        coordinates of the others: the support-row step equals penalty plus
+        the dense update on the coordinates inside the support and outside
+        it, touched or not."""
+        rng = np.random.default_rng(3)
+        size = self.BIG.size
+        fisher = rng.exponential(size=size)
+        for name, width in (("intent_head", 10), ("tag_head", 7)):
+            rows = fisher[self.BIG.slice_of(name)].reshape(-1, width)
+            rows[rng.random(len(rows)) < 0.8] = 0.0
+            rows[rng.random(rows.shape) < 0.1] = 0.0
+        theta_prev = ParamVector(self.BIG, rng.normal(size=size))
+        config = RegConfig(kind="ewc", strength=10.0)
+        mask = frozenset(frozen)
+        fused = theta_prev.copy()
+        dense = fused.copy()
+        step = anchored_step(fused, theta_prev, fisher, config, 1e-2, mask,
+                             row_widths)
+        for _ in range(5):
+            index = np.sort(rng.choice(size, 2000, replace=False))
+            grad = SparseGrad(self.BIG, index, rng.normal(size=2000))
+            step(grad)
+            _, total = penalty(dense, theta_prev, fisher, config)
+            total.values[grad.index] += grad.data
+            dense.values -= 1e-2 * apply_freeze(total, mask).values
+        assert fused.values.tobytes() == dense.values.tobytes()
+        assert not np.array_equal(fused.values, theta_prev.values)
+
+    def test_rows_must_tile_their_group(self):
+        theta = ParamVector(self.BIG, np.zeros(self.BIG.size))
+        with pytest.raises(LayoutMismatch, match="^tag_head: 7000 "):
+            anchored_step(theta, theta.copy(), np.ones(self.BIG.size),
+                          RegConfig(kind="ewc", strength=1.0), 0.1,
+                          frozenset(), {"tag_head": 3})
+
     @pytest.mark.parametrize("kind, strength", [("none", 1.0),
                                                 ("movenorm", 0.0),
                                                 ("ewc", 0.0)])
