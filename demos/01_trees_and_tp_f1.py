@@ -7,7 +7,7 @@ scores, and see how one wrong token deep in a nested slot costs two paths.
 """
 
 from treepatch.metrics import extract_paths, per_class_tp_f1, tp_f1
-from treepatch.treebank import classes_of, parse_top, serialize
+from treepatch.treebank import parse_top, serialize
 
 # A query with a nested intent inside the destination slot: "when should I
 # leave for my dentist appointment at 4 pm".
@@ -18,7 +18,7 @@ gold = parse_top(
 
 print("canonical form:")
 print(" ", serialize(gold))
-print("classes:", sorted(classes_of(gold)))
+print("classes:", sorted(gold.classes))
 
 # Each path runs from the root to a slot and carries the slot's serialized
 # contents as its value, so nested mistakes propagate upward.

@@ -2,12 +2,12 @@
 
 from . import (datagen, dataset, harness, metrics, model, regularizers,
                sampling, treebank)
-from .treebank import ParseTree, classes_of, parse_top, serialize
+from .treebank import ParseTree, parse_top, serialize
 
 __all__ = [
     "datagen", "dataset", "harness", "metrics", "model", "regularizers",
     "sampling", "treebank",
-    "ParseTree", "classes_of", "parse_top", "serialize",
+    "ParseTree", "parse_top", "serialize",
 ]
 
 __version__ = "0.1.0"

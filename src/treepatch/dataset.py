@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import treebank
-from .treebank import ParseTree, classes_of, parse_top, serialize
+from .treebank import ParseTree, parse_top, serialize
 
 
 class DatasetError(ValueError):
@@ -48,7 +48,6 @@ class Example:
     id: str
     query: str
     tree: ParseTree
-    classes: frozenset = field(default=None)
 
     def __post_init__(self):
         leaves = self.tree.leaves
@@ -58,8 +57,11 @@ class Example:
         if self.query != " ".join(leaves) and tuple(self.query.split()) != leaves:
             raise DatasetError(f"{self.id}: query tokens {self.query.split()}"
                                f" != tree leaves {list(leaves)}")
-        if self.classes is None:
-            object.__setattr__(self, "classes", frozenset(classes_of(self.tree)))
+
+    @property
+    def classes(self):
+        """The tree's class set, read when the tree was built."""
+        return self.tree.classes
 
 
 @dataclass(frozen=True)
@@ -193,21 +195,6 @@ def load_snips(path):
     return Dataset(tuple(examples))
 
 
-def _class_multiplicity(tree, cls):
-    count = 0
-
-    def visit(node):
-        nonlocal count
-        if node.name == cls:
-            count += 1
-        for child in node.children:
-            if not isinstance(child, str):
-                visit(child)
-
-    visit(tree.root)
-    return count
-
-
 def make_split(src, spec):
     """Partition `src` into d1 (old) and d2 (new) per the split spec.
 
@@ -238,7 +225,7 @@ def make_split(src, spec):
         holders = [ex for ex in d2 if cls in ex.classes and ex.id not in coverage_ids]
         if not holders:
             raise CoverageImpossible(cls)
-        holders.sort(key=lambda ex: _class_multiplicity(ex.tree, spec.target_class))
+        holders.sort(key=lambda ex: ex.tree.labels.count(spec.target_class))
         for ex in holders[: spec.coverage_per_class]:
             coverage_ids.append(ex.id)
             covered |= ex.classes
@@ -278,8 +265,9 @@ def load_tsv(path):
     """Read the canonical 3-column export written by save_tsv.
 
     Each distinct (query, serialization) pair is parsed once, at its first
-    line; the lines that repeat it share that line's immutable tree and
-    class set. A bad tree, or a pair Example rejects, raises LineParseError.
+    line; the lines that repeat it share that line's immutable tree, and so
+    its class set. A bad tree, or a pair Example rejects, raises
+    LineParseError.
     """
     examples = []
     first = {}  # (query, serialization) -> the Example of its first line
@@ -295,7 +283,7 @@ def load_tsv(path):
             key = query, serialization
             seen = first.get(key)
             if seen is not None:
-                examples.append(Example(eid, query, seen.tree, seen.classes))
+                examples.append(Example(eid, query, seen.tree))
                 continue
             try:
                 seen = first[key] = Example(eid, query, parse_top(serialization))

@@ -477,12 +477,15 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
     return result, report
 
 
+def _class_scores(record):
+    """A record's per-class scores, read back as UncertainScores."""
+    return {c: metrics.UncertainScore(**{**v, "per_fold": tuple(v["per_fold"])})
+            for c, v in record["per_class"].items()}
+
+
 def degradation_from_records(before_record, after_record):
-    before = {c: metrics.UncertainScore(**{**v, "per_fold": tuple(v["per_fold"])})
-              for c, v in before_record["per_class"].items()}
-    after = {c: metrics.UncertainScore(**{**v, "per_fold": tuple(v["per_fold"])})
-             for c, v in after_record["per_class"].items()}
-    return metrics.degraded_classes(before, after).as_dict()
+    return metrics.degraded_classes(_class_scores(before_record),
+                                    _class_scores(after_record)).as_dict()
 
 
 def parity_step(finetune_report, scratch_report, target_class, require="both"):

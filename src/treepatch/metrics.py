@@ -86,14 +86,6 @@ class DegradationReport:
         }
 
 
-def _has_slot_below(node):
-    for child in node.children:
-        if isinstance(child, Node):
-            if child.is_slot or _has_slot_below(child):
-                return True
-    return False
-
-
 def extract_paths(tree):
     """Multiset (Counter) of TreePath for one tree."""
     paths = Counter()
@@ -102,7 +94,9 @@ def extract_paths(tree):
         prefix = prefix + (node.name,)
         if node.is_slot:
             paths[TreePath(prefix, serialize_children(node))] += 1
-        elif not _has_slot_below(node):
+        elif not any(isinstance(child, Node) for child in node.children):
+            # an intent's child nodes are all slots (Node raises BadNesting
+            # for an intent under an intent), so one with none has no slot below
             paths[TreePath(prefix, "")] += 1
             return  # nothing below can emit paths
         for child in node.children:

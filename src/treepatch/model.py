@@ -528,7 +528,8 @@ _MAGIC = b"TPCK0001"
 
 
 def save_checkpoint(ckpt, path):
-    """Single-file container: magic, sha256 of the payload, npz payload."""
+    """Single-file container: magic, sha256 of the payload, then the payload
+    (8-byte header length, JSON header, θ and Fisher as float64)."""
     meta = {
         "intents": list(ckpt.intents),
         "slots": list(ckpt.slots),
@@ -544,12 +545,17 @@ def save_checkpoint(ckpt, path):
     meta["n_theta"] = int(theta.size)
     meta["n_fisher"] = int(fisher.size)
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
-    payload = (len(header).to_bytes(8, "big") + header
-               + theta.tobytes() + fisher.tobytes())
+    # the payload goes to sha256 and the file part by part: the arrays'
+    # own buffers are read in place, never copied into one bytes object
+    payload = (len(header).to_bytes(8, "big"), header, theta, fisher)
+    digest = hashlib.sha256()
+    for part in payload:
+        digest.update(part)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(hashlib.sha256(payload).digest())
-        fh.write(payload)
+        fh.write(digest.digest())
+        for part in payload:
+            fh.write(part)
 
 
 def load_checkpoint(path):

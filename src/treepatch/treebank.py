@@ -91,13 +91,30 @@ class Node:
 @dataclass(frozen=True)
 class ParseTree:
     root: Node
-    # the in-order tokens (token_leaves), walked once when the tree is built
+    # read in the tree's one walk, when it is built: the in-order tokens (the
+    # underlying query), the node labels in pre-order (repeats kept) and
+    # their set, every intent/slot label appearing anywhere in the tree
     leaves: tuple = field(init=False, repr=False, compare=False)
+    labels: tuple = field(init=False, repr=False, compare=False)
+    classes: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.root.is_intent:
             raise RootNotIntent(self.root.name)
-        object.__setattr__(self, "leaves", tuple(token_leaves(self)))
+        leaves, labels = [], []
+
+        def visit(node):
+            labels.append(node.name)
+            for child in node.children:
+                if isinstance(child, str):
+                    leaves.append(child)
+                else:
+                    visit(child)
+
+        visit(self.root)
+        object.__setattr__(self, "leaves", tuple(leaves))
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "classes", frozenset(labels))
 
     def __str__(self):
         return serialize(self)
@@ -166,32 +183,3 @@ def _serialize_node(node):
 def serialize(tree):
     """Canonical single-spaced bracket string; inverse of parse_top."""
     return _serialize_node(tree.root)
-
-
-def classes_of(tree):
-    """Set of every intent/slot label appearing anywhere in the tree."""
-    labels = set()
-
-    def visit(node):
-        labels.add(node.name)
-        for child in node.children:
-            if isinstance(child, Node):
-                visit(child)
-
-    visit(tree.root)
-    return labels
-
-
-def token_leaves(tree):
-    """In-order plain tokens of the tree (the underlying query)."""
-    out = []
-
-    def visit(node):
-        for child in node.children:
-            if isinstance(child, str):
-                out.append(child)
-            else:
-                visit(child)
-
-    visit(tree.root)
-    return out

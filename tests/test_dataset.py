@@ -8,12 +8,12 @@ from treepatch.dataset import (ClassNotFound, Dataset, Example,
                                LineParseError, SchemaError, SplitSpec,
                                load_snips, load_top_tsv, load_tsv, make_split,
                                save_tsv, split_stats)
-from treepatch.treebank import parse_top, serialize, token_leaves
+from treepatch.treebank import parse_top, serialize
 
 
 def ex(eid, text):
     tree = parse_top(text)
-    return Example(id=eid, query=" ".join(token_leaves(tree)), tree=tree)
+    return Example(id=eid, query=" ".join(tree.leaves), tree=tree)
 
 
 def corpus(*texts):
@@ -118,6 +118,16 @@ class TestMakeSplit:
         assert sum("SL:RARE" in e.classes for e in result.d2) == 9
         assert sum("SL:RARE" in e.classes for e in result.d1) == 1
         assert len(result.coverage_ids) >= 1
+
+    def test_coverage_takes_the_fewest_target_occurrences(self):
+        # all three move; SL:ONLY's holders count SL:RARE 2, 1 (nested), 1
+        src = corpus("[IN:A a [SL:RARE b ] [SL:RARE c ] [SL:ONLY d ] ]",
+                     "[IN:A e [SL:ONLY [IN:B [SL:RARE f ] ] ] ]",
+                     "[IN:A g [SL:RARE h ] [SL:ONLY i ] ]",
+                     "[IN:B j ]")
+        result = make_split(src, SplitSpec("SL:RARE", 100, seed=0))
+        assert result.coverage_ids == ("e1",)  # fewest, then by position
+        assert result.d2.ids() == ["e0", "e2"]
 
     def test_rounding_to_zero_moves_nothing(self):
         src = split_corpus(n_target=10)

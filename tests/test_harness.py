@@ -15,7 +15,7 @@ from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
 from treepatch.model import (Checkpoint, TaggerModel, UnknownLabel,
                              load_checkpoint, predict_trees)
 from treepatch.regularizers import MissingFisher
-from treepatch.treebank import Node, ParseTree, token_leaves
+from treepatch.treebank import Node, ParseTree, serialize
 
 SMALL = {
     "seed": 7,
@@ -423,11 +423,26 @@ def gold_intents(depth):
         st.one_of(TOKENS, gold_slots(depth)), min_size=1, max_size=4).map(tuple))
 
 
+@settings(max_examples=300, deadline=None)
+@given(gold_intents(3))
+def test_tree_walk_matches_its_serialization(root):
+    """The one walk, against the tokens of serialize(tree): the leaves are
+    its non-bracket tokens and the labels its `[LABEL` tokens, in order."""
+    tree = ParseTree(root)
+    tokens = serialize(tree).split()
+    assert tree.leaves == tuple(t for t in tokens if t[0] != "[" and t != "]")
+    assert tree.labels == tuple(t[1:] for t in tokens if t[0] == "[")
+    assert tree.classes == frozenset(tree.labels)
+    if tree.leaves:
+        example = Example("e", " ".join(tree.leaves), tree)
+        assert example.classes is example.tree.classes
+
+
 # a query has at least one token
-GOLD_ROOTS = gold_intents(2).filter(lambda root: token_leaves(ParseTree(root)))
+GOLD_ROOTS = gold_intents(2).filter(lambda root: ParseTree(root).leaves)
 TEST_SETS = st.lists(GOLD_ROOTS, min_size=5, max_size=12).map(
     lambda roots: Dataset(tuple(
-        Example(f"t{i}", " ".join(token_leaves(ParseTree(root))), ParseTree(root))
+        Example(f"t{i}", " ".join(ParseTree(root).leaves), ParseTree(root))
         for i, root in enumerate(roots))))
 
 
@@ -477,8 +492,7 @@ def repeating_test_sets(draw):
                             max_size=3 * len(roots)))
     order = draw(st.permutations(list(range(len(roots))) + repeats))
     return Dataset(tuple(
-        Example(f"t{i}", " ".join(token_leaves(ParseTree(roots[r]))),
-                ParseTree(roots[r]))
+        Example(f"t{i}", " ".join(ParseTree(roots[r]).leaves), ParseTree(roots[r]))
         for i, r in enumerate(order)))
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -22,7 +23,7 @@ from treepatch.regularizers import (LayoutMismatch, MissingAnchor,
                                     MissingFisher, ParamVector, RegConfig,
                                     anchored_step, apply_freeze, penalty)
 from treepatch.sampling import batches
-from treepatch.treebank import parse_top, serialize, token_leaves
+from treepatch.treebank import parse_top, serialize
 
 INTENTS = ("IN:A", "IN:B")
 SLOTS = ("SL:X", "SL:Y")
@@ -34,7 +35,7 @@ def tiny_model(feature_dim=64):
 
 def example(eid, text):
     tree = parse_top(text)
-    return Example(id=eid, query=" ".join(token_leaves(tree)), tree=tree)
+    return Example(id=eid, query=" ".join(tree.leaves), tree=tree)
 
 
 def encoded(net, *queries):
@@ -355,7 +356,7 @@ class TestDecode:
                              for _ in range(rng.integers(1, 8)))
             tag_seq = [tags[rng.integers(0, len(tags))] for _ in query.split()]
             tree = decode_tree(query, "IN:A", tag_seq)
-            assert list(token_leaves(tree)) == query.split()
+            assert list(tree.leaves) == query.split()
 
 
 def toy_corpus():
@@ -788,6 +789,28 @@ def test_checkpoint_stores_heads_row_major(tmp_path):
                                   memory_order(net, fisher))
 
 
+def test_save_checkpoint_copies_neither_array(tmp_path):
+    """sha256 and the file read theta and the Fisher sums in place, so the
+    traced peak of a save stays below the body's size; joining the header
+    and both arrays' bytes into one payload peaked near twice it."""
+    net = TaggerModel.init(INTENTS, SLOTS, feature_dim=4096)
+    ckpt = Checkpoint(intents=net.intents, slots=net.slots, feature_dim=4096,
+                      theta_values=net.theta.values,
+                      fisher_sum_sq=net.theta.values + 1.0,
+                      fisher_steps=1, step=1)
+    body = ckpt.theta_values.nbytes + ckpt.fisher_sum_sq.nbytes
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, tmp_path / "big.ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < body
+    loaded = load_checkpoint(tmp_path / "big.ckpt")
+    np.testing.assert_array_equal(loaded.theta_values, ckpt.theta_values)
+    np.testing.assert_array_equal(loaded.fisher_sum_sq, ckpt.fisher_sum_sq)
+
+
 def test_tag_vocabulary_built_once():
     net = tiny_model()
     assert net.tags == ("O", "B-SL:X", "I-SL:X", "B-SL:Y", "I-SL:Y")
@@ -798,4 +821,4 @@ def test_predict_emits_valid_trees():
     net = tiny_model()
     tree = predict_trees(net, [example("q", "[IN:A hello out there ]")])[0]
     assert serialize(tree)
-    assert list(token_leaves(tree)) == "hello out there".split()
+    assert list(tree.leaves) == "hello out there".split()

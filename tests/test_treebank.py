@@ -3,9 +3,8 @@ import pytest
 
 from treepatch import treebank
 from treepatch.treebank import (BadLabel, EmptyNode, Node, ParseTree,
-                                RootNotIntent, UnbalancedBrackets, classes_of,
-                                parse_top, serialize, serialize_children,
-                                token_leaves)
+                                RootNotIntent, UnbalancedBrackets, parse_top,
+                                serialize, serialize_children)
 
 FIG1 = ("[IN:GET_DEPARTURE when should i leave for my "
         "[SL:DESTINATION [IN:GET_EVENT [SL:NAME_EVENT dentist ] "
@@ -83,11 +82,11 @@ def test_slotless_intents_allowed():
 
 
 def test_classes_of_simple():
-    assert classes_of(parse_top("[IN:CANCEL hi ]")) == {"IN:CANCEL"}
+    assert parse_top("[IN:CANCEL hi ]").classes == {"IN:CANCEL"}
 
 
 def test_classes_of_fig1():
-    assert classes_of(parse_top(FIG1)) == {
+    assert parse_top(FIG1).classes == {
         "IN:GET_DEPARTURE", "SL:TIME_ARRIVAL", "SL:DESTINATION",
         "IN:GET_EVENT", "SL:NAME_EVENT", "SL:CATEGORY_EVENT",
     }
@@ -95,23 +94,31 @@ def test_classes_of_fig1():
 
 def test_classes_counted_once():
     tree = parse_top("[IN:A [SL:X a ] [SL:X b ] ]")
-    assert classes_of(tree) == {"IN:A", "SL:X"}
+    assert tree.classes == {"IN:A", "SL:X"}
+    assert tree.labels == ("IN:A", "SL:X", "SL:X")
 
 
 def test_classes_invariant_under_round_trip():
     tree = parse_top(FIG1)
-    assert classes_of(parse_top(serialize(tree))) == classes_of(tree)
+    assert parse_top(serialize(tree)).classes == tree.classes
 
 
 def test_token_leaves_in_order():
-    assert token_leaves(parse_top(FIG1)) == (
+    assert parse_top(FIG1).leaves == tuple(
         "when should i leave for my dentist appointment at 4 pm".split())
+
+
+def test_labels_in_pre_order():
+    assert parse_top(FIG1).labels == (
+        "IN:GET_DEPARTURE", "SL:DESTINATION", "IN:GET_EVENT", "SL:NAME_EVENT",
+        "SL:CATEGORY_EVENT", "SL:TIME_ARRIVAL")
 
 
 def test_leaves_walked_once_per_tree():
     tree = parse_top(FIG1)
-    assert tree.leaves is tree.leaves
-    assert tree.leaves == tuple(token_leaves(tree))
+    assert tree.leaves is tree.leaves and tree.labels is tree.labels
+    assert tree.classes is tree.classes
+    assert tree == parse_top(FIG1) and "leaves" not in repr(tree)
 
 
 def test_nesting_rule_enforced():
