@@ -117,11 +117,13 @@ def cmd_evaluate(args):
     _write_json(evaluator(ckpt.model()), args.report)
 
 
+def _read_report(path):
+    with open(path, encoding="utf-8") as fh:
+        return harness.RunReport.from_dict(json.load(fh))
+
+
 def cmd_compare(args):
-    with open(args.finetune, encoding="utf-8") as fh:
-        ft = harness.RunReport.from_dict(json.load(fh))
-    with open(args.scratch, encoding="utf-8") as fh:
-        scratch = harness.RunReport.from_dict(json.load(fh))
+    ft, scratch = _read_report(args.finetune), _read_report(args.scratch)
     record = harness.cmd_compare(ft, scratch, args.target_class,
                                  require=args.require)
     _write_json(record, args.report)
@@ -150,9 +152,8 @@ def cmd_sweep(args):
     cfg = _load_config(args)
     bundle = harness.prepare(cfg)
     prev = load_checkpoint(args.prev)
-    with open(args.scratch_report, encoding="utf-8") as fh:
-        scratch = harness.RunReport.from_dict(json.load(fh))
-    rows = harness.cmd_sweep(cfg, bundle, prev, scratch, **options)
+    rows = harness.cmd_sweep(cfg, bundle, prev,
+                             _read_report(args.scratch_report), **options)
     harness.sweep_rows_to_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
 

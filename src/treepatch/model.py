@@ -12,9 +12,10 @@ are feature-major, a (feature_dim, rows) matrix: the rows of one hashed
 feature (one per intent or tag) lie side by side, so a batch's gradient,
 the Fisher update and the SGD step touch a few hundred contiguous feature
 rows instead of columns at stride feature_dim. A checkpoint stores them
-row-major, (rows, feature_dim), as files always have; the Checkpoint
-boundary (train's snapshots, Checkpoint.model and
-Checkpoint.fisher_accumulator) transposes, and only there.
+row-major, (rows, feature_dim), as files always have. The layout, whose
+row widths are the intents and the tags, transposes (ParamLayout.reordered)
+at the Checkpoint boundary only: train's snapshots, Checkpoint.model and
+Checkpoint.fisher_accumulator.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ GROUPS = ("intent_head", "tag_head")  # parameter groups, in order
 
 
 def make_layout(feature_dim, n_intents, n_tags):
+    """Each head one row per hashed feature, then one row of biases."""
     return ParamLayout(tuple(zip(GROUPS, (
-        n_intents * feature_dim + n_intents, n_tags * feature_dim + n_tags))))
+        n_intents * feature_dim + n_intents, n_tags * feature_dim + n_tags))),
+        (n_intents, n_tags))
 
 
 @dataclass
@@ -91,7 +94,7 @@ class TaggerModel:
         self.slots = tuple(self.slots)
         if self.theta is None:
             self.theta = ParamVector.zeros(self.layout)
-        if self.theta.layout.groups != self.layout.groups:
+        if self.theta.layout != self.layout:
             raise DimMismatch("theta layout does not match vocab/dims")
 
     @cached_property
@@ -106,7 +109,7 @@ class TaggerModel:
     def bio_ids(self):  # slot s -> its B- and I- ids in tag_vocab: 2s+1, 2s+2
         return {slot: (2 * s + 1, 2 * s + 2) for s, slot in enumerate(self.slots)}
 
-    @property
+    @cached_property
     def layout(self):
         return make_layout(self.feature_dim, len(self.intents), len(self.tags))
 
@@ -114,20 +117,14 @@ class TaggerModel:
     def init(cls, intents, slots, feature_dim=4096):
         return cls(tuple(sorted(intents)), tuple(sorted(slots)), feature_dim)
 
-    def _views(self, theta=None):
+    def _views(self):
         """Views of theta's heads in memory order: W_int (feature_dim,
         intents) and W_tag (feature_dim, tags), feature-major, and the
-        biases b_int and b_tag."""
-        theta = theta if theta is not None else self.theta
-        n_int, n_tag, w = len(self.intents), len(self.tags), self.feature_dim
-        ih = theta.group("intent_head")
-        th = theta.group("tag_head")
-        return {
-            "W_int": ih[: n_int * w].reshape(w, n_int),
-            "b_int": ih[n_int * w:],
-            "W_tag": th[: n_tag * w].reshape(w, n_tag),
-            "b_tag": th[n_tag * w:],
-        }
+        biases b_int and b_tag, each head's last row."""
+        ih, th = (self.theta.group(name).reshape(-1, width)
+                  for name, width in zip(GROUPS, self.layout.widths))
+        return {"W_int": ih[:-1], "b_int": ih[-1],
+                "W_tag": th[:-1], "b_tag": th[-1]}
 
 
 MAX_FEATS = 4  # word, prev, next and bigram: at most four ids per token
@@ -475,23 +472,6 @@ def predict_trees(model, examples):
             for i, (query, intent) in enumerate(zip(queries, intents.tolist()))]
 
 
-def _reordered(values, layout, feature_dim, to_memory):
-    """A copy of theta-sized `values` in the other order: checkpoint order
-    (each head's weights row-major, (rows, feature_dim)) to memory order
-    (feature-major, (feature_dim, rows)) when to_memory, else back. The
-    biases keep their place."""
-    out = np.empty_like(values)
-    for name, size in layout.groups:
-        group = layout.slice_of(name)
-        rows = size // (feature_dim + 1)
-        shape = (rows, feature_dim) if to_memory else (feature_dim, rows)
-        weights = slice(group.start, group.start + rows * feature_dim)
-        out[weights].reshape(shape[::-1])[...] = (
-            values[weights].reshape(shape).T)
-        out[weights.stop:group.stop] = values[weights.stop:group.stop]
-    return out
-
-
 @dataclass
 class Checkpoint:
     intents: tuple
@@ -506,12 +486,11 @@ class Checkpoint:
 
     def model(self):
         """The model of theta_values, in memory order."""
-        theta = _reordered(self.theta_values, self.layout, self.feature_dim,
-                           to_memory=True)
+        theta = self.layout.reordered(self.theta_values, to_memory=True)
         return TaggerModel(self.intents, self.slots, self.feature_dim,
                            ParamVector(self.layout, theta))
 
-    @property
+    @cached_property
     def layout(self):
         return make_layout(self.feature_dim, len(self.intents),
                            len(tag_vocab(self.slots)))
@@ -519,8 +498,8 @@ class Checkpoint:
     def fisher_accumulator(self):
         """An accumulator that continues fisher_sum_sq, in memory order."""
         return FisherAccumulator(
-            self.layout, _reordered(self.fisher_sum_sq, self.layout,
-                                    self.feature_dim, to_memory=True),
+            self.layout, self.layout.reordered(self.fisher_sum_sq,
+                                               to_memory=True),
             self.fisher_steps)
 
 
@@ -652,15 +631,8 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
         theta_prev = prev.model().theta
         fisher_acc = prev.fisher_accumulator()
         fisher_prev = fisher_acc.fisher() if fisher_acc.steps else None
-    def saved(values):  # theta-sized values in checkpoint order
-        return _reordered(values, model.layout, model.feature_dim,
-                          to_memory=False)
-
-    sgd_step = anchored_step(
-        model.theta, theta_prev, fisher_prev, cfg.reg, cfg.lr, cfg.freeze,
-        # in memory a head is one row per hashed feature, then its biases
-        {"intent_head": len(model.intents), "tag_head": len(model.tags)},
-        saved)
+    sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
+                             cfg.lr, cfg.freeze)
     corpus = encode([], model.feature_dim, [])  # the examples drawn so far
     row_of = {}  # example id -> its row in corpus
 
@@ -672,11 +644,12 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
     stopped = False
 
     def snapshot():
+        layout = model.layout
         return Checkpoint(
             intents=model.intents, slots=model.slots,
             feature_dim=model.feature_dim,
-            theta_values=saved(model.theta.values),
-            fisher_sum_sq=saved(fisher_acc.sum_sq),
+            theta_values=layout.reordered(model.theta.values, to_memory=False),
+            fisher_sum_sq=layout.reordered(fisher_acc.sum_sq, to_memory=False),
             fisher_steps=fisher_acc.steps,
             step=step, config_digest=config_digest, history=tuple(history))
 

@@ -5,6 +5,9 @@ the EWC variant weights each coordinate by an importance estimate F, the
 running mean of squared task-loss gradients accumulated from the very first
 training step. Default "squared" form is the classic quadratic; the "norm"
 form is the literal L2 distance with an epsilon guard at zero.
+
+theta's ParamLayout is the one description of its geometry (groups, row
+widths, memory and checkpoint order); anchored_step reads it from theta.
 """
 
 from __future__ import annotations
@@ -36,9 +39,24 @@ class MissingAnchor(RegError):
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Ordered named groups partitioning a flat parameter vector."""
+    """Ordered named groups partitioning a flat parameter vector. In memory
+    a group is rows of its width (1 unless given): one per feature, then
+    its biases; a checkpoint stores the feature rows transposed (see
+    reordered)."""
 
     groups: tuple  # ((name, size), ...)
+    widths: tuple = ()  # the row width of each group, in order
+
+    def __post_init__(self):
+        if not self.widths:
+            object.__setattr__(self, "widths", (1,) * len(self.groups))
+        if len(self.widths) != len(self.groups):
+            raise LayoutMismatch(f"{len(self.widths)} row widths for "
+                                 f"{len(self.groups)} groups")
+        for (name, size), width in zip(self.groups, self.widths):
+            if width < 1 or size % width:
+                raise LayoutMismatch(f"{name}: {size} coordinates do not form "
+                                     f"rows of {width}")
 
     @property
     def size(self):
@@ -51,6 +69,21 @@ class ParamLayout:
                 return slice(offset, offset + size)
             offset += size
         raise KeyError(name)
+
+    def reordered(self, values, to_memory):
+        """A copy of layout-sized `values` in the other order: checkpoint
+        order to memory order when to_memory, else back. The identity on a
+        group of width 1; the biases keep their place."""
+        out = np.empty_like(values)
+        for (name, size), width in zip(self.groups, self.widths):
+            group = self.slice_of(name)
+            features = max(size // width - 1, 0)
+            shape = (width, features) if to_memory else (features, width)
+            weights = slice(group.start, group.start + features * width)
+            out[weights].reshape(shape[::-1])[...] = (
+                values[weights].reshape(shape).T)
+            out[weights.stop:group.stop] = values[weights.stop:group.stop]
+        return out
 
 
 @dataclass
@@ -94,7 +127,7 @@ class SparseGrad:
 
 
 def _check_layouts(*vectors):
-    layouts = {v.layout.groups for v in vectors}
+    layouts = {v.layout for v in vectors}
     if len(layouts) > 1:
         raise LayoutMismatch("parameter vectors have different layouts")
 
@@ -169,8 +202,7 @@ def penalty(theta, theta_prev, fisher, config):
     return value, ParamVector(theta.layout, grad)
 
 
-def anchored_step(theta, theta_prev, fisher, config, lr, freeze,
-                  row_widths=None, sum_order=None):
+def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     """The SGD step of a run anchored by `config`: step(data_grad) updates
     theta in place, and is the only step train takes. `freeze` holds the
     names of the groups whose gradient is zeroed.
@@ -182,17 +214,15 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze,
     penalty, the data gradient's scatter-add, apply_freeze and the dense
     `theta -= lr * grad`, in the same order per coordinate, without the
     dense temporaries, so theta comes out bit-identical:
-    - squared EWC steps over the Fisher's support rows only. `row_widths`
-      maps a group to the width of the consecutive rows its coordinates
-      form (1 for a group it does not name); the support is the rows of the
-      groups not frozen where F > 0 in some column. Those rows are gathered
-      into one buffer, stepped as the dense step steps them, and written
-      back; the touched coordinates outside them take the sparse step. Where
-      F = 0 the dense step adds delta * 0 = +-0, so the two agree.
+    - squared EWC steps over the Fisher's support rows only: the rows of
+      theta.layout, in the groups not frozen, where F > 0 in some column.
+      Those rows are gathered into one buffer, stepped as the dense step
+      steps them, and written back; the touched coordinates outside them
+      take the sparse step. Where F = 0 the dense step adds delta * 0 =
+      +-0, so the two agree.
     - move-norm (w = 1) and the norm form are fused into one preallocated
-      theta-sized buffer. The norm form adds w * delta^2 in the order of
-      sum_order(values), a copy of theta-sized values in the order the sum
-      is defined in (theta's own order if None).
+      theta-sized buffer. The norm form adds up w * delta^2 in checkpoint
+      order, as penalty does on a checkpoint's values.
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
@@ -207,8 +237,7 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze,
         return sparse_step
     w, scale = anchor
     if config.kind == "ewc" and config.form == "squared":
-        return _support_step(theta, theta_prev.values, w, scale, lr, freeze,
-                             row_widths or {})
+        return _support_step(theta, theta_prev.values, w, scale, lr, freeze)
     c = scale * w
     # the norm form's reduction buffer
     tmp = None if config.form == "squared" else np.empty(theta.layout.size)
@@ -223,8 +252,8 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze,
         else:
             np.multiply(w, buf, out=tmp)
             np.multiply(tmp, buf, out=tmp)
-            summed = tmp if sum_order is None else sum_order(tmp)
-            root = np.sqrt(np.sum(summed) + config.epsilon)
+            root = np.sqrt(np.sum(theta.layout.reordered(
+                tmp, to_memory=False)) + config.epsilon)
             np.multiply(buf, c, out=buf)
             np.divide(buf, root, out=buf)
         buf[data_grad.index] += data_grad.data
@@ -236,7 +265,7 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze,
     return step
 
 
-def _support_step(theta, prev, fisher, scale, lr, freeze, row_widths):
+def _support_step(theta, prev, fisher, scale, lr, freeze):
     """anchored_step's squared EWC step (see there): the dense fused step on
     the rows where the Fisher is positive, the sparse step elsewhere."""
     layout = theta.layout
@@ -246,15 +275,11 @@ def _support_step(theta, prev, fisher, scale, lr, freeze, row_widths):
     place = np.full(layout.size, OUTSIDE, dtype=np.int32)
     blocks = []  # (group's rows, support row ids, its part of the buffer)
     n_support = 0
-    for name, size in layout.groups:
+    for (name, _), width in zip(layout.groups, layout.widths):
         group = layout.slice_of(name)
         if name in freeze:
             place[group] = FROZEN
             continue
-        width = row_widths.get(name, 1)
-        if size % width:
-            raise LayoutMismatch(f"{name}: {size} coordinates do not form "
-                                 f"rows of {width}")
         rows = np.flatnonzero(
             (fisher[group].reshape(-1, width) > 0).any(axis=1))
         if not len(rows):

@@ -20,8 +20,9 @@ from treepatch.model import (Checkpoint, ChecksumError, DimMismatch,
                              loss_and_grad, predict_trees, save_checkpoint,
                              train)
 from treepatch.regularizers import (LayoutMismatch, MissingAnchor,
-                                    MissingFisher, ParamVector, RegConfig,
-                                    anchored_step, apply_freeze, penalty)
+                                    MissingFisher, ParamLayout, ParamVector,
+                                    RegConfig, anchored_step, apply_freeze,
+                                    penalty)
 from treepatch.sampling import batches
 from treepatch.treebank import parse_top, serialize
 
@@ -787,6 +788,39 @@ def test_checkpoint_stores_heads_row_major(tmp_path):
                                   net.theta.values)
     np.testing.assert_array_equal(loaded.fisher_accumulator().sum_sq,
                                   memory_order(net, fisher))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 6))
+def test_layout_reorders_as_the_oracles(feature_dim, n_intents, n_slots):
+    """The model layout's reorder of distinct values is checkpoint_order's
+    and memory_order's, each undoes the other, and on a layout of width-1
+    groups it is the identity."""
+    net = TaggerModel([f"IN:{i}" for i in range(n_intents)],
+                      [f"SL:{i}" for i in range(n_slots)], feature_dim)
+    layout = net.layout
+    values = np.arange(1.0, layout.size + 1)
+    saved = layout.reordered(values, to_memory=False)
+    np.testing.assert_array_equal(saved, checkpoint_order(net, values))
+    np.testing.assert_array_equal(layout.reordered(values, to_memory=True),
+                                  memory_order(net, values))
+    np.testing.assert_array_equal(layout.reordered(saved, to_memory=True),
+                                  values)
+    flat = ParamLayout(layout.groups)
+    for to_memory in (True, False):
+        np.testing.assert_array_equal(flat.reordered(values, to_memory),
+                                      values)
+
+
+def test_theta_of_other_row_widths_rejected():
+    """A theta of the model's groups but width-1 rows would sum the norm
+    form in memory order; the model rejects it. Its layout is built once."""
+    net = tiny_model()
+    assert net.layout is net.layout
+    assert net.layout.widths == (len(net.intents), len(net.tags))
+    flat = ParamVector.zeros(ParamLayout(net.layout.groups))
+    with pytest.raises(DimMismatch):
+        TaggerModel(net.intents, net.slots, net.feature_dim, flat)
 
 
 def test_save_checkpoint_copies_neither_array(tmp_path):

@@ -29,6 +29,32 @@ class TestLayout:
         with pytest.raises(LayoutMismatch):
             ParamVector(LAYOUT, np.zeros(5))
 
+    def test_widths_default_to_one(self):
+        assert LAYOUT.widths == (1, 1, 1)
+        assert LAYOUT == ParamLayout(LAYOUT.groups, (1, 1, 1))
+        assert LAYOUT != ParamLayout(LAYOUT.groups, (3, 1, 2))
+
+    @pytest.mark.parametrize("widths, error", [
+        ((1, 1, 3), "^tag_head: 4 coordinates do not form rows of 3$"),
+        ((1, 0, 1), "^intent_head: 2 coordinates do not form rows of 0$"),
+        ((1, 2), "^2 row widths for 3 groups$"),
+    ])
+    def test_rows_must_tile_their_group(self, widths, error):
+        with pytest.raises(LayoutMismatch, match=error):
+            ParamLayout(LAYOUT.groups, widths)
+
+    def test_reordered_transposes_feature_rows_and_keeps_biases(self):
+        """encoder: width 3, so its one row is its biases; tag_head: width
+        2, two feature rows, then its biases."""
+        layout = ParamLayout((("encoder", 3), ("intent_head", 2),
+                              ("tag_head", 6)), (3, 1, 2))
+        memory = np.arange(11.0)
+        saved = layout.reordered(memory, to_memory=False)
+        np.testing.assert_array_equal(
+            saved, [0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10])
+        np.testing.assert_array_equal(
+            layout.reordered(saved, to_memory=True), memory)
+
 
 @pytest.mark.parametrize("kwargs, field", [
     ({"kind": "bogus"}, "kind"),
@@ -229,31 +255,30 @@ class TestAnchoredStep:
         assert fused.values.tobytes() == dense.values.tobytes()
 
     @pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",)])
-    @pytest.mark.parametrize("row_widths", [{}, {"intent_head": 10,
-                                                 "tag_head": 7}])
+    @pytest.mark.parametrize("layout", [
+        BIG, ParamLayout(BIG.groups, (1, 10, 7))], ids=["width-1", "rows"])
     def test_support_step_bit_identical_with_zero_fisher_rows(
-            self, row_widths, frozen):
+            self, layout, frozen):
         """Squared EWC over a Fisher that is zero on most rows, and on single
-        coordinates of the others: the support-row step equals penalty plus
-        the dense update on the coordinates inside the support and outside
-        it, touched or not."""
+        coordinates of the others: the support-row step, over the rows of
+        theta's layout, equals penalty plus the dense update on the
+        coordinates inside the support and outside it, touched or not."""
         rng = np.random.default_rng(3)
-        size = self.BIG.size
+        size = layout.size
         fisher = rng.exponential(size=size)
         for name, width in (("intent_head", 10), ("tag_head", 7)):
-            rows = fisher[self.BIG.slice_of(name)].reshape(-1, width)
+            rows = fisher[layout.slice_of(name)].reshape(-1, width)
             rows[rng.random(len(rows)) < 0.8] = 0.0
             rows[rng.random(rows.shape) < 0.1] = 0.0
-        theta_prev = ParamVector(self.BIG, rng.normal(size=size))
+        theta_prev = ParamVector(layout, rng.normal(size=size))
         config = RegConfig(kind="ewc", strength=10.0)
         mask = frozenset(frozen)
         fused = theta_prev.copy()
         dense = fused.copy()
-        step = anchored_step(fused, theta_prev, fisher, config, 1e-2, mask,
-                             row_widths)
+        step = anchored_step(fused, theta_prev, fisher, config, 1e-2, mask)
         for _ in range(5):
             index = np.sort(rng.choice(size, 2000, replace=False))
-            grad = SparseGrad(self.BIG, index, rng.normal(size=2000))
+            grad = SparseGrad(layout, index, rng.normal(size=2000))
             step(grad)
             _, total = penalty(dense, theta_prev, fisher, config)
             total.values[grad.index] += grad.data
@@ -261,12 +286,46 @@ class TestAnchoredStep:
         assert fused.values.tobytes() == dense.values.tobytes()
         assert not np.array_equal(fused.values, theta_prev.values)
 
-    def test_rows_must_tile_their_group(self):
-        theta = ParamVector(self.BIG, np.zeros(self.BIG.size))
-        with pytest.raises(LayoutMismatch, match="^tag_head: 7000 "):
-            anchored_step(theta, theta.copy(), np.ones(self.BIG.size),
-                          RegConfig(kind="ewc", strength=1.0), 0.1,
-                          frozenset(), {"tag_head": 3})
+    @pytest.mark.parametrize("kind", ["movenorm", "ewc"])
+    def test_norm_form_sums_in_checkpoint_order(self, kind):
+        """On a layout with row widths, the norm form's step equals penalty
+        taken on checkpoint-ordered values, reordered back, plus the dense
+        update. delta and F span many magnitudes, so that on some step the
+        sum in memory order differs from the sum in checkpoint order."""
+        layout = ParamLayout(self.BIG.groups, (1, 10, 7))
+        rng = np.random.default_rng(11)
+        size = layout.size
+        theta_prev = ParamVector(layout, rng.normal(size=size))
+        fisher = 10.0 ** rng.uniform(-6, 6, size=size)
+        config = RegConfig(kind=kind, strength=1.0, form="norm")
+        fused = ParamVector(layout, theta_prev.values + rng.normal(
+            size=size) * 10.0 ** rng.uniform(-6, 2, size=size))
+        dense = fused.copy()
+        lr = 1.0  # steps large enough to show the root's last bits
+        step = anchored_step(fused, theta_prev, fisher, config, lr,
+                             frozenset())
+        flat = ParamLayout(layout.groups)
+
+        def saved(values):
+            return layout.reordered(values, to_memory=False)
+
+        orders_differ = False
+        for _ in range(5):
+            squares = (dense.values - theta_prev.values) ** 2
+            if kind == "ewc":
+                squares *= fisher * fisher
+            orders_differ |= np.sum(squares) != np.sum(saved(squares))
+            index = np.sort(rng.choice(size, 500, replace=False))
+            grad = SparseGrad(layout, index, rng.normal(size=500))
+            step(grad)
+            _, total = penalty(ParamVector(flat, saved(dense.values)),
+                               ParamVector(flat, saved(theta_prev.values)),
+                               saved(fisher), config)
+            total = layout.reordered(total.values, to_memory=True)
+            total[grad.index] += grad.data
+            dense.values -= lr * total
+        assert orders_differ
+        assert fused.values.tobytes() == dense.values.tobytes()
 
     @pytest.mark.parametrize("kind, strength", [("none", 1.0),
                                                 ("movenorm", 0.0),
@@ -303,6 +362,9 @@ OTHER_LAYOUT = ParamLayout((("g", 9),))
                  LayoutMismatch, id="movenorm-theta-prev-other-layout"),
     pytest.param("ewc", ParamVector(OTHER_LAYOUT, np.zeros(9)), np.ones(9),
                  LayoutMismatch, id="ewc-theta-prev-other-layout"),
+    pytest.param("movenorm", ParamVector(ParamLayout(LAYOUT.groups, (3, 1, 2)),
+                                         np.zeros(9)), None,
+                 LayoutMismatch, id="movenorm-theta-prev-other-widths"),
     pytest.param("ewc", vec(np.zeros(9)), None, MissingFisher,
                  id="ewc-no-fisher"),
     pytest.param("ewc", vec(np.zeros(9)), np.ones(8), LayoutMismatch,
