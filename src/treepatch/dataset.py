@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import treebank
-from .treebank import ParseTree, parse_top, serialize
+from .treebank import INTENT_PREFIX, SLOT_PREFIX, ParseTree, parse_top, serialize
 
 
 class DatasetError(ValueError):
@@ -118,11 +118,11 @@ class SplitResult:
     coverage_ids: tuple
 
 
-def load_top_tsv(path, lenient=False):
+def load_top_tsv(path):
     """Load `raw<TAB>tokenized<TAB>bracket_serialization` lines.
 
     Ids are `line:<n>` (1-based). Malformed lines, and trees without tokens,
-    raise LineParseError unless `lenient`, in which case they are skipped.
+    raise LineParseError.
     """
     examples = []
     with open(path, encoding="utf-8") as fh:
@@ -139,8 +139,7 @@ def load_top_tsv(path, lenient=False):
                 query = " ".join(tree.leaves)
                 examples.append(Example(id=f"line:{lineno}", query=query, tree=tree))
             except (treebank.TreeError, DatasetError) as exc:
-                if not lenient:
-                    raise LineParseError(path, lineno, exc) from exc
+                raise LineParseError(path, lineno, exc) from exc
     return Dataset(tuple(examples))
 
 
@@ -185,10 +184,11 @@ def load_snips(path):
             if slot is None:
                 children.extend(tokens)
             else:
-                children.append(treebank.Node("SL:" + _snips_label(slot), tuple(tokens)))
+                children.append(treebank.Node(SLOT_PREFIX + _snips_label(slot),
+                                              tuple(tokens)))
         if not children:
             raise SchemaError(f"utterance {i} has no tokens")
-        root = treebank.Node("IN:" + _snips_label(utt["intent"]), tuple(children))
+        root = treebank.Node(INTENT_PREFIX + _snips_label(utt["intent"]), tuple(children))
         tree = ParseTree(root)
         query = " ".join(tree.leaves)
         examples.append(Example(id=f"snips:{i}", query=query, tree=tree))

@@ -22,7 +22,7 @@ from . import datagen, metrics, sampling
 from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, bio_spans,
                     encode, gold_targets, predict_ids, train)
 from .regularizers import RegConfig, RegError
-from .treebank import serialize
+from .treebank import INTENT_PREFIX, SLOT_PREFIX, serialize
 from .utils import derive_seed
 
 
@@ -420,8 +420,8 @@ def cmd_train(cfg, bundle, on="all"):
     else:
         raise ConfigError(f"train target must be all|d1, got {on!r}")
     classes = sorted(bundle.classes())
-    intents = sorted(c for c in classes if c.startswith("IN:"))
-    slots = sorted(c for c in classes if c.startswith("SL:"))
+    intents = sorted(c for c in classes if c.startswith(INTENT_PREFIX))
+    slots = sorted(c for c in classes if c.startswith(SLOT_PREFIX))
     model = TaggerModel.init(intents, slots,
                              feature_dim=int(cfg["model"]["feature_dim"]))
     evaluator = make_evaluator(bundle.test, int(cfg["eval"]["k"]),

@@ -6,8 +6,9 @@ running mean of squared task-loss gradients accumulated from the very first
 training step. Default "squared" form is the classic quadratic; the "norm"
 form is the literal L2 distance with an epsilon guard at zero.
 
-theta's ParamLayout is the one description of its geometry (groups, row
-widths, memory and checkpoint order); anchored_step reads it from theta.
+theta's ParamLayout describes its geometry (groups, row widths, memory and
+checkpoint order); anchored_step, the one SGD step (sparse when the penalty
+is off, else one kernel for every kind and form), reads it from theta.
 """
 
 from __future__ import annotations
@@ -70,11 +71,12 @@ class ParamLayout:
             offset += size
         raise KeyError(name)
 
-    def reordered(self, values, to_memory):
-        """A copy of layout-sized `values` in the other order: checkpoint
-        order to memory order when to_memory, else back. The identity on a
-        group of width 1; the biases keep their place."""
-        out = np.empty_like(values)
+    def reordered(self, values, to_memory, out=None):
+        """Layout-sized `values` in the other order, in `out` (a new array
+        unless given): checkpoint order to memory order when to_memory, else
+        back. The identity on a group of width 1; the biases keep their
+        place."""
+        out = np.empty_like(values) if out is None else out
         for (name, size), width in zip(self.groups, self.widths):
             group = self.slice_of(name)
             features = max(size // width - 1, 0)
@@ -115,8 +117,8 @@ class SparseGrad:
     into the layout, with `data` the values there. Adding an untouched
     coordinate's +0.0 changes nothing, so Fisher accumulation, freezing and
     the SGD update on these coordinates alone equal the dense ones exactly,
-    and the squared EWC step needs the dense step's arithmetic only on the
-    Fisher's support rows (see anchored_step)."""
+    and an anchored step needs the dense step's arithmetic only on the
+    rows where the anchor's weight is positive (see anchored_step)."""
 
     layout: ParamLayout
     index: np.ndarray
@@ -210,19 +212,19 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     The anchor is checked here, once, so a bad one fails before training
     starts. When the penalty is off (kind "none" or strength 0) the step is
     sparse: apply_freeze, then `theta -= lr * grad` on the coordinates the
-    data gradient touches. Otherwise it does the float operations of
-    penalty, the data gradient's scatter-add, apply_freeze and the dense
-    `theta -= lr * grad`, in the same order per coordinate, without the
-    dense temporaries, so theta comes out bit-identical:
-    - squared EWC steps over the Fisher's support rows only: the rows of
-      theta.layout, in the groups not frozen, where F > 0 in some column.
-      Those rows are gathered into one buffer, stepped as the dense step
-      steps them, and written back; the touched coordinates outside them
-      take the sparse step. Where F = 0 the dense step adds delta * 0 =
-      +-0, so the two agree.
-    - move-norm (w = 1) and the norm form are fused into one preallocated
-      theta-sized buffer. The norm form adds up w * delta^2 in checkpoint
-      order, as penalty does on a checkpoint's values.
+    data gradient touches. Otherwise one kernel serves every kind and form.
+    It does the float operations of penalty, the data gradient's
+    scatter-add, apply_freeze and the dense `theta -= lr * grad`, in the
+    same order per coordinate, on the support only: the rows of
+    theta.layout, in the groups not frozen, where the weight w of delta^2
+    is > 0 in some column (for move-norm, every row). A group's support
+    rows that form one run of theta are stepped in place; others are
+    gathered into a buffer, stepped and written back. Touched coordinates
+    outside the support take the sparse step: there w = 0, and the dense
+    step adds delta * 0 = +-0, so theta comes out bit-identical. The norm
+    form keeps w * delta^2 in one theta-sized array (+0 where w = 0, fixed
+    in frozen groups, refreshed on the support) and adds it up in
+    checkpoint order, as penalty does on a checkpoint's values.
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
@@ -235,78 +237,75 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
             theta.values[grad.index] -= lr * grad.data
 
         return sparse_step
-    w, scale = anchor
-    if config.kind == "ewc" and config.form == "squared":
-        return _support_step(theta, theta_prev.values, w, scale, lr, freeze)
-    c = scale * w
-    # the norm form's reduction buffer
-    tmp = None if config.form == "squared" else np.empty(theta.layout.size)
-    frozen = [theta.layout.slice_of(name) for name in freeze]
-    prev = theta_prev.values
-    buf = np.empty(theta.layout.size)
-
-    def step(data_grad):
-        np.subtract(theta.values, prev, out=buf)  # delta
-        if tmp is None:
-            np.multiply(buf, c, out=buf)
-        else:
-            np.multiply(w, buf, out=tmp)
-            np.multiply(tmp, buf, out=tmp)
-            root = np.sqrt(np.sum(theta.layout.reordered(
-                tmp, to_memory=False)) + config.epsilon)
-            np.multiply(buf, c, out=buf)
-            np.divide(buf, root, out=buf)
-        buf[data_grad.index] += data_grad.data
-        for group in frozen:
-            buf[group] = 0.0
-        np.multiply(buf, lr, out=buf)
-        theta.values -= buf
-
-    return step
-
-
-def _support_step(theta, prev, fisher, scale, lr, freeze):
-    """anchored_step's squared EWC step (see there): the dense fused step on
-    the rows where the Fisher is positive, the sparse step elsewhere."""
-    layout = theta.layout
+    weight, scale = anchor
+    layout, norm = theta.layout, config.form == "norm"
+    w = np.broadcast_to(weight, (layout.size,))
+    if norm:  # the terms w * delta^2, and a buffer for checkpoint order
+        delta = theta.values - theta_prev.values
+        terms, saved = w * delta * delta, np.empty(layout.size)
     # where each coordinate's step happens: its place in the support buffer,
     # OUTSIDE (the sparse step) or FROZEN (none)
     OUTSIDE, FROZEN = -1, -2
     place = np.full(layout.size, OUTSIDE, dtype=np.int32)
-    blocks = []  # (group's rows, support row ids, its part of the buffer)
+    parts = []  # per group: its support's theta, prev, w, terms and part
+    gathered = []  # (theta's rows, terms' rows, support rows, their copies)
+    for name in freeze:  # a name not in the layout raises KeyError
+        place[layout.slice_of(name)] = FROZEN
     n_support = 0
     for (name, _), width in zip(layout.groups, layout.widths):
-        group = layout.slice_of(name)
         if name in freeze:
-            place[group] = FROZEN
             continue
-        rows = np.flatnonzero(
-            (fisher[group].reshape(-1, width) > 0).any(axis=1))
+        group = layout.slice_of(name)
+
+        def rows_of(values):
+            return values[group].reshape(-1, width)
+
+        rows = np.flatnonzero((rows_of(w) > 0).any(axis=1))
         if not len(rows):
             continue
-        place[group].reshape(-1, width)[rows] = np.arange(
-            n_support, n_support + len(rows) * width).reshape(-1, width)
-        blocks.append((theta.values[group].reshape(-1, width), rows,
-                       slice(n_support, n_support + len(rows) * width), width))
-        n_support += len(rows) * width
-    support = np.flatnonzero(place >= 0)
-    prev_s, c_s = prev[support], scale * fisher[support]
-    theta_s, buf = np.empty(n_support), np.empty(n_support)
-    blocks = [(rows_of, rows, theta_s[part].reshape(-1, width))
-              for rows_of, rows, part, width in blocks]
+        part = slice(n_support, n_support + len(rows) * width)
+        rows_of(place)[rows] = np.arange(part.start, part.stop).reshape(
+            -1, width)
+        n_support = part.stop
+        if rows[-1] - rows[0] == len(rows) - 1:  # one run: stepped in place
+            rows = slice(rows[0], rows[-1] + 1)
+        # views of one run, gathered copies of other rows
+        theta_s = rows_of(theta.values)[rows]
+        terms_s = rows_of(terms)[rows] if norm else None
+        parts.append((theta_s, rows_of(theta_prev.values)[rows],
+                      rows_of(w)[rows] if norm else None, terms_s, part))
+        if not isinstance(rows, slice):
+            gathered.append((rows_of(theta.values),
+                             rows_of(terms) if norm else None, rows,
+                             theta_s, terms_s))
+    c = scale * w[place >= 0] if np.ndim(weight) else scale
+    buf = np.empty(n_support)
+    parts = [(*sup, buf[part].reshape(sup[0].shape)) for *sup, part in parts]
 
     def step(data_grad):
         at = place[data_grad.index]
         inside, outside = at >= 0, at == OUTSIDE
-        for rows_of, rows, block in blocks:
-            np.take(rows_of, rows, axis=0, out=block, mode="clip")
-        np.subtract(theta_s, prev_s, out=buf)  # delta
-        np.multiply(buf, c_s, out=buf)
-        buf[at[inside]] += data_grad.data[inside]
+        for theta_rows, _, rows, theta_s, _ in gathered:
+            np.take(theta_rows, rows, axis=0, out=theta_s, mode="clip")
+        for theta_s, prev_s, w_s, terms_s, buf_s in parts:
+            np.subtract(theta_s, prev_s, out=buf_s)  # delta
+            if norm:
+                np.multiply(w_s, buf_s, out=terms_s)
+                np.multiply(terms_s, buf_s, out=terms_s)
+        if norm:
+            for _, terms_rows, rows, _, terms_s in gathered:
+                terms_rows[rows] = terms_s
+            root = np.sqrt(np.sum(layout.reordered(
+                terms, to_memory=False, out=saved)) + config.epsilon)
+        np.multiply(buf, c, out=buf)
+        if norm:
+            np.divide(buf, root, out=buf)
+        np.add.at(buf, at[inside], data_grad.data[inside])
         np.multiply(buf, lr, out=buf)
-        np.subtract(theta_s, buf, out=theta_s)
-        for rows_of, rows, block in blocks:
-            rows_of[rows] = block
+        for theta_s, *_, buf_s in parts:
+            np.subtract(theta_s, buf_s, out=theta_s)
+        for theta_rows, _, rows, theta_s, _ in gathered:
+            theta_rows[rows] = theta_s
         theta.values[data_grad.index[outside]] -= lr * data_grad.data[outside]
 
     return step

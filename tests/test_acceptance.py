@@ -304,7 +304,7 @@ TOP_TRAIN = os.environ.get("TOP_TRAIN_TSV", "data/top/train.tsv")
                     reason="public TOP dataset not present "
                            "(set TOP_TRAIN_TSV to its train file)")
 def test_criterion_8_top_organizer_event_split():
-    data = load_top_tsv(TOP_TRAIN, lenient=True)
+    data = load_top_tsv(TOP_TRAIN)
     result = make_split(data, SplitSpec("SL:ORGANIZER_EVENT", 95, seed=0))
     old = sum("SL:ORGANIZER_EVENT" in ex.classes for ex in result.d1)
     new = sum("SL:ORGANIZER_EVENT" in ex.classes for ex in result.d2)

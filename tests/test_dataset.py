@@ -38,18 +38,12 @@ class TestTopTsv:
             load_top_tsv(path)
         assert err.value.lineno == 2
 
-    def test_lenient_skips_bad_lines(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("x\tx\t[IN:CANCEL x ]\ny\ty\t[IN:BROKEN y\n")
-        assert len(load_top_tsv(path, lenient=True)) == 1
-
     def test_tree_without_tokens_rejected_at_its_line(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("x\tx\t[IN:CANCEL x ]\n\t\t[IN:B ]\n")
         with pytest.raises(LineParseError, match="no tokens") as err:
             load_top_tsv(path)
         assert err.value.lineno == 2
-        assert len(load_top_tsv(path, lenient=True)) == 1
 
     def test_duplicate_serializations_both_kept(self, tmp_path):
         path = tmp_path / "dup.tsv"

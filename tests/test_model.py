@@ -503,6 +503,7 @@ def fine_tune(kind, form, strength, prev_intent, frozen=()):
     # are rows of zero Fisher: the EWC step's support is a strict subset of
     # the rows, and the fine-tune touches rows outside it
     pytest.param("ewc", "squared", 0.5, "IN:A", id="ewc-unseen-rows"),
+    pytest.param("ewc", "norm", 0.5, "IN:A", id="ewc-norm-unseen-rows"),
 ])
 def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
                                                  strength, prev_intent, frozen):

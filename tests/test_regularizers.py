@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,15 +256,18 @@ class TestAnchoredStep:
             dense.values -= 1e-4 * apply_freeze(total, mask).values
         assert fused.values.tobytes() == dense.values.tobytes()
 
+    @pytest.mark.parametrize("form", ["squared", "norm"])
     @pytest.mark.parametrize("frozen", [(), ("intent_head",), ("tag_head",)])
     @pytest.mark.parametrize("layout", [
         BIG, ParamLayout(BIG.groups, (1, 10, 7))], ids=["width-1", "rows"])
     def test_support_step_bit_identical_with_zero_fisher_rows(
-            self, layout, frozen):
-        """Squared EWC over a Fisher that is zero on most rows, and on single
+            self, layout, frozen, form):
+        """EWC over a Fisher that is zero on most rows, and on single
         coordinates of the others: the support-row step, over the rows of
-        theta's layout, equals penalty plus the dense update on the
-        coordinates inside the support and outside it, touched or not."""
+        theta's layout, equals penalty (taken in checkpoint order) plus the
+        dense update on the coordinates inside the support and outside it,
+        touched or not. theta starts away from theta_prev, so that in the
+        norm form the frozen groups add fixed terms to the root."""
         rng = np.random.default_rng(3)
         size = layout.size
         fisher = rng.exponential(size=size)
@@ -271,16 +276,26 @@ class TestAnchoredStep:
             rows[rng.random(len(rows)) < 0.8] = 0.0
             rows[rng.random(rows.shape) < 0.1] = 0.0
         theta_prev = ParamVector(layout, rng.normal(size=size))
-        config = RegConfig(kind="ewc", strength=10.0)
+        config = RegConfig(kind="ewc", strength=10.0, form=form)
         mask = frozenset(frozen)
-        fused = theta_prev.copy()
+        fused = ParamVector(layout, theta_prev.values + rng.normal(
+            scale=0.1, size=size))
         dense = fused.copy()
         step = anchored_step(fused, theta_prev, fisher, config, 1e-2, mask)
+        flat = ParamLayout(layout.groups)
+
+        def saved(values):
+            return layout.reordered(values, to_memory=False)
+
         for _ in range(5):
             index = np.sort(rng.choice(size, 2000, replace=False))
             grad = SparseGrad(layout, index, rng.normal(size=2000))
             step(grad)
-            _, total = penalty(dense, theta_prev, fisher, config)
+            _, total = penalty(ParamVector(flat, saved(dense.values)),
+                               ParamVector(flat, saved(theta_prev.values)),
+                               saved(fisher), config)
+            total = ParamVector(layout, layout.reordered(total.values,
+                                                         to_memory=True))
             total.values[grad.index] += grad.data
             dense.values -= 1e-2 * apply_freeze(total, mask).values
         assert fused.values.tobytes() == dense.values.tobytes()
@@ -326,6 +341,40 @@ class TestAnchoredStep:
             dense.values -= lr * total
         assert orders_differ
         assert fused.values.tobytes() == dense.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["movenorm", "ewc"])
+    def test_norm_step_allocates_nothing_theta_sized(self, kind):
+        """After its first call, a norm-form step adds up its terms in a
+        checkpoint-order buffer made once: no step allocates an array near
+        theta's size."""
+        layout = ParamLayout(self.BIG.groups, (1, 10, 7))
+        rng = np.random.default_rng(5)
+        theta_prev = ParamVector(layout, rng.normal(size=layout.size))
+        theta = ParamVector(layout, theta_prev.values + 0.1)
+        step = anchored_step(theta, theta_prev,
+                             rng.exponential(size=layout.size),
+                             RegConfig(kind=kind, strength=1.0, form="norm"),
+                             1e-2, frozenset())
+        index = np.sort(rng.choice(layout.size, 200, replace=False))
+        grad = SparseGrad(layout, index, rng.normal(size=200))
+        step(grad)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < theta.values.nbytes // 4
+
+    @pytest.mark.parametrize("form", ["squared", "norm"])
+    @pytest.mark.parametrize("kind", ["movenorm", "ewc"])
+    def test_unknown_frozen_group_raises(self, kind, form):
+        theta = rand_vec(np.random.default_rng(2))
+        with pytest.raises(KeyError):
+            anchored_step(theta, theta.copy(), np.ones(LAYOUT.size),
+                          RegConfig(kind=kind, strength=1.0, form=form), 0.1,
+                          frozenset({"decoder"}))
 
     @pytest.mark.parametrize("kind, strength", [("none", 1.0),
                                                 ("movenorm", 0.0),
