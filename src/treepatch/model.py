@@ -14,8 +14,8 @@ the Fisher update and the SGD step touch a few hundred contiguous feature
 rows instead of columns at stride feature_dim. A checkpoint stores them
 row-major, (rows, feature_dim), as files always have. The layout, whose
 row widths are the intents and the tags, transposes (ParamLayout.reordered)
-at the Checkpoint boundary only: train's snapshots, Checkpoint.model and
-Checkpoint.fisher_accumulator.
+at the Checkpoint boundary only: train's best and final checkpoints,
+Checkpoint.model and Checkpoint.fisher_accumulator.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ class TaggerModel:
 
 
 MAX_FEATS = 4  # word, prev, next and bigram: at most four ids per token
+CHUNK = 256  # examples per batched pass: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,7 @@ def _total(X, batch):
 
 def forward(model, batch):
     """(intent distributions (examples, intents), tag distributions
-    (tokens, tags)) for an Encoded batch."""
+    (tokens, tags)) for an Encoded or a Compiled batch."""
     v = model._views()
     int_logits = (_segment_sums(_column_sums(v["W_int"], batch.feats), batch)
                   / batch.lengths[:, None] + v["b_int"])
@@ -337,49 +338,111 @@ def _row_index(start, rows, row_width):
     return (start + rows[:, None] * row_width + np.arange(row_width)).ravel()
 
 
-def loss_and_grad(model, batch):
-    """Mean cross-entropy (intent + per-token tags) of an Encoded batch
-    with targets, and its gradient: a SparseGrad over the coordinates the
-    batch touches. train steps on it and feeds it to the Fisher
-    accumulator; an anchoring penalty is added by
-    regularizers.anchored_step, not here."""
-    B = len(batch)
-    if not B:
-        raise ModelError("empty batch")
-    if batch.intents is None:
-        raise ModelError("batch has no targets")
+@dataclass(frozen=True)
+class Compiled:
+    """One batch's θ-independent arrays: what the gradient kernel reads
+    besides θ (see compile_batches). feats, lengths and positions are an
+    Encoded's, so forward reads a Compiled as it reads an Encoded."""
+
+    feats: np.ndarray  # (tokens, MAX_FEATS)
+    lengths: np.ndarray  # (examples,)
+    positions: np.ndarray  # (examples, longest length), Encoded.positions
+    intents: np.ndarray  # (examples,)
+    tags: np.ndarray  # (tokens,)
+    example_of_token: np.ndarray  # (tokens,)
+    token_denom: np.ndarray  # (tokens,) its example's length x batch size
+    token_of_entry: np.ndarray  # (entries,) token of each live feature slot
+    cols: np.ndarray  # (touched features,) ascending
+    col_of_entry: np.ndarray  # (entries,) each entry's place in cols
+
+
+def compile_batches(batch, batch_size, feature_dim):
+    """The Compiled batches of an Encoded `batch` with targets, cut into
+    consecutive batches of batch_size examples (the last may be short).
+
+    One vectorized pass computes every batch's arrays; each batch's are
+    slices of them. An entry is a live feature slot of a token, taken in
+    (token, slot) order; one np.unique over batch * feature_dim + feature
+    gives each batch's touched features and each entry's place among them,
+    as np.unique over the batch's features alone would."""
+    n, lengths, offsets = len(batch), batch.lengths, batch.offsets
+    starts = np.arange(0, n, batch_size)  # each batch's first example
+    sizes = np.minimum(n - starts, batch_size)
+    token_bounds = offsets[np.append(starts, n)]
+    batch_of_example = np.arange(n) // batch_size
+    batch_of_token = np.repeat(batch_of_example, lengths)
+    example_of_token = np.repeat(np.arange(n) % batch_size, lengths)
+    token_denom = np.repeat(lengths * sizes[batch_of_example], lengths)
+    t = np.arange(lengths.max())
+    first = offsets[:-1] - token_bounds[batch_of_example]  # within its batch
+    positions = np.where(t < lengths[:, None], first[:, None] + t,
+                         np.diff(token_bounds)[batch_of_example, None])
+    longest = np.maximum.reduceat(lengths, starts).tolist()
+    token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
+    batch_of_entry = batch_of_token[token_of_entry]
+    keys, key_of_entry = np.unique(
+        batch_of_entry * feature_dim
+        + batch.feats[token_of_entry, slot_of_entry], return_inverse=True)
+    key_bounds = np.searchsorted(keys, np.arange(len(starts) + 1)
+                                 * feature_dim)
+    entry_bounds = np.searchsorted(batch_of_entry, np.arange(len(starts) + 1))
+    token_of_entry -= token_bounds[batch_of_entry]
+    key_of_entry -= key_bounds[batch_of_entry]
+    keys %= feature_dim
+    out = []
+    for b, s in enumerate(starts.tolist()):
+        rows = slice(s, s + batch_size)
+        tok, entries, cols = (slice(*bounds[b:b + 2].tolist()) for bounds in
+                              (token_bounds, entry_bounds, key_bounds))
+        out.append(Compiled(
+            batch.feats[tok], lengths[rows], positions[rows, :longest[b]],
+            batch.intents[rows], batch.tags[tok], example_of_token[tok],
+            token_denom[tok], token_of_entry[entries], keys[cols],
+            key_of_entry[entries]))
+    return out
+
+
+def compile_epoch(corpus, row_batches, feature_dim):
+    """The Compiled batches of an epoch, in order: row_batches are lists of
+    rows of the Encoded corpus, all of one size but the last. ceil(CHUNK /
+    that size) batches at a time are taken from corpus in one Encoded.take,
+    so that each is a contiguous slice of the chunk, and compiled in one
+    compile_batches pass. A chunk's arrays stay far smaller than θ; the
+    flat index of a batch's SparseGrad is built by the step, one batch at a
+    time."""
+    if not row_batches:
+        return
+    size = len(row_batches[0])
+    per_chunk = -(-CHUNK // size)
+    for first in range(0, len(row_batches), per_chunk):
+        yield from compile_batches(corpus.take(list(chain.from_iterable(
+            row_batches[first:first + per_chunk]))), size, feature_dim)
+
+
+def _gradient(model, batch):
+    """(intent distributions, tag distributions, data gradient) of a
+    Compiled batch: the θ-dependent work of a training step, the one
+    gradient kernel. The gradient is a SparseGrad over the coordinates the
+    batch touches."""
     p_int, p_tag = forward(model, batch)
-    T, offsets = batch.lengths, batch.offsets
-    example_of_token = np.repeat(np.arange(B), T)
-    token_denom = np.repeat(T, T) * B
+    T, B = batch.lengths, len(batch.lengths)
     tokens = np.arange(len(batch.feats))
-
-    log_int = np.log(np.maximum(p_int[np.arange(B), batch.intents], 1e-300))
-    log_tag = np.log(np.maximum(p_tag[tokens, batch.tags], 1e-300))
-    loss = 0.0
-    for b in range(B):
-        loss -= log_int[b] / B
-        loss -= log_tag[offsets[b]:offsets[b + 1]].sum() / (T[b] * B)
-
     g_int = p_int / B
     g_int[np.arange(B), batch.intents] -= 1.0 / B
-    g_tag = p_tag / token_denom[:, None]
-    g_tag[tokens, batch.tags] -= 1.0 / token_denom
+    g_tag = p_tag / batch.token_denom[:, None]
+    g_tag[tokens, batch.tags] -= 1.0 / batch.token_denom
 
     # gradient rows of [W_int; W_tag] per token, for its feature columns
     token_grad = np.concatenate(
-        [(g_int / T[:, None])[example_of_token], g_tag], axis=1)
+        [(g_int / T[:, None])[batch.example_of_token], g_tag], axis=1)
     # per coordinate, add the entries in (example, token, slot) order, the
     # order of the per-example loop this replaces: bincount adds in input
     # order. block is (touched features, width of token_grad), the touched
     # feature rows of [W_int, W_tag].
-    token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
-    cols, col_of_entry = np.unique(batch.feats[token_of_entry, slot_of_entry],
-                                   return_inverse=True)
-    width = token_grad.shape[1]
+    cols, width = batch.cols, token_grad.shape[1]
     block = np.bincount(
-        (col_of_entry[:, None] * width + np.arange(width)).ravel(),
-        weights=token_grad[token_of_entry].ravel(),
+        (batch.col_of_entry[:, None] * width + np.arange(width)).ravel(),
+        weights=token_grad[batch.token_of_entry].ravel(),
         minlength=len(cols) * width).reshape(len(cols), width)
 
     layout = model.layout
@@ -391,8 +454,33 @@ def loss_and_grad(model, batch):
              np.arange(th.start + n_tag * w, th.stop)]
     data = [block[:, :n_int].ravel(), _ordered_sums(g_int[None])[0],
             block[:, n_int:].ravel(), _total(g_tag, batch)]
-    return float(loss), SparseGrad(layout, np.concatenate(index),
-                                   np.concatenate(data))
+    return p_int, p_tag, SparseGrad(layout, np.concatenate(index),
+                                    np.concatenate(data))
+
+
+def loss_and_grad(model, batch):
+    """Mean cross-entropy (intent + per-token tags) of an Encoded batch
+    with targets, and its gradient: a SparseGrad over the coordinates the
+    batch touches. It compiles the batch (compile_batches) and runs the
+    gradient kernel train steps on, then adds up the loss, which train does
+    not compute; an anchoring penalty is added by regularizers.anchored_step,
+    not here."""
+    B = len(batch)
+    if not B:
+        raise ModelError("empty batch")
+    if batch.intents is None:
+        raise ModelError("batch has no targets")
+    p_int, p_tag, grad = _gradient(
+        model, compile_batches(batch, B, model.feature_dim)[0])
+    T, offsets = batch.lengths, batch.offsets
+    tokens = np.arange(len(batch.feats))
+    log_int = np.log(np.maximum(p_int[np.arange(B), batch.intents], 1e-300))
+    log_tag = np.log(np.maximum(p_tag[tokens, batch.tags], 1e-300))
+    loss = 0.0
+    for b in range(B):
+        loss -= log_int[b] / B
+        loss -= log_tag[offsets[b]:offsets[b + 1]].sum() / (T[b] * B)
+    return float(loss), grad
 
 
 def decode_tree(query, intent, tags):
@@ -447,14 +535,11 @@ def bio_spans(tags, offsets):
     return start, start + lengths, slot[start], repaired
 
 
-PREDICT_CHUNK = 256  # examples per batched forward: bounds its temporaries
-
-
 def predict_ids(model, batch):
     """Most likely intent ids (examples,) and tag ids (tokens,) of an
-    Encoded batch, forwarded PREDICT_CHUNK examples at a time."""
+    Encoded batch, forwarded CHUNK examples at a time."""
     intents, tags = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for rows in batches(range(len(batch)), PREDICT_CHUNK):
+    for rows in batches(range(len(batch)), CHUNK):
         p_int, p_tag = forward(model, batch.take(rows))
         intents.append(p_int.argmax(axis=1))
         tags.append(p_tag.argmax(axis=1))
@@ -618,8 +703,14 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
     step, so that EWC raises MissingFisher) and its Fisher sums the start of
     this run's squared-gradient accumulation, which otherwise starts empty
     at the first step. A prev of another layout, or a penalty without its
-    anchor, raises before any example is encoded. Every batch takes the one
-    step regularizers.anchored_step returns.
+    anchor, raises before any example is encoded.
+
+    An epoch runs in two stages. Compile: the rows of ceil(CHUNK /
+    batch_size) batches at a time are taken in plan order, and
+    compile_batches computes their θ-independent arrays in one pass. Step:
+    each batch runs the gradient kernel that loss_and_grad also runs, but
+    computes no loss, then one Fisher update and the one step
+    regularizers.anchored_step returned.
     """
     if prev is None:
         theta_prev = fisher_prev = None
@@ -638,29 +729,37 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
 
     history = []
     best_em = -1.0
-    best_ckpt = None
+    # the best EM's theta and Fisher sums, in memory order, in buffers made
+    # at the first improvement, and its (Fisher steps, step, history
+    # length); reordered once, when the best checkpoint is built
+    best_theta = best_sum_sq = best = None
     bad_evals = 0
     step = 0
     stopped = False
 
-    def snapshot():
+    def checkpoint(theta, sum_sq, fisher_steps, at_step, n_history):
         layout = model.layout
         return Checkpoint(
             intents=model.intents, slots=model.slots,
             feature_dim=model.feature_dim,
-            theta_values=layout.reordered(model.theta.values, to_memory=False),
-            fisher_sum_sq=layout.reordered(fisher_acc.sum_sq, to_memory=False),
-            fisher_steps=fisher_acc.steps,
-            step=step, config_digest=config_digest, history=tuple(history))
+            theta_values=layout.reordered(theta, to_memory=False),
+            fisher_sum_sq=layout.reordered(sum_sq, to_memory=False),
+            fisher_steps=fisher_steps, step=at_step,
+            config_digest=config_digest, history=tuple(history[:n_history]))
 
     def run_eval():
-        nonlocal best_em, best_ckpt, bad_evals
+        nonlocal best_em, best_theta, best_sum_sq, best, bad_evals
         record = dict(evaluator(model))
         record["step"] = step
         history.append(record)
         if record["em"] > best_em:
             best_em = record["em"]
-            best_ckpt = snapshot()
+            if best is None:
+                best_theta = np.empty_like(model.theta.values)
+                best_sum_sq = np.empty_like(fisher_acc.sum_sq)
+            np.copyto(best_theta, model.theta.values)
+            np.copyto(best_sum_sq, fisher_acc.sum_sq)
+            best = (fisher_acc.steps, step, len(history))
             bad_evals = 0
         else:
             bad_evals += 1
@@ -676,9 +775,9 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
                 [ex.query for ex in examples], model.feature_dim,
                 [encode_targets(model, ex) for ex in examples])])
             row_of.update(zip(new, range(len(row_of), len(corpus))))
-        for batch_ids in epoch_batches:
-            batch = corpus.take([row_of[eid] for eid in batch_ids])
-            _, data_grad = loss_and_grad(model, batch)
+        rows = [[row_of[eid] for eid in ids] for ids in epoch_batches]
+        for batch in compile_epoch(corpus, rows, model.feature_dim):
+            data_grad = _gradient(model, batch)[2]
             fisher_acc.update(data_grad)
             sgd_step(data_grad)
             step += 1
@@ -691,8 +790,10 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
 
     if not history or history[-1]["step"] != step:
         run_eval()
-    final = snapshot()
-    if best_ckpt is None:
-        best_ckpt = final
-    return TrainResult(best=best_ckpt, final=final, history=history,
+    best_ckpt = None if best is None else checkpoint(best_theta, best_sum_sq,
+                                                     *best)
+    best_theta = best_sum_sq = None  # freed before final's arrays are made
+    final = checkpoint(model.theta.values, fisher_acc.sum_sq,
+                       fisher_acc.steps, step, len(history))
+    return TrainResult(best=best_ckpt or final, final=final, history=history,
                        total_steps=step, stopped_early=stopped)

@@ -211,11 +211,12 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
 
     The anchor is checked here, once, so a bad one fails before training
     starts. When the penalty is off (kind "none" or strength 0) the step is
-    sparse: apply_freeze, then `theta -= lr * grad` on the coordinates the
-    data gradient touches. Otherwise one kernel serves every kind and form.
-    It does the float operations of penalty, the data gradient's
-    scatter-add, apply_freeze and the dense `theta -= lr * grad`, in the
-    same order per coordinate, on the support only: the rows of
+    sparse: apply_freeze (when a group is frozen), then `theta -= lr * grad`
+    on the coordinates the data gradient touches. Otherwise one kernel
+    serves every kind and form. It does the float operations of penalty,
+    the data gradient's scatter-add, apply_freeze and the dense
+    `theta -= lr * grad`, in the same order per coordinate, on the support
+    only: the rows of
     theta.layout, in the groups not frozen, where the weight w of delta^2
     is > 0 in some column (for move-norm, every row). A group's support
     rows that form one run of theta are stepped in place; others are
@@ -233,8 +234,8 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     anchor = _anchor(theta, theta_prev, fisher, config)
     if anchor is None:
         def sparse_step(data_grad):
-            grad = apply_freeze(data_grad, freeze)
-            theta.values[grad.index] -= lr * grad.data
+            grad = apply_freeze(data_grad, freeze) if freeze else data_grad
+            np.subtract.at(theta.values, grad.index, lr * grad.data)
 
         return sparse_step
     weight, scale = anchor
@@ -306,7 +307,8 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
             np.subtract(theta_s, buf_s, out=theta_s)
         for theta_rows, _, rows, theta_s, _ in gathered:
             theta_rows[rows] = theta_s
-        theta.values[data_grad.index[outside]] -= lr * data_grad.data[outside]
+        np.subtract.at(theta.values, data_grad.index[outside],
+                       lr * data_grad.data[outside])
 
     return step
 
@@ -331,7 +333,7 @@ class FisherAccumulator:
         if isinstance(grad, (ParamVector, SparseGrad)):
             _check_layouts(self, grad)
         if isinstance(grad, SparseGrad):
-            self.sum_sq[grad.index] += grad.data * grad.data
+            np.add.at(self.sum_sq, grad.index, grad.data * grad.data)
         else:
             if isinstance(grad, ParamVector):
                 grad = grad.values

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepatch import model as m
+from treepatch.datagen import GenConfig, builtin_grammar, generate
 from treepatch.dataset import Dataset, Example
 from treepatch.metrics import exact_match
 from treepatch.model import (Checkpoint, ChecksumError, DimMismatch,
@@ -335,6 +336,35 @@ class TestBatchedKernelMatchesOracle:
         np.testing.assert_array_equal(dense(grad), want_grad.values)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 2 * m.CHUNK),
+       st.integers(0, 2 ** 32 - 1))
+def test_compiled_epoch_matches_loss_and_grad(batch_size, extra, seed):
+    """Every batch compile_epoch yields, bit for bit, against loss_and_grad
+    on the batch's own rows: an epoch of more than one chunk, in a random
+    plan order, whose last batch may be short. feature_dim 13, so that the
+    batches of a chunk share feature columns."""
+    rng = np.random.default_rng(seed)
+    net = tiny_model(feature_dim=13)
+    net.theta.values[:] = rng.normal(0, 1.0, net.theta.values.size)
+    n = -(-m.CHUNK // batch_size) * batch_size + extra  # past one chunk
+    lengths = rng.integers(1, 6, n)
+    corpus = pack(
+        [[np.sort(rng.choice(13, rng.integers(1, m.MAX_FEATS + 1),
+                             replace=False)) for _ in range(length)]
+         for length in lengths],
+        [(int(rng.integers(len(INTENTS))), rng.integers(N_TAGS, size=length))
+         for length in lengths])
+    row_batches = batches(rng.permutation(n).tolist(), batch_size)
+    compiled = list(m.compile_epoch(corpus, row_batches, net.feature_dim))
+    assert len(compiled) == len(row_batches)
+    for rows, batch in zip(row_batches, compiled):
+        got = m._gradient(net, batch)[2]
+        want = loss_and_grad(net, corpus.take(rows))[1]
+        np.testing.assert_array_equal(got.index, want.index)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestDecode:
     def test_all_o_gives_slotless_tree(self):
         tree = decode_tree("never mind", "IN:A", ["O", "O"])
@@ -360,10 +390,10 @@ class TestDecode:
             assert list(tree.leaves) == query.split()
 
 
-def toy_corpus():
+def toy_corpus(n_pairs=30):
     # linearly separable: intent and slots are determined by the tokens
     texts = []
-    for i in range(30):
+    for i in range(n_pairs):
         texts.append(f"[IN:A alpha w{i % 3} [SL:X xval{i % 2} ] ]")
         texts.append(f"[IN:B beta q{i % 3} [SL:Y yval{i % 2} ] ]")
     return Dataset(tuple(example(f"e{j}", t) for j, t in enumerate(texts)))
@@ -428,6 +458,42 @@ class TestTrain:
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1]
 
+    def test_empty_plan_runs_no_step_and_evaluates_once(self):
+        net = tiny_model()
+        before = net.theta.values.copy()
+        result = train(net, {}, lambda epoch: [],
+                       TrainConfig(max_epochs=3, eval_every=1),
+                       lambda net: {"em": 0.5})
+        assert result.total_steps == 0
+        assert result.history == [{"em": 0.5, "step": 0}]
+        assert result.best.step == result.final.step == 0
+        assert result.final.fisher_steps == 0
+        np.testing.assert_array_equal(net.theta.values, before)
+
+    def test_best_checkpoint_is_the_state_at_its_eval(self):
+        """The best EM's theta, Fisher steps, step and history, kept in
+        memory order through later improvements and non-improvements."""
+        corpus = toy_corpus()
+        by_id = {e.id: e for e in corpus}
+        net = tiny_model(feature_dim=64)
+        ems = iter([0.1, 0.5, 0.7, 0.3, 0.2])
+        seen = []  # theta, in checkpoint order, at each eval
+
+        def evaluator(net):
+            seen.append(net.layout.reordered(net.theta.values, False))
+            return {"em": next(ems)}
+
+        result = train(net, by_id, simple_plan(by_id, 0),
+                       TrainConfig(lr=0.5, batch_size=8, max_epochs=3,
+                                   eval_every=5, patience=10), evaluator)
+        assert [r["step"] for r in result.history] == [5, 10, 15, 20, 24]
+        best = result.best
+        assert (best.step, best.fisher_steps) == (15, 15)
+        assert best.history == tuple(result.history[:3])
+        assert best.theta_values.tobytes() == seen[2].tobytes()
+        assert result.final.theta_values.tobytes() == seen[4].tobytes()
+        assert result.final.history == tuple(result.history)
+
     def test_full_freeze_keeps_theta_bit_identical(self):
         corpus = toy_corpus()
         net = tiny_model(feature_dim=256)
@@ -470,18 +536,21 @@ def fisher_support(net, fisher_sum_sq):
     return set(np.flatnonzero(found).tolist())
 
 
-def fine_tune(kind, form, strength, prev_intent, frozen=()):
+def fine_tune(kind, form, strength, prev_intent, frozen=(), batch_size=7,
+              n_pairs=30):
     """(by_id, prev, cfg, result) of a two-epoch anchored fine-tune on the
-    toy corpus from prev, one epoch on it (only on its prev_intent examples,
-    at feature_dim 512, unless prev_intent is None: all, at 32)."""
-    by_id = {e.id: e for e in toy_corpus()}
+    toy corpus of n_pairs pairs from prev, one epoch on it (only on its
+    prev_intent examples, at feature_dim 512, unless prev_intent is None:
+    all, at 32)."""
+    by_id = {e.id: e for e in toy_corpus(n_pairs)}
     prev_ids = {eid: ex for eid, ex in by_id.items()
                 if prev_intent in (None, ex.tree.root.name)}
     net = tiny_model(feature_dim=32 if prev_intent is None else 512)
     prev = train(net, prev_ids, simple_plan(prev_ids, 0),
                  TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0),
                  lambda net: {"em": 0.0}).final
-    cfg = TrainConfig(lr=0.3, batch_size=7, max_epochs=2, eval_every=0,
+    cfg = TrainConfig(lr=0.3, batch_size=batch_size, max_epochs=2,
+                      eval_every=0,
                       reg=RegConfig(kind=kind, strength=strength, form=form),
                       freeze=frozenset(frozen))
     result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
@@ -516,6 +585,27 @@ def test_train_checkpoint_equals_dense_reference(tmp_path, kind, form,
                              net.feature_dim).feats.ravel().tolist()) - {-1}
         assert support < set(range(net.feature_dim))
         assert touched - support and touched & support
+    assert_equals_dense_reference(tmp_path, by_id, prev, cfg, result)
+
+
+@pytest.mark.parametrize("frozen", [(), ("intent_head",)])
+@pytest.mark.parametrize("kind", ["none", "ewc"])
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_train_across_chunks_equals_dense_reference(tmp_path, kind, frozen,
+                                                    batch_size):
+    """Epochs of 300 examples span two compiles of ceil(CHUNK / batch_size)
+    batches; at batch_size 7 the second compile ends in a short batch."""
+    n_pairs = 150
+    assert 2 * n_pairs > -(-m.CHUNK // batch_size) * batch_size
+    by_id, prev, cfg, result = fine_tune(kind, "squared", 0.5, None, frozen,
+                                         batch_size, n_pairs)
+    assert_equals_dense_reference(tmp_path, by_id, prev, cfg, result)
+
+
+def assert_equals_dense_reference(tmp_path, by_id, prev, cfg, result):
+    """train's final checkpoint, saved, has the bytes of reference_train's
+    from the same prev."""
+    net = prev.model()
     theta, acc = reference_train(prev.model(), by_id, simple_plan(by_id, 5),
                                  cfg, prev.model().theta,
                                  prev.fisher_accumulator().fisher(),
@@ -844,6 +934,37 @@ def test_save_checkpoint_copies_neither_array(tmp_path):
     loaded = load_checkpoint(tmp_path / "big.ckpt")
     np.testing.assert_array_equal(loaded.theta_values, ckpt.theta_values)
     np.testing.assert_array_equal(loaded.fisher_sum_sq, ckpt.fisher_sum_sq)
+
+
+def test_training_epoch_allocates_less_than_theta():
+    """Compiling CHUNK examples at a time keeps an epoch's temporaries
+    small: on the default shape, the traced peak of a second epoch over
+    3000 examples (θ, the Fisher sums and the corpus are made before it)
+    stays under θ's bytes. Compiling the whole epoch at once peaked above."""
+    train_set, _ = generate(builtin_grammar(), GenConfig(seed=3, n_train=3000,
+                                                         n_test=1))
+    classes = train_set.classes()
+    net = TaggerModel.init([c for c in classes if c.startswith("IN:")],
+                           [c for c in classes if c.startswith("SL:")])
+    assert net.feature_dim == 4096 and len(train_set) >= 2000
+    peaks = []
+
+    def plan_fn(epoch):
+        if epoch == 1:
+            tracemalloc.start()
+        return train_set.ids()
+
+    def evaluator(net):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return {"em": 0.0}
+
+    try:
+        train(net, train_set.by_id, plan_fn,
+              TrainConfig(lr=0.5, max_epochs=2, eval_every=0), evaluator)
+    finally:
+        tracemalloc.stop()
+    assert peaks and peaks[0] < net.theta.values.nbytes
 
 
 def test_tag_vocabulary_built_once():
