@@ -107,26 +107,43 @@ def zipf_weights(n, s):
     return w / w.sum()
 
 
-def _sample_intent(grammar, label, rng, s, depth):
+def _cdf(p):
+    """The cumulative weights rng.choice(len(p), p=p) draws from, computed as
+    Generator.choice computes them: the running sum, divided by its last
+    value. cdf.searchsorted(rng.random(), side="right") then draws the index
+    that call would, from the same random number."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _sample_intent(grammar, label, rng, s, depth, fillers):
+    """A tree of intent `label`. fillers caches, per (slot, whether nested
+    fillers fit in the depth left), the usable fillers and their _cdf."""
     if depth > grammar.max_depth:
         raise DepthExceeded(label)
     templates = grammar.intent_templates(label)
-    tpl = templates[rng.choice(len(templates))]
+    tpl = templates[rng.integers(len(templates))]  # as rng.choice(len(...))
     children = []
     for item in tpl:
         if not item.startswith(SLOT_PREFIX):
             children.append(item)
             continue
-        alts = grammar.fillers[item]
         # nested fillers are unreachable once the depth budget is spent
-        usable = [a for a in alts
-                  if not isinstance(a, str) or depth + 2 <= grammar.max_depth]
-        if not usable:
-            raise DepthExceeded(item)
-        weights = zipf_weights(len(alts), s)[[alts.index(a) for a in usable]]
-        alt = usable[rng.choice(len(usable), p=weights / weights.sum())]
+        key = (item, depth + 2 <= grammar.max_depth)
+        if key not in fillers:
+            alts = grammar.fillers[item]
+            usable = [a for a in alts if not isinstance(a, str) or key[1]]
+            if not usable:
+                raise DepthExceeded(item)
+            weights = zipf_weights(len(alts), s)[[alts.index(a)
+                                                  for a in usable]]
+            fillers[key] = usable, _cdf(weights / weights.sum())
+        usable, cdf = fillers[key]
+        alt = usable[cdf.searchsorted(rng.random(), side="right")]
         if isinstance(alt, str):
-            slot_children = (_sample_intent(grammar, alt, rng, s, depth + 2),)
+            slot_children = (_sample_intent(grammar, alt, rng, s, depth + 2,
+                                            fillers),)
         else:
             slot_children = tuple(alt)
         children.append(Node(item, slot_children))
@@ -134,11 +151,11 @@ def _sample_intent(grammar, label, rng, s, depth):
 
 
 def _sample_corpus(grammar, rng, n, s, id_prefix):
-    weights = zipf_weights(len(grammar.intents), s)
+    cdf, fillers = _cdf(zipf_weights(len(grammar.intents), s)), {}
     examples = []
     for i in range(n):
-        label = grammar.intents[rng.choice(len(grammar.intents), p=weights)][0]
-        tree = ParseTree(_sample_intent(grammar, label, rng, s, depth=1))
+        label = grammar.intents[cdf.searchsorted(rng.random(), side="right")][0]
+        tree = ParseTree(_sample_intent(grammar, label, rng, s, 1, fillers))
         query = " ".join(tree.leaves)
         examples.append(Example(id=f"{id_prefix}:{i}", query=query, tree=tree))
     return Dataset(tuple(examples))

@@ -9,9 +9,10 @@ with the two heads.
 
 Each group is its head's weights, then its biases. In memory the weights
 are feature-major, a (feature_dim, rows) matrix: the rows of one hashed
-feature (one per intent or tag) lie side by side, so a batch's gradient,
-the Fisher update and the SGD step touch a few hundred contiguous feature
-rows instead of columns at stride feature_dim. A checkpoint stores them
+feature (one per intent or tag) lie side by side, so a batch's gradient
+is a few hundred whole feature rows of each head (a SparseGrad of rows),
+and the Fisher update and the SGD step index those rows instead of
+columns at stride feature_dim. A checkpoint stores them
 row-major, (rows, feature_dim), as files always have. The layout, whose
 row widths are the intents and the tags, transposes (ParamLayout.reordered)
 at the Checkpoint boundary only: train's best and final checkpoints,
@@ -121,8 +122,7 @@ class TaggerModel:
         """Views of theta's heads in memory order: W_int (feature_dim,
         intents) and W_tag (feature_dim, tags), feature-major, and the
         biases b_int and b_tag, each head's last row."""
-        ih, th = (self.theta.group(name).reshape(-1, width)
-                  for name, width in zip(GROUPS, self.layout.widths))
+        ih, th = self.layout.rows(self.theta.values)
         return {"W_int": ih[:-1], "b_int": ih[-1],
                 "W_tag": th[:-1], "b_tag": th[-1]}
 
@@ -139,6 +139,8 @@ class Encoded:
     slots -1; offsets: (examples + 1,) where each example's tokens start and
     end. intents (examples,) and tags (tokens,) are gold target ids (see
     gold_targets), None when the queries are only to be predicted.
+    slots and example_of_token, made when first read, list each feature
+    slot's live tokens and give each token's example.
     """
 
     feats: np.ndarray
@@ -154,12 +156,20 @@ class Encoded:
         return np.diff(self.offsets)
 
     @cached_property
-    def positions(self):
-        """(examples, longest length) token index of each example's t-th
-        token; len(feats), one past the last token, where it has none."""
-        t = np.arange(self.lengths.max())
-        return np.where(t < self.lengths[:, None], self.offsets[:-1, None] + t,
-                        len(self.feats))
+    def example_of_token(self):
+        return np.repeat(np.arange(len(self)), self.lengths)
+
+    @cached_property
+    def slots(self):
+        """Per feature slot (column of feats), (tokens, ids): the tokens
+        whose slot holds an id, None when every token's does, and those
+        ids."""
+        out = []
+        for ids in self.feats.T:
+            tokens = np.flatnonzero(ids >= 0)
+            out.append((None, ids) if len(tokens) == len(ids)
+                       else (tokens, ids[tokens]))
+        return tuple(out)
 
     def take(self, rows):
         """The examples at `rows`, in that order."""
@@ -239,50 +249,41 @@ def encode(queries, feature_dim, targets=None):
                                dtype=np.int64, count=len(feats)))
 
 
-def _column_sums(W, feats):
-    """(tokens, columns of W): per token, the rows of the feature-major W at
-    its feature ids, added slot by slot in order, as W[idx].sum(axis=0)
-    adds them."""
-    out = np.zeros((len(feats), W.shape[1]))
-    for j in range(MAX_FEATS):
-        live = feats[:, j] >= 0
-        if live.all():
-            out += W[feats[:, j]]
+def _column_sums(W, slots, n_tokens):
+    """(n_tokens, columns of W): per token, the rows of the feature-major W
+    at its feature ids, added slot by slot in order, as W[idx].sum(axis=0)
+    adds them. slots: a batch's Encoded.slots."""
+    out = np.zeros((n_tokens, W.shape[1]))
+    for tokens, ids in slots:
+        if tokens is None:
+            out += W[ids]
         else:
-            out[live] += W[feats[live, j]]
+            out[tokens] += W[ids]
     return out
 
 
-def _ordered_sums(blocks):
-    """Sum over axis 1 of (n, length, width) blocks, one position after the
-    other: the order in which np.stack(rows).sum(axis=0) adds rows.
-    np.add.reduceat would sum each segment pairwise, which differs in the
-    last bits."""
-    out = blocks[:, 0].copy()
-    for t in range(1, blocks.shape[1]):
-        out += blocks[:, t]
-    return out
-
-
-def _segment_sums(X, batch):
-    """(examples, width): per example, the sum of its tokens' rows of X."""
-    padded = np.concatenate([X, np.zeros((1, X.shape[1]))])
-    return _ordered_sums(padded[batch.positions])
-
-
-def _total(X, batch):
-    """Sum of X's token rows: per example, then over examples, in the order
-    the per-example loop added them."""
-    return _ordered_sums(_segment_sums(X, batch)[None])[0]
+def _row_sums(row_of, X, n_rows):
+    """(n_rows, width of X): row r adds up the rows of X whose row_of is r,
+    one after the other. bincount adds in input order, from +0.0, which
+    gives the bits of a sum from the first term unless that term is -0.0:
+    no gradient entry is, nor any sum _column_sums makes.
+    (ndarray.sum(axis=0) would sum a width-1 column pairwise, and
+    np.add.reduceat each segment.)"""
+    width = X.shape[1]
+    return np.bincount((row_of[:, None] * width + np.arange(width)).ravel(),
+                       weights=X.ravel(),
+                       minlength=n_rows * width).reshape(n_rows, width)
 
 
 def forward(model, batch):
     """(intent distributions (examples, intents), tag distributions
     (tokens, tags)) for an Encoded or a Compiled batch."""
-    v = model._views()
-    int_logits = (_segment_sums(_column_sums(v["W_int"], batch.feats), batch)
+    v, n = model._views(), len(batch.feats)
+    int_logits = (_row_sums(batch.example_of_token,
+                            _column_sums(v["W_int"], batch.slots, n),
+                            len(batch.lengths))
                   / batch.lengths[:, None] + v["b_int"])
-    tag_logits = _column_sums(v["W_tag"], batch.feats) + v["b_tag"]
+    tag_logits = _column_sums(v["W_tag"], batch.slots, n) + v["b_tag"]
     return _softmax(int_logits), _softmax(tag_logits)
 
 
@@ -332,28 +333,23 @@ def _count_leaves(node):
     return n
 
 
-def _row_index(start, rows, row_width):
-    """Flat positions of rows `rows` of a matrix of rows of row_width
-    stored from `start`, row by row."""
-    return (start + rows[:, None] * row_width + np.arange(row_width)).ravel()
-
-
 @dataclass(frozen=True)
 class Compiled:
     """One batch's θ-independent arrays: what the gradient kernel reads
-    besides θ (see compile_batches). feats, lengths and positions are an
-    Encoded's, so forward reads a Compiled as it reads an Encoded."""
+    besides θ (see compile_batches). feats, lengths, slots and
+    example_of_token are an Encoded's (the example's place in its batch),
+    so forward reads a Compiled as it reads an Encoded."""
 
     feats: np.ndarray  # (tokens, MAX_FEATS)
     lengths: np.ndarray  # (examples,)
-    positions: np.ndarray  # (examples, longest length), Encoded.positions
+    slots: tuple  # Encoded.slots of feats
     intents: np.ndarray  # (examples,)
     tags: np.ndarray  # (tokens,)
     example_of_token: np.ndarray  # (tokens,)
     token_denom: np.ndarray  # (tokens,) its example's length x batch size
     token_of_entry: np.ndarray  # (entries,) token of each live feature slot
-    cols: np.ndarray  # (touched features,) ascending
-    col_of_entry: np.ndarray  # (entries,) each entry's place in cols
+    rows: np.ndarray  # (touched features + 1,) ascending: the bias row last
+    row_of_entry: np.ndarray  # (entries,) each entry's place in rows
 
 
 def compile_batches(batch, batch_size, feature_dim):
@@ -364,7 +360,8 @@ def compile_batches(batch, batch_size, feature_dim):
     slices of them. An entry is a live feature slot of a token, taken in
     (token, slot) order; one np.unique over batch * feature_dim + feature
     gives each batch's touched features and each entry's place among them,
-    as np.unique over the batch's features alone would."""
+    as np.unique over the batch's features alone would. A batch's rows are
+    its touched features, then the heads' bias row, feature_dim."""
     n, lengths, offsets = len(batch), batch.lengths, batch.offsets
     starts = np.arange(0, n, batch_size)  # each batch's first example
     sizes = np.minimum(n - starts, batch_size)
@@ -373,11 +370,6 @@ def compile_batches(batch, batch_size, feature_dim):
     batch_of_token = np.repeat(batch_of_example, lengths)
     example_of_token = np.repeat(np.arange(n) % batch_size, lengths)
     token_denom = np.repeat(lengths * sizes[batch_of_example], lengths)
-    t = np.arange(lengths.max())
-    first = offsets[:-1] - token_bounds[batch_of_example]  # within its batch
-    positions = np.where(t < lengths[:, None], first[:, None] + t,
-                         np.diff(token_bounds)[batch_of_example, None])
-    longest = np.maximum.reduceat(lengths, starts).tolist()
     token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
     batch_of_entry = batch_of_token[token_of_entry]
     keys, key_of_entry = np.unique(
@@ -389,16 +381,30 @@ def compile_batches(batch, batch_size, feature_dim):
     token_of_entry -= token_bounds[batch_of_entry]
     key_of_entry -= key_bounds[batch_of_entry]
     keys %= feature_dim
+    # each batch's touched features, then its bias row
+    rows_of_batch = np.insert(keys, key_bounds[1:], feature_dim)
+    row_bounds = key_bounds + np.arange(len(starts) + 1)
+    # per feature slot: its live tokens (each's place in its batch), their
+    # ids there, and each batch's bounds among them
+    slots = []
+    for column in batch.feats.T:
+        live = np.flatnonzero(column >= 0)
+        slots.append((live - token_bounds[batch_of_token[live]], column[live],
+                      np.searchsorted(live, token_bounds).tolist()))
     out = []
     for b, s in enumerate(starts.tolist()):
         rows = slice(s, s + batch_size)
-        tok, entries, cols = (slice(*bounds[b:b + 2].tolist()) for bounds in
-                              (token_bounds, entry_bounds, key_bounds))
+        tok, entries, touched = (slice(*bounds[b:b + 2].tolist()) for bounds in
+                                 (token_bounds, entry_bounds, row_bounds))
+        batch_slots = []  # Encoded.slots of batch.feats[tok]
+        for tokens, ids, bounds in slots:
+            live = slice(bounds[b], bounds[b + 1])
+            all_live = live.stop - live.start == tok.stop - tok.start
+            batch_slots.append((None if all_live else tokens[live], ids[live]))
         out.append(Compiled(
-            batch.feats[tok], lengths[rows], positions[rows, :longest[b]],
-            batch.intents[rows], batch.tags[tok], example_of_token[tok],
-            token_denom[tok], token_of_entry[entries], keys[cols],
-            key_of_entry[entries]))
+            batch.feats[tok], lengths[rows], tuple(batch_slots), batch.intents[rows], batch.tags[tok],
+            example_of_token[tok], token_denom[tok], token_of_entry[entries],
+            rows_of_batch[touched], key_of_entry[entries]))
     return out
 
 
@@ -408,8 +414,8 @@ def compile_epoch(corpus, row_batches, feature_dim):
     that size) batches at a time are taken from corpus in one Encoded.take,
     so that each is a contiguous slice of the chunk, and compiled in one
     compile_batches pass. A chunk's arrays stay far smaller than θ; the
-    flat index of a batch's SparseGrad is built by the step, one batch at a
-    time."""
+    bincount keys of a batch's gradient are built by the step, one batch at
+    a time."""
     if not row_batches:
         return
     size = len(row_batches[0])
@@ -422,8 +428,9 @@ def compile_epoch(corpus, row_batches, feature_dim):
 def _gradient(model, batch):
     """(intent distributions, tag distributions, data gradient) of a
     Compiled batch: the θ-dependent work of a training step, the one
-    gradient kernel. The gradient is a SparseGrad over the coordinates the
-    batch touches."""
+    gradient kernel. The gradient is a SparseGrad of each head's rows the
+    batch touches (batch.rows: its feature rows, then the bias row), each
+    head's block made by one weighted bincount (_row_sums)."""
     p_int, p_tag = forward(model, batch)
     T, B = batch.lengths, len(batch.lengths)
     tokens = np.arange(len(batch.feats))
@@ -432,36 +439,28 @@ def _gradient(model, batch):
     g_tag = p_tag / batch.token_denom[:, None]
     g_tag[tokens, batch.tags] -= 1.0 / batch.token_denom
 
-    # gradient rows of [W_int; W_tag] per token, for its feature columns
-    token_grad = np.concatenate(
-        [(g_int / T[:, None])[batch.example_of_token], g_tag], axis=1)
-    # per coordinate, add the entries in (example, token, slot) order, the
-    # order of the per-example loop this replaces: bincount adds in input
-    # order. block is (touched features, width of token_grad), the touched
-    # feature rows of [W_int, W_tag].
-    cols, width = batch.cols, token_grad.shape[1]
-    block = np.bincount(
-        (batch.col_of_entry[:, None] * width + np.arange(width)).ravel(),
-        weights=token_grad[batch.token_of_entry].ravel(),
-        minlength=len(cols) * width).reshape(len(cols), width)
-
-    layout = model.layout
-    ih, th = layout.slice_of("intent_head"), layout.slice_of("tag_head")
-    n_int, n_tag, w = len(model.intents), len(model.tags), model.feature_dim
-    index = [_row_index(ih.start, cols, n_int),
-             np.arange(ih.start + n_int * w, ih.stop),
-             _row_index(th.start, cols, n_tag),
-             np.arange(th.start + n_tag * w, th.stop)]
-    data = [block[:, :n_int].ravel(), _ordered_sums(g_int[None])[0],
-            block[:, n_int:].ravel(), _total(g_tag, batch)]
-    return p_int, p_tag, SparseGrad(layout, np.concatenate(index),
-                                    np.concatenate(data))
+    # each head's block: per touched row, its entries' gradient rows added
+    # in (example, token, slot) order, the order of the per-example loop
+    # this replaces. The last row, the biases: b_int adds the example rows
+    # in order, b_tag the per-example sums (each its tokens in order) in
+    # example order.
+    rows, row_of_entry, n_rows = batch.rows, batch.row_of_entry, len(batch.rows)
+    token_of_entry = batch.token_of_entry
+    blocks = (_row_sums(row_of_entry, (g_int / T[:, None])[
+                  batch.example_of_token[token_of_entry]], n_rows),
+              _row_sums(row_of_entry, g_tag[token_of_entry], n_rows))
+    per_example = np.concatenate(
+        [g_int, _row_sums(batch.example_of_token, g_tag, B)], axis=1)
+    bias = _row_sums(np.zeros(B, dtype=np.intp), per_example, 1)[0]
+    n_int = g_int.shape[1]
+    blocks[0][-1], blocks[1][-1] = bias[:n_int], bias[n_int:]
+    return p_int, p_tag, SparseGrad(model.layout, (rows, rows), blocks)
 
 
 def loss_and_grad(model, batch):
     """Mean cross-entropy (intent + per-token tags) of an Encoded batch
-    with targets, and its gradient: a SparseGrad over the coordinates the
-    batch touches. It compiles the batch (compile_batches) and runs the
+    with targets, and its gradient: a SparseGrad of the rows the batch
+    touches. It compiles the batch (compile_batches) and runs the
     gradient kernel train steps on, then adds up the loss, which train does
     not compute; an anchoring penalty is added by regularizers.anchored_step,
     not here."""

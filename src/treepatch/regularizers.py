@@ -8,7 +8,10 @@ form is the literal L2 distance with an epsilon guard at zero.
 
 theta's ParamLayout describes its geometry (groups, row widths, memory and
 checkpoint order); anchored_step, the one SGD step (sparse when the penalty
-is off, else one kernel for every kind and form), reads it from theta.
+is off, else one kernel for every kind and form), reads it from theta. A
+data gradient is a SparseGrad of whole rows: per group, the rows a batch
+touches and a block of their values, which the Fisher update, the sparse
+step and the anchored kernel index row by row.
 """
 
 from __future__ import annotations
@@ -87,6 +90,12 @@ class ParamLayout:
             out[weights.stop:group.stop] = values[weights.stop:group.stop]
         return out
 
+    def rows(self, values):
+        """Per group, in order, its part of the layout-sized `values` as a
+        (rows, width) view."""
+        return tuple(values[self.slice_of(name)].reshape(-1, width)
+                     for (name, _), width in zip(self.groups, self.widths))
+
 
 @dataclass
 class ParamVector:
@@ -113,19 +122,18 @@ class ParamVector:
 
 @dataclass
 class SparseGrad:
-    """A gradient that is zero outside `index`: sorted, unique flat positions
-    into the layout, with `data` the values there. Adding an untouched
-    coordinate's +0.0 changes nothing, so Fisher accumulation, freezing and
-    the SGD update on these coordinates alone equal the dense ones exactly,
-    and an anchored step needs the dense step's arithmetic only on the
-    rows where the anchor's weight is positive (see anchored_step)."""
+    """A gradient that is zero outside whole rows of its layout. Per group,
+    in layout order: `rows`, the sorted, unique ids of the rows it touches
+    in the group's (rows, width) view (ParamLayout.rows), and `blocks`,
+    their (len(rows), width) values. Adding an untouched coordinate's +0.0
+    changes nothing, so Fisher accumulation, freezing and the SGD update of
+    these rows alone equal the dense ones exactly, and an anchored step
+    needs the dense step's arithmetic only on the rows where the anchor's
+    weight is positive (see anchored_step)."""
 
     layout: ParamLayout
-    index: np.ndarray
-    data: np.ndarray
-
-    def copy(self):
-        return SparseGrad(self.layout, self.index, self.data.copy())
+    rows: tuple  # per group, ascending row ids
+    blocks: tuple  # per group, (len(rows), width) values
 
 
 def _check_layouts(*vectors):
@@ -209,106 +217,112 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     theta in place, and is the only step train takes. `freeze` holds the
     names of the groups whose gradient is zeroed.
 
-    The anchor is checked here, once, so a bad one fails before training
-    starts. When the penalty is off (kind "none" or strength 0) the step is
-    sparse: apply_freeze (when a group is frozen), then `theta -= lr * grad`
-    on the coordinates the data gradient touches. Otherwise one kernel
-    serves every kind and form. It does the float operations of penalty,
-    the data gradient's scatter-add, apply_freeze and the dense
-    `theta -= lr * grad`, in the same order per coordinate, on the support
-    only: the rows of
-    theta.layout, in the groups not frozen, where the weight w of delta^2
-    is > 0 in some column (for move-norm, every row). A group's support
-    rows that form one run of theta are stepped in place; others are
-    gathered into a buffer, stepped and written back. Touched coordinates
-    outside the support take the sparse step: there w = 0, and the dense
-    step adds delta * 0 = +-0, so theta comes out bit-identical. The norm
-    form keeps w * delta^2 in one theta-sized array (+0 where w = 0, fixed
-    in frozen groups, refreshed on the support) and adds it up in
-    checkpoint order, as penalty does on a checkpoint's values.
+    The anchor and the frozen names are checked here, once, so a bad one
+    fails before training starts. Every step indexes whole rows of
+    theta.layout (ParamLayout.rows) and skips the frozen groups, whose
+    dense update `x - lr * 0.0` is x. When the penalty is off (kind "none"
+    or strength 0) the step is sparse: `rows -= lr * block` on the rows the
+    data gradient touches. Otherwise one kernel serves every kind and form.
+    It does the float operations of penalty, the data gradient's add,
+    apply_freeze and the dense `theta -= lr * grad`, in the same order per
+    coordinate, on the support only: the rows of the groups not frozen
+    where the weight w of delta^2 is > 0 in some column (for move-norm,
+    every row). A group's support rows that form one run of theta are
+    stepped in place; others are gathered into a buffer, stepped and
+    written back. Each group maps its rows to their place in the support
+    buffer; touched rows outside the support take the sparse step: there
+    w = 0, and the dense step adds delta * 0 = +-0, so theta comes out
+    bit-identical. The norm form keeps w * delta^2 in one theta-sized array
+    (+0 where w = 0, fixed in frozen groups, refreshed on the support) and
+    adds it up in checkpoint order, as penalty does on a checkpoint's
+    values.
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
     < 2; past that the coordinates of largest w oscillate and grow.
     """
     anchor = _anchor(theta, theta_prev, fisher, config)
+    layout = theta.layout
+    for name in freeze:  # a name not in the layout raises KeyError
+        layout.slice_of(name)
+    trained = [i for i, (name, _) in enumerate(layout.groups)
+               if name not in freeze]
+    theta_rows = layout.rows(theta.values)
     if anchor is None:
         def sparse_step(data_grad):
-            grad = apply_freeze(data_grad, freeze) if freeze else data_grad
-            np.subtract.at(theta.values, grad.index, lr * grad.data)
+            for i in trained:
+                theta_rows[i][data_grad.rows[i]] -= lr * data_grad.blocks[i]
 
         return sparse_step
     weight, scale = anchor
-    layout, norm = theta.layout, config.form == "norm"
+    norm, ewc = config.form == "norm", np.ndim(weight) > 0
     w = np.broadcast_to(weight, (layout.size,))
     if norm:  # the terms w * delta^2, and a buffer for checkpoint order
         delta = theta.values - theta_prev.values
         terms, saved = w * delta * delta, np.empty(layout.size)
-    # where each coordinate's step happens: its place in the support buffer,
-    # OUTSIDE (the sparse step) or FROZEN (none)
-    OUTSIDE, FROZEN = -1, -2
-    place = np.full(layout.size, OUTSIDE, dtype=np.int32)
-    parts = []  # per group: its support's theta, prev, w, terms and part
-    gathered = []  # (theta's rows, terms' rows, support rows, their copies)
-    for name in freeze:  # a name not in the layout raises KeyError
-        place[layout.slice_of(name)] = FROZEN
-    n_support = 0
-    for (name, _), width in zip(layout.groups, layout.widths):
-        if name in freeze:
-            continue
-        group = layout.slice_of(name)
-
-        def rows_of(values):
-            return values[group].reshape(-1, width)
-
-        rows = np.flatnonzero((rows_of(w) > 0).any(axis=1))
+    w_rows, prev_rows = layout.rows(w), layout.rows(theta_prev.values)
+    terms_rows = layout.rows(terms) if norm else None
+    support = [(i, np.flatnonzero((w_rows[i] > 0).any(axis=1)))
+               for i in trained]
+    n_support = sum(len(rows) * layout.widths[i] for i, rows in support)
+    buf = np.empty(n_support)
+    c = np.empty(n_support) if ewc else scale
+    groups = []  # per trained group: each row's place in its buf rows, or -1
+    parts = []  # per group with support: its theta, prev, w, terms, buf
+    gathered = []  # (group, support rows, their theta and terms copies)
+    start = 0
+    for i, rows in support:
+        width = layout.widths[i]
+        place = np.full(len(theta_rows[i]), -1, dtype=np.intp)
+        place[rows] = np.arange(len(rows))
+        part = slice(start, start + len(rows) * width)
+        start = part.stop
+        buf_s = buf[part].reshape(-1, width)
+        groups.append((i, place, buf_s))
         if not len(rows):
             continue
-        part = slice(n_support, n_support + len(rows) * width)
-        rows_of(place)[rows] = np.arange(part.start, part.stop).reshape(
-            -1, width)
-        n_support = part.stop
         if rows[-1] - rows[0] == len(rows) - 1:  # one run: stepped in place
             rows = slice(rows[0], rows[-1] + 1)
         # views of one run, gathered copies of other rows
-        theta_s = rows_of(theta.values)[rows]
-        terms_s = rows_of(terms)[rows] if norm else None
-        parts.append((theta_s, rows_of(theta_prev.values)[rows],
-                      rows_of(w)[rows] if norm else None, terms_s, part))
+        theta_s, w_s = theta_rows[i][rows], w_rows[i][rows]
+        terms_s = terms_rows[i][rows] if norm else None
+        if ewc:
+            np.multiply(scale, w_s, out=c[part].reshape(w_s.shape))
+        parts.append((theta_s, prev_rows[i][rows], w_s if norm else None,
+                      terms_s, buf_s))
         if not isinstance(rows, slice):
-            gathered.append((rows_of(theta.values),
-                             rows_of(terms) if norm else None, rows,
-                             theta_s, terms_s))
-    c = scale * w[place >= 0] if np.ndim(weight) else scale
-    buf = np.empty(n_support)
-    parts = [(*sup, buf[part].reshape(sup[0].shape)) for *sup, part in parts]
+            gathered.append((i, rows, theta_s, terms_s))
 
     def step(data_grad):
-        at = place[data_grad.index]
-        inside, outside = at >= 0, at == OUTSIDE
-        for theta_rows, _, rows, theta_s, _ in gathered:
-            np.take(theta_rows, rows, axis=0, out=theta_s, mode="clip")
+        for i, rows, theta_s, _ in gathered:
+            np.take(theta_rows[i], rows, axis=0, out=theta_s, mode="clip")
         for theta_s, prev_s, w_s, terms_s, buf_s in parts:
             np.subtract(theta_s, prev_s, out=buf_s)  # delta
             if norm:
                 np.multiply(w_s, buf_s, out=terms_s)
                 np.multiply(terms_s, buf_s, out=terms_s)
         if norm:
-            for _, terms_rows, rows, _, terms_s in gathered:
-                terms_rows[rows] = terms_s
+            for i, rows, _, terms_s in gathered:
+                terms_rows[i][rows] = terms_s
             root = np.sqrt(np.sum(layout.reordered(
                 terms, to_memory=False, out=saved)) + config.epsilon)
         np.multiply(buf, c, out=buf)
         if norm:
             np.divide(buf, root, out=buf)
-        np.add.at(buf, at[inside], data_grad.data[inside])
+        outside = []  # per group, its touched rows outside the support
+        for i, place, buf_rows in groups:
+            rows, block = data_grad.rows[i], data_grad.blocks[i]
+            at = place[rows]
+            inside = at >= 0
+            buf_rows[at[inside]] += block[inside]
+            outside.append((i, rows[~inside], block[~inside]))
         np.multiply(buf, lr, out=buf)
         for theta_s, *_, buf_s in parts:
             np.subtract(theta_s, buf_s, out=theta_s)
-        for theta_rows, _, rows, theta_s, _ in gathered:
-            theta_rows[rows] = theta_s
-        np.subtract.at(theta.values, data_grad.index[outside],
-                       lr * data_grad.data[outside])
+        for i, rows, theta_s, _ in gathered:
+            theta_rows[i][rows] = theta_s
+        for i, rows, block in outside:
+            theta_rows[i][rows] -= lr * block
 
     return step
 
@@ -333,7 +347,9 @@ class FisherAccumulator:
         if isinstance(grad, (ParamVector, SparseGrad)):
             _check_layouts(self, grad)
         if isinstance(grad, SparseGrad):
-            np.add.at(self.sum_sq, grad.index, grad.data * grad.data)
+            for sum_rows, rows, block in zip(self.layout.rows(self.sum_sq),
+                                             grad.rows, grad.blocks):
+                sum_rows[rows] += block * block
         else:
             if isinstance(grad, ParamVector):
                 grad = grad.values
@@ -351,14 +367,10 @@ class FisherAccumulator:
 
 
 def apply_freeze(grad, frozen):
-    """Copy of a ParamVector or SparseGrad with the entries of the groups
-    named in `frozen` zeroed; others unchanged."""
+    """Copy of a ParamVector with the entries of the groups named in
+    `frozen` zeroed; others unchanged. The step skips frozen groups
+    instead (see anchored_step)."""
     out = grad.copy()
     for name in frozen:
-        group = grad.layout.slice_of(name)
-        if isinstance(out, SparseGrad):
-            lo, hi = np.searchsorted(out.index, (group.start, group.stop))
-            out.data[lo:hi] = 0.0
-        else:
-            out.values[group] = 0.0
+        out.values[grad.layout.slice_of(name)] = 0.0
     return out

@@ -35,6 +35,14 @@ def tiny_model(feature_dim=64):
     return TaggerModel.init(INTENTS, SLOTS, feature_dim=feature_dim)
 
 
+# the kernel tests' (intents, slots): heads of 2 and 5 columns, and heads
+# one column wide (the tag head's one tag O), alone or beside a wide head.
+# A one-class softmax is 1 everywhere, so a one-column head's gradient is
+# +0.0.
+SHAPES = {"tiny": (INTENTS, SLOTS), "width-1": (INTENTS[:1], ()),
+          "one-intent": (INTENTS[:1], SLOTS), "no-slot": (INTENTS, ())}
+
+
 def example(eid, text):
     tree = parse_top(text)
     return Example(id=eid, query=" ".join(tree.leaves), tree=tree)
@@ -80,7 +88,9 @@ def pack(feats_per_query, targets=None):
 
 def dense(grad):
     out = np.zeros(grad.layout.size)
-    out[grad.index] = grad.data
+    for out_rows, rows, block in zip(grad.layout.rows(out), grad.rows,
+                                     grad.blocks):
+        out_rows[rows] = block
     return out
 
 
@@ -119,11 +129,23 @@ def memory_order(net, values):
     return out
 
 
+def in_order(rows):
+    """The sum of rows, added one after the other. ndarray.sum(axis=0)
+    adds so only on rows wider than one: on a width-1 column of 8 or more
+    rows numpy drops the unit axis and sums pairwise."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
                             fisher=None):
     """The per-example loop that the batched kernel replaced, kept as its
     oracle. batch: list of (feats, intent_id, tag_ids); dense gradients.
-    The penalty is taken in checkpoint order, the order of its sum."""
+    A token sum adds the tokens in order (in_order), on heads of every
+    width. The penalty is taken in checkpoint order, the order of its
+    sum."""
     v = row_major_views(model)
     grad = ParamVector.zeros(model.layout)
     gv = row_major_views(model, grad)
@@ -133,8 +155,8 @@ def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
         T = len(feats)
         tag_logits = np.stack([v["W_tag"][:, idx].sum(axis=1) + v["b_tag"]
                                for idx in feats])
-        int_logits = (np.stack([v["W_int"][:, idx].sum(axis=1)
-                                for idx in feats]).mean(axis=0) + v["b_int"])
+        int_logits = (in_order([v["W_int"][:, idx].sum(axis=1)
+                                for idx in feats]) / T + v["b_int"])
         p_int = m._softmax(int_logits)
         p_tag = m._softmax(tag_logits)
         loss -= np.log(max(p_int[intent_id], 1e-300)) / B
@@ -146,7 +168,7 @@ def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
         g_tag[np.arange(T), tag_ids] -= 1.0 / (T * B)
 
         gv["b_int"] += g_int
-        gv["b_tag"] += g_tag.sum(axis=0)
+        gv["b_tag"] += in_order(g_tag)
         for t, idx in enumerate(feats):
             gv["W_int"][:, idx] += g_int[:, None] / T
             gv["W_tag"][:, idx] += g_tag[t][:, None]
@@ -318,13 +340,17 @@ EXAMPLES = st.integers(1, 12).flatmap(lambda n: st.tuples(
 class TestBatchedKernelMatchesOracle:
     """The batched kernel against the per-example loop it replaced, bit for
     bit, on feature_dim 13 so that feature columns repeat across tokens and
-    examples."""
+    examples, and on heads one column wide, where a numpy reduction would
+    change the summation order."""
 
+    @pytest.mark.parametrize("shape", SHAPES)
     @settings(max_examples=150, deadline=None)
     @given(st.lists(EXAMPLES, min_size=1, max_size=8),
            st.integers(0, 2 ** 32 - 1))
-    def test_loss_and_gradients(self, items, seed):
-        net = tiny_model(feature_dim=13)
+    def test_loss_and_gradients(self, shape, items, seed):
+        net = TaggerModel.init(*SHAPES[shape], feature_dim=13)
+        items = [(feats, intent % len(net.intents), tags % len(net.tags))
+                 for feats, intent, tags in items]
         rng = np.random.default_rng(seed)
         net.theta.values[:] = rng.normal(0, rng.uniform(0.01, 3.0),
                                          net.theta.values.size)
@@ -336,16 +362,18 @@ class TestBatchedKernelMatchesOracle:
         np.testing.assert_array_equal(dense(grad), want_grad.values)
 
 
+@pytest.mark.parametrize("shape", SHAPES)
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 2 * m.CHUNK),
        st.integers(0, 2 ** 32 - 1))
-def test_compiled_epoch_matches_loss_and_grad(batch_size, extra, seed):
+def test_compiled_epoch_matches_loss_and_grad(shape, batch_size, extra, seed):
     """Every batch compile_epoch yields, bit for bit, against loss_and_grad
     on the batch's own rows: an epoch of more than one chunk, in a random
     plan order, whose last batch may be short. feature_dim 13, so that the
-    batches of a chunk share feature columns."""
+    batches of a chunk share feature columns; heads of several columns and
+    of one."""
     rng = np.random.default_rng(seed)
-    net = tiny_model(feature_dim=13)
+    net = TaggerModel.init(*SHAPES[shape], feature_dim=13)
     net.theta.values[:] = rng.normal(0, 1.0, net.theta.values.size)
     n = -(-m.CHUNK // batch_size) * batch_size + extra  # past one chunk
     lengths = rng.integers(1, 6, n)
@@ -353,16 +381,33 @@ def test_compiled_epoch_matches_loss_and_grad(batch_size, extra, seed):
         [[np.sort(rng.choice(13, rng.integers(1, m.MAX_FEATS + 1),
                              replace=False)) for _ in range(length)]
          for length in lengths],
-        [(int(rng.integers(len(INTENTS))), rng.integers(N_TAGS, size=length))
-         for length in lengths])
+        [(int(rng.integers(len(net.intents))),
+          rng.integers(len(net.tags), size=length)) for length in lengths])
     row_batches = batches(rng.permutation(n).tolist(), batch_size)
     compiled = list(m.compile_epoch(corpus, row_batches, net.feature_dim))
     assert len(compiled) == len(row_batches)
     for rows, batch in zip(row_batches, compiled):
         got = m._gradient(net, batch)[2]
         want = loss_and_grad(net, corpus.take(rows))[1]
-        np.testing.assert_array_equal(got.index, want.index)
-        assert got.data.tobytes() == want.data.tobytes()
+        for got_rows, want_rows, got_block, want_block in zip(
+                got.rows, want.rows, got.blocks, want.blocks):
+            np.testing.assert_array_equal(got_rows, want_rows)
+            assert got_block.tobytes() == want_block.tobytes()
+
+
+def test_row_sums_add_in_input_order():
+    """The gradient kernel's sums add a row's members one after the other,
+    also on a width-1 column, where ndarray.sum(axis=0) sums 8 or more
+    pairwise and gets other last bits."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 1)) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
+    row_of = rng.integers(0, 3, 40)
+    want = np.zeros((3, 1))
+    for r, x in zip(row_of, X):
+        want[r] += x
+    got = m._row_sums(row_of, X, 3)
+    assert got.tobytes() == want.tobytes()
+    assert any(got[r] != X[row_of == r].sum(axis=0) for r in range(3))
 
 
 class TestDecode:
