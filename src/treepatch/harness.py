@@ -19,8 +19,9 @@ import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
-from .model import (GROUPS, TaggerModel, TrainConfig, UnknownLabel, bio_spans,
-                    encode, gold_targets, predict_ids, train)
+from .model import (GROUPS, ModelError, TaggerModel, TrainConfig,
+                    UnknownLabel, bio_spans, encode, gold_targets,
+                    predict_ids, train)
 from .regularizers import RegConfig, RegError
 from .treebank import INTENT_PREFIX, SLOT_PREFIX, serialize
 from .utils import derive_seed
@@ -71,7 +72,8 @@ LOADERS = {"top": ds.load_top_tsv, "canonical": ds.load_tsv,
 
 
 # what a leaf must meet beyond its default's type, as (bound, argument);
-# the ranges of sampler, reg and split come from the objects they build
+# the ranges of sampler, reg, split and train.batch_size come from the
+# objects they build
 LIMITS = {
     "data.kind": ("in", ("synthetic", "tsv", "snips")),
     "data.n_train": (">=", 1),
@@ -82,7 +84,6 @@ LIMITS = {
     "model.feature_dim": (">=", 1),
     "model.hidden_dim": ("in", (0,)),  # the tagger is linear
     "train.lr": (">", 0),
-    "train.batch_size": (">=", 1),
     "train.max_epochs": (">=", 1),
     "train.eval_every": (">=", 0),
     "train.patience": (">=", 1),
@@ -164,7 +165,8 @@ class ExperimentConfig:
         for section, build, error in (
                 ("reg", cfg.reg_config, RegError),
                 ("sampler", cfg.sampler_config, sampling.SamplerError),
-                ("split", cfg.split_spec, ds.DatasetError)):
+                ("split", cfg.split_spec, ds.DatasetError),
+                ("train", cfg.train_config, ModelError)):
             try:
                 build()
             except error as err:

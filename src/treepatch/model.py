@@ -17,6 +17,10 @@ row-major, (rows, feature_dim), as files always have. The layout, whose
 row widths are the intents and the tags, transposes (ParamLayout.reordered)
 at the Checkpoint boundary only: train's best and final checkpoints,
 Checkpoint.model and Checkpoint.fisher_accumulator.
+
+Queries are encoded once (Encoded); compile_batches, the one pass that cuts
+them into batches for prediction and training, makes the one batch form
+forward reads (Compiled).
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
 from .regularizers import (FisherAccumulator, LayoutMismatch, ParamLayout,
                            ParamVector, RegConfig, SparseGrad, anchored_step)
-from .sampling import batches
 from .treebank import Node, ParseTree
 
 
@@ -139,8 +142,7 @@ class Encoded:
     slots -1; offsets: (examples + 1,) where each example's tokens start and
     end. intents (examples,) and tags (tokens,) are gold target ids (see
     gold_targets), None when the queries are only to be predicted.
-    slots and example_of_token, made when first read, list each feature
-    slot's live tokens and give each token's example.
+    compile_batches cuts it into the Compiled batches forward reads.
     """
 
     feats: np.ndarray
@@ -154,22 +156,6 @@ class Encoded:
     @cached_property
     def lengths(self):
         return np.diff(self.offsets)
-
-    @cached_property
-    def example_of_token(self):
-        return np.repeat(np.arange(len(self)), self.lengths)
-
-    @cached_property
-    def slots(self):
-        """Per feature slot (column of feats), (tokens, ids): the tokens
-        whose slot holds an id, None when every token's does, and those
-        ids."""
-        out = []
-        for ids in self.feats.T:
-            tokens = np.flatnonzero(ids >= 0)
-            out.append((None, ids) if len(tokens) == len(ids)
-                       else (tokens, ids[tokens]))
-        return tuple(out)
 
     def take(self, rows):
         """The examples at `rows`, in that order."""
@@ -252,7 +238,7 @@ def encode(queries, feature_dim, targets=None):
 def _column_sums(W, slots, n_tokens):
     """(n_tokens, columns of W): per token, the rows of the feature-major W
     at its feature ids, added slot by slot in order, as W[idx].sum(axis=0)
-    adds them. slots: a batch's Encoded.slots."""
+    adds them. slots: a Compiled batch's."""
     out = np.zeros((n_tokens, W.shape[1]))
     for tokens, ids in slots:
         if tokens is None:
@@ -277,8 +263,8 @@ def _row_sums(row_of, X, n_rows):
 
 def forward(model, batch):
     """(intent distributions (examples, intents), tag distributions
-    (tokens, tags)) for an Encoded or a Compiled batch."""
-    v, n = model._views(), len(batch.feats)
+    (tokens, tags)) of a Compiled batch."""
+    v, n = model._views(), len(batch.example_of_token)
     int_logits = (_row_sums(batch.example_of_token,
                             _column_sums(v["W_int"], batch.slots, n),
                             len(batch.lengths))
@@ -335,94 +321,87 @@ def _count_leaves(node):
 
 @dataclass(frozen=True)
 class Compiled:
-    """One batch's θ-independent arrays: what the gradient kernel reads
-    besides θ (see compile_batches). feats, lengths, slots and
-    example_of_token are an Encoded's (the example's place in its batch),
-    so forward reads a Compiled as it reads an Encoded."""
+    """One batch's θ-independent arrays, the one batch form forward reads
+    (see compile_batches). lengths, slots and example_of_token are what
+    forward reads; the rest, what the gradient kernel reads besides θ, are
+    None in a batch compiled without targets."""
 
-    feats: np.ndarray  # (tokens, MAX_FEATS)
     lengths: np.ndarray  # (examples,)
-    slots: tuple  # Encoded.slots of feats
-    intents: np.ndarray  # (examples,)
-    tags: np.ndarray  # (tokens,)
-    example_of_token: np.ndarray  # (tokens,)
-    token_denom: np.ndarray  # (tokens,) its example's length x batch size
-    token_of_entry: np.ndarray  # (entries,) token of each live feature slot
-    rows: np.ndarray  # (touched features + 1,) ascending: the bias row last
-    row_of_entry: np.ndarray  # (entries,) each entry's place in rows
+    slots: tuple  # per feature slot: (its live tokens or None, their ids)
+    example_of_token: np.ndarray  # (tokens,) the example's place in its batch
+    intents: np.ndarray = None  # (examples,)
+    tags: np.ndarray = None  # (tokens,)
+    token_denom: np.ndarray = None  # (tokens,) its example's length x batch size
+    token_of_entry: np.ndarray = None  # (entries,) token of each live feature slot
+    rows: np.ndarray = None  # (touched features + 1,) ascending: the bias row last
+    row_of_entry: np.ndarray = None  # (entries,) each entry's place in rows
 
 
 def compile_batches(batch, batch_size, feature_dim):
-    """The Compiled batches of an Encoded `batch` with targets, cut into
-    consecutive batches of batch_size examples (the last may be short).
-
-    One vectorized pass computes every batch's arrays; each batch's are
-    slices of them. An entry is a live feature slot of a token, taken in
-    (token, slot) order; one np.unique over batch * feature_dim + feature
-    gives each batch's touched features and each entry's place among them,
-    as np.unique over the batch's features alone would. A batch's rows are
+    """The Compiled batches of an Encoded `batch`, cut into consecutive
+    batches of batch_size examples (the last may be short), for prediction
+    and for training. One vectorized pass computes every batch's arrays;
+    each batch's are slices of them. Only a batch with targets gets the
+    gradient's: an entry is a live feature slot of a token, in (token,
+    slot) order; one np.unique over batch * feature_dim + feature gives
+    each batch's touched features and each entry's place among them, as
+    np.unique over the batch's features alone would. A batch's rows are
     its touched features, then the heads' bias row, feature_dim."""
     n, lengths, offsets = len(batch), batch.lengths, batch.offsets
     starts = np.arange(0, n, batch_size)  # each batch's first example
-    sizes = np.minimum(n - starts, batch_size)
     token_bounds = offsets[np.append(starts, n)]
     batch_of_example = np.arange(n) // batch_size
     batch_of_token = np.repeat(batch_of_example, lengths)
     example_of_token = np.repeat(np.arange(n) % batch_size, lengths)
-    token_denom = np.repeat(lengths * sizes[batch_of_example], lengths)
-    token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
-    batch_of_entry = batch_of_token[token_of_entry]
-    keys, key_of_entry = np.unique(
-        batch_of_entry * feature_dim
-        + batch.feats[token_of_entry, slot_of_entry], return_inverse=True)
-    key_bounds = np.searchsorted(keys, np.arange(len(starts) + 1)
-                                 * feature_dim)
-    entry_bounds = np.searchsorted(batch_of_entry, np.arange(len(starts) + 1))
-    token_of_entry -= token_bounds[batch_of_entry]
-    key_of_entry -= key_bounds[batch_of_entry]
-    keys %= feature_dim
-    # each batch's touched features, then its bias row
-    rows_of_batch = np.insert(keys, key_bounds[1:], feature_dim)
-    row_bounds = key_bounds + np.arange(len(starts) + 1)
-    # per feature slot: its live tokens (each's place in its batch), their
-    # ids there, and each batch's bounds among them
+    examples = [slice(s, s + batch_size) for s in starts.tolist()]
+    toks = [slice(*bounds) for bounds in pairwise(token_bounds.tolist())]
+    # per feature slot, per batch: its live tokens (each's place in the
+    # batch), None when every token's slot is live, and their ids
     slots = []
     for column in batch.feats.T:
         live = np.flatnonzero(column >= 0)
-        slots.append((live - token_bounds[batch_of_token[live]], column[live],
-                      np.searchsorted(live, token_bounds).tolist()))
-    out = []
-    for b, s in enumerate(starts.tolist()):
-        rows = slice(s, s + batch_size)
-        tok, entries, touched = (slice(*bounds[b:b + 2].tolist()) for bounds in
-                                 (token_bounds, entry_bounds, row_bounds))
-        batch_slots = []  # Encoded.slots of batch.feats[tok]
-        for tokens, ids, bounds in slots:
-            live = slice(bounds[b], bounds[b + 1])
-            all_live = live.stop - live.start == tok.stop - tok.start
-            batch_slots.append((None if all_live else tokens[live], ids[live]))
-        out.append(Compiled(
-            batch.feats[tok], lengths[rows], tuple(batch_slots), batch.intents[rows], batch.tags[tok],
-            example_of_token[tok], token_denom[tok], token_of_entry[entries],
-            rows_of_batch[touched], key_of_entry[entries]))
-    return out
+        tokens, ids = live - token_bounds[batch_of_token[live]], column[live]
+        bounds = pairwise(np.searchsorted(live, token_bounds).tolist())
+        slots.append([(None if hi - lo == tok.stop - tok.start
+                       else tokens[lo:hi], ids[lo:hi])
+                      for (lo, hi), tok in zip(bounds, toks)])
+    grads = [()] * len(starts)
+    if batch.intents is not None:
+        sizes = np.minimum(n - starts, batch_size)
+        token_denom = np.repeat(lengths * sizes[batch_of_example], lengths)
+        token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
+        batch_of_entry = batch_of_token[token_of_entry]
+        keys, key_of_entry = np.unique(
+            batch_of_entry * feature_dim
+            + batch.feats[token_of_entry, slot_of_entry], return_inverse=True)
+        edges = np.arange(len(starts) + 1)  # batch b: keys from b * feature_dim
+        key_bounds = np.searchsorted(keys, edges * feature_dim)
+        entry_bounds = np.searchsorted(batch_of_entry, edges)
+        token_of_entry -= token_bounds[batch_of_entry]
+        key_of_entry -= key_bounds[batch_of_entry]
+        keys %= feature_dim
+        # each batch's touched features, then its bias row
+        rows = np.insert(keys, key_bounds[1:], feature_dim)
+        grads = [(batch.intents[ex], batch.tags[tok], token_denom[tok],
+                  token_of_entry[e0:e1], rows[r0:r1], key_of_entry[e0:e1])
+                 for ex, tok, (e0, e1), (r0, r1) in zip(
+                     examples, toks, pairwise(entry_bounds.tolist()),
+                     pairwise((key_bounds + edges).tolist()))]
+    return [Compiled(lengths[ex], slots_of, example_of_token[tok], *grad) for
+            ex, tok, slots_of, grad in zip(examples, toks, zip(*slots), grads)]
 
 
-def compile_epoch(corpus, row_batches, feature_dim):
-    """The Compiled batches of an epoch, in order: row_batches are lists of
-    rows of the Encoded corpus, all of one size but the last. ceil(CHUNK /
-    that size) batches at a time are taken from corpus in one Encoded.take,
-    so that each is a contiguous slice of the chunk, and compiled in one
-    compile_batches pass. A chunk's arrays stay far smaller than θ; the
-    bincount keys of a batch's gradient are built by the step, one batch at
-    a time."""
-    if not row_batches:
-        return
-    size = len(row_batches[0])
-    per_chunk = -(-CHUNK // size)
-    for first in range(0, len(row_batches), per_chunk):
-        yield from compile_batches(corpus.take(list(chain.from_iterable(
-            row_batches[first:first + per_chunk]))), size, feature_dim)
+def compile_epoch(corpus, rows, batch_size, feature_dim):
+    """The Compiled batches of an epoch, in order: `rows` of the Encoded
+    corpus, in plan order, cut into batches of batch_size (the last may be
+    short). ceil(CHUNK / batch_size) whole batches at a time are taken from
+    corpus in one Encoded.take and compiled in one compile_batches pass. A
+    chunk's arrays stay far smaller than θ; the bincount keys of a batch's
+    gradient are built by the step, one batch at a time."""
+    chunk = -(-CHUNK // batch_size) * batch_size
+    for first in range(0, len(rows), chunk):
+        yield from compile_batches(corpus.take(rows[first:first + chunk]),
+                                   batch_size, feature_dim)
 
 
 def _gradient(model, batch):
@@ -433,11 +412,10 @@ def _gradient(model, batch):
     head's block made by one weighted bincount (_row_sums)."""
     p_int, p_tag = forward(model, batch)
     T, B = batch.lengths, len(batch.lengths)
-    tokens = np.arange(len(batch.feats))
     g_int = p_int / B
     g_int[np.arange(B), batch.intents] -= 1.0 / B
     g_tag = p_tag / batch.token_denom[:, None]
-    g_tag[tokens, batch.tags] -= 1.0 / batch.token_denom
+    g_tag[np.arange(len(g_tag)), batch.tags] -= 1.0 / batch.token_denom
 
     # each head's block: per touched row, its entries' gradient rows added
     # in (example, token, slot) order, the order of the per-example loop
@@ -536,10 +514,11 @@ def bio_spans(tags, offsets):
 
 def predict_ids(model, batch):
     """Most likely intent ids (examples,) and tag ids (tokens,) of an
-    Encoded batch, forwarded CHUNK examples at a time."""
+    Encoded batch, compiled without targets in batches of CHUNK examples."""
     intents, tags = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for rows in batches(range(len(batch)), CHUNK):
-        p_int, p_tag = forward(model, batch.take(rows))
+    for chunk in compile_batches(Encoded(batch.feats, batch.offsets), CHUNK,
+                                 model.feature_dim):
+        p_int, p_tag = forward(model, chunk)
         intents.append(p_int.argmax(axis=1))
         tags.append(p_tag.argmax(axis=1))
     return np.concatenate(intents), np.concatenate(tags)
@@ -631,11 +610,9 @@ def load_checkpoint(path):
     if hashlib.sha256(payload).digest() != blob[len(_MAGIC): start]:
         raise ChecksumError(f"{path}: payload checksum mismatch")
     header_len = int.from_bytes(payload[:8], "big")
-    meta = json.loads(str(payload[8: 8 + header_len], "utf-8"))
     try:
-        if meta["hidden_dim"] != 0:
-            raise DimMismatch(f"{path}: hidden_dim {meta['hidden_dim']!r}; only "
-                              f"the linear model (hidden_dim 0) is supported")
+        meta = json.loads(str(payload[8: 8 + header_len], "utf-8"))
+        hidden_dim = meta["hidden_dim"]
         n_theta, n_fisher = meta["n_theta"], meta["n_fisher"]
         ckpt = Checkpoint(
             intents=tuple(meta["intents"]),
@@ -650,6 +627,11 @@ def load_checkpoint(path):
         )
     except KeyError as err:
         raise ChecksumError(f"{path}: the header lacks {err}") from None
+    except (TypeError, ValueError) as err:  # not UTF-8, not JSON, bad fields
+        raise ChecksumError(f"{path}: malformed header: {err}") from None
+    if hidden_dim != 0:
+        raise DimMismatch(f"{path}: hidden_dim {hidden_dim!r}; only the "
+                          f"linear model (hidden_dim 0) is supported")
     body = payload[8 + header_len:]
     size = ckpt.layout.size
     if n_theta != size or n_fisher != size:
@@ -675,6 +657,10 @@ class TrainConfig:
     patience: int = 10
     reg: RegConfig = field(default_factory=RegConfig)
     freeze: frozenset = frozenset()  # names of the groups not trained
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ModelError(f"batch_size must be >= 1, got {self.batch_size!r}")
 
 
 @dataclass
@@ -704,9 +690,9 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
     at the first step. A prev of another layout, or a penalty without its
     anchor, raises before any example is encoded.
 
-    An epoch runs in two stages. Compile: the rows of ceil(CHUNK /
-    batch_size) batches at a time are taken in plan order, and
-    compile_batches computes their θ-independent arrays in one pass. Step:
+    An epoch runs in two stages. Compile: the plan is mapped to corpus
+    rows once, and compile_epoch cuts them into batches of batch_size,
+    ceil(CHUNK / batch_size) batches per compile_batches pass. Step:
     each batch runs the gradient kernel that loss_and_grad also runs, but
     computes no loss, then one Fisher update and the one step
     regularizers.anchored_step returned.
@@ -765,17 +751,16 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
         return bad_evals >= cfg.patience
 
     for epoch in range(cfg.max_epochs):
-        epoch_batches = batches(plan_fn(epoch), cfg.batch_size)
-        new = list(dict.fromkeys(eid for ids in epoch_batches for eid in ids
-                                 if eid not in row_of))
+        plan = list(plan_fn(epoch))
+        new = list(dict.fromkeys(eid for eid in plan if eid not in row_of))
         if new:
             examples = [examples_by_id[eid] for eid in new]
             corpus = Encoded.concat([corpus, encode(
                 [ex.query for ex in examples], model.feature_dim,
                 [encode_targets(model, ex) for ex in examples])])
             row_of.update(zip(new, range(len(row_of), len(corpus))))
-        rows = [[row_of[eid] for eid in ids] for ids in epoch_batches]
-        for batch in compile_epoch(corpus, rows, model.feature_dim):
+        for batch in compile_epoch(corpus, [row_of[eid] for eid in plan],
+                                   cfg.batch_size, model.feature_dim):
             data_grad = _gradient(model, batch)[2]
             fisher_acc.update(data_grad)
             sgd_step(data_grad)

@@ -52,6 +52,12 @@ def encoded(net, *queries):
     return encode(list(queries), net.feature_dim)
 
 
+def compiled(net, batch):
+    """The one Compiled batch of all of an Encoded batch's examples."""
+    (out,) = m.compile_batches(batch, len(batch), net.feature_dim)
+    return out
+
+
 def reference_featurize(query, feature_dim):
     """The per-token loop that the batched encoder replaced, kept as its
     oracle: per token, the sorted distinct hashed ids of its word, prev,
@@ -254,7 +260,7 @@ class TestEncode:
 class TestForward:
     def test_distributions_sum_to_one(self):
         net = tiny_model()
-        p_int, p_tag = forward(net, encoded(net, "a b c", "d"))
+        p_int, p_tag = forward(net, compiled(net, encoded(net, "a b c", "d")))
         assert p_int.shape == (2, len(net.intents))
         assert p_tag.shape == (4, len(net.tags))
         np.testing.assert_allclose(p_int.sum(axis=1), 1.0, atol=1e-9)
@@ -262,7 +268,7 @@ class TestForward:
 
     def test_zero_weights_give_uniform(self):
         net = tiny_model()
-        p_int, p_tag = forward(net, encoded(net, "a b"))
+        p_int, p_tag = forward(net, compiled(net, encoded(net, "a b")))
         np.testing.assert_allclose(p_int, 1 / len(net.intents), atol=1e-12)
         np.testing.assert_allclose(p_tag, 1 / len(net.tags), atol=1e-12)
 
@@ -270,12 +276,61 @@ class TestForward:
         net = tiny_model()
         ex = example("e", "[IN:A hello [SL:X there ] ]")
         batch = encode([ex.query], net.feature_dim, [encode_targets(net, ex)])
-        before = forward(net, batch)[0][0, 0]
+        before = forward(net, compiled(net, batch))[0][0, 0]
         _, grad = loss_and_grad(net, batch)
         net.theta.values -= 0.1 * dense(grad)
-        after = forward(net, batch)[0][0, 0]
+        after = forward(net, compiled(net, batch))[0][0, 0]
         assert after > before
 
+
+class TestPrediction:
+    def test_chunked_prediction_equals_each_query_alone(self):
+        """More than two chunks of queries, some repeated and some of one
+        token, predicted at once and one query at a time."""
+        rng = np.random.default_rng(0)
+        net = tiny_model()
+        net.theta.values[:] = rng.normal(0, 1.0, net.theta.values.size)
+        words = [f"w{i}" for i in range(40)]
+        queries = [" ".join(rng.choice(words, rng.integers(1, 6)))
+                   for _ in range(2 * m.CHUNK + 57)]
+        queries[300:320] = queries[:20]
+        queries[320:330] = words[:10]
+        intents, tags = m.predict_ids(net, encode(queries, net.feature_dim))
+        alone = [m.predict_ids(net, encode([q], net.feature_dim))
+                 for q in queries]
+        np.testing.assert_array_equal(intents,
+                                      np.concatenate([i for i, _ in alone]))
+        np.testing.assert_array_equal(tags,
+                                      np.concatenate([t for _, t in alone]))
+        assert len(set(intents.tolist())) > 1 and len(set(tags.tolist())) > 1
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_compiled_without_targets_forwards_as_with(self, batch_size):
+        """A batch compiled without targets carries no gradient arrays, and
+        forward gives it the bits it gives the batch compiled with them."""
+        rng = np.random.default_rng(batch_size)
+        net = tiny_model(feature_dim=13)
+        net.theta.values[:] = rng.normal(0, 1.0, net.theta.values.size)
+        lengths = rng.integers(1, 6, 40)
+        batch = pack(
+            [[np.sort(rng.choice(13, rng.integers(1, m.MAX_FEATS + 1),
+                                 replace=False)) for _ in range(length)]
+             for length in lengths],
+            [(int(rng.integers(len(net.intents))),
+              rng.integers(len(net.tags), size=length)) for length in lengths])
+        with_targets = m.compile_batches(batch, batch_size, net.feature_dim)
+        without = m.compile_batches(Encoded(batch.feats, batch.offsets),
+                                    batch_size, net.feature_dim)
+        assert len(with_targets) == len(without) == -(-40 // batch_size)
+        gradient_fields = ("intents", "tags", "token_denom", "token_of_entry",
+                           "rows", "row_of_entry")
+        for want, got in zip(with_targets, without):
+            assert all(getattr(got, name) is None for name in gradient_fields)
+            for got_p, want_p in zip(forward(net, got), forward(net, want)):
+                assert got_p.tobytes() == want_p.tobytes()
+
+    def test_no_examples_predict_no_trees(self):
+        assert predict_trees(tiny_model(), []) == []
 
 
 class TestLossAndGrad:
@@ -383,10 +438,11 @@ def test_compiled_epoch_matches_loss_and_grad(shape, batch_size, extra, seed):
          for length in lengths],
         [(int(rng.integers(len(net.intents))),
           rng.integers(len(net.tags), size=length)) for length in lengths])
-    row_batches = batches(rng.permutation(n).tolist(), batch_size)
-    compiled = list(m.compile_epoch(corpus, row_batches, net.feature_dim))
-    assert len(compiled) == len(row_batches)
-    for rows, batch in zip(row_batches, compiled):
+    plan = rng.permutation(n).tolist()
+    row_batches = batches(plan, batch_size)
+    epoch = list(m.compile_epoch(corpus, plan, batch_size, net.feature_dim))
+    assert len(epoch) == len(row_batches)
+    for rows, batch in zip(row_batches, epoch):
         got = m._gradient(net, batch)[2]
         want = loss_and_grad(net, corpus.take(rows))[1]
         for got_rows, want_rows, got_block, want_block in zip(
@@ -461,6 +517,12 @@ def em_evaluator(examples):
         return {"em": exact_match(gold, predict_trees(net, examples))}
 
     return evaluator
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_train_config_rejects_batch_size_below_one(batch_size):
+    with pytest.raises(m.ModelError, match="^batch_size"):
+        TrainConfig(batch_size=batch_size)
 
 
 class TestTrain:
@@ -807,7 +869,16 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "junk")
 
     @staticmethod
-    def _edit_header(path, *dropped, **changes):
+    def _write_header(path, header):
+        """Replace a checkpoint's header with the bytes `header`,
+        re-checksummed."""
+        payload = path.read_bytes()[len(m._MAGIC) + 32:]
+        header_len = int.from_bytes(payload[:8], "big")
+        payload = len(header).to_bytes(8, "big") + header + payload[8 + header_len:]
+        path.write_bytes(m._MAGIC + hashlib.sha256(payload).digest() + payload)
+
+    @classmethod
+    def _edit_header(cls, path, *dropped, **changes):
         """Rewrite a checkpoint's header without the keys `dropped` and with
         `changes`, re-checksummed; returns the header it read."""
         payload = path.read_bytes()[len(m._MAGIC) + 32:]
@@ -815,10 +886,31 @@ class TestCheckpoint:
         read = json.loads(payload[8:8 + header_len])
         meta = {k: v for k, v in read.items() if k not in dropped}
         meta.update(changes)
-        header = json.dumps(meta, sort_keys=True).encode("utf-8")
-        payload = len(header).to_bytes(8, "big") + header + payload[8 + header_len:]
-        path.write_bytes(m._MAGIC + hashlib.sha256(payload).digest() + payload)
+        cls._write_header(path, json.dumps(meta, sort_keys=True).encode("utf-8"))
         return read
+
+    @pytest.mark.parametrize("header", [
+        pytest.param(b'{"step": "\xff"}', id="not-utf-8"),
+        pytest.param(b"{'step': 1}", id="not-json"),
+        pytest.param(b"[1, 2]", id="json-list"),
+        pytest.param({"intents": 5}, id="intents-number"),
+        pytest.param({"feature_dim": "x"}, id="feature-dim-text"),
+    ])
+    def test_malformed_header_rejected_naming_the_file(self, tmp_path, header):
+        net = TaggerModel.init(("IN:A",), ("SL:X",), feature_dim=16)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(intents=net.intents, slots=net.slots,
+                                   feature_dim=16,
+                                   theta_values=net.theta.values,
+                                   fisher_sum_sq=net.theta.values,
+                                   fisher_steps=0, step=0), path)
+        if isinstance(header, dict):
+            self._edit_header(path, **header)
+        else:
+            self._write_header(path, header)
+        with pytest.raises(ChecksumError,
+                           match=f"^{re.escape(str(path))}: malformed header"):
+            load_checkpoint(path)
 
     def test_header_without_a_key_rejected_naming_it(self, tmp_path):
         result, _ = self._trained()

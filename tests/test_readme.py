@@ -1,15 +1,30 @@
-"""README's CLI examples and minimal config stay valid for the code."""
+"""README's CLI examples, minimal config and dotted names stay valid for
+the code."""
 
+import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import treepatch
 from treepatch.cli import build_parser
-from treepatch.harness import ExperimentConfig
+from treepatch.harness import DEFAULT_CONFIG, ExperimentConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 CLI_SECTION = README[README.index("## CLI"):]
+
+MODULES = {info.name: importlib.import_module(f"treepatch.{info.name}")
+           for info in pkgutil.iter_modules(treepatch.__path__)}
+# what a dotted name's head may be read as: the package, a module, or a
+# class one of its modules defines
+ROOTS = {"treepatch": treepatch, **MODULES, **{
+    name: obj for module in MODULES.values()
+    for name, obj in vars(module).items()
+    if inspect.isclass(obj) and obj.__module__ == module.__name__}}
 
 
 def _block(text, lang):
@@ -32,3 +47,42 @@ def test_minimal_config_loads():
     raw = json.loads(_block(CLI_SECTION, "json"))
     cfg = ExperimentConfig.from_dict(raw)
     assert cfg["reg"] == {**raw["reg"], "epsilon": 1e-12}
+
+
+def _is_attribute(name):
+    """Whether `name` resolves from its ROOTS head, attribute by attribute;
+    a dataclass field, which need not be a class attribute, ends it."""
+    head, *parts = name.split(".")
+    if head not in ROOTS:
+        return False
+    obj = ROOTS[head]
+    for i, part in enumerate(parts):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif dataclasses.is_dataclass(obj) and part in {
+                f.name for f in dataclasses.fields(obj)}:
+            return i == len(parts) - 1
+        else:
+            return False
+    return True
+
+
+def _is_config_key(name):
+    node = DEFAULT_CONFIG
+    for part in name.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return False
+        node = node[part]
+    return True
+
+
+def test_dotted_names_resolve():
+    """Each backticked dotted name headed by a treepatch module, one of
+    their classes or a DEFAULT_CONFIG section names something that exists;
+    other names (np.unique, pyproject.toml) are not the project's."""
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README))
+    checked = [n for n in names
+               if n.split(".")[0] in ROOTS or n.split(".")[0] in DEFAULT_CONFIG]
+    assert checked
+    assert sorted(n for n in checked
+                  if not (_is_attribute(n) or _is_config_key(n))) == []
