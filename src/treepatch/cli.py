@@ -113,7 +113,8 @@ def cmd_finetune(args):
 def cmd_evaluate(args):
     ckpt = load_checkpoint(args.ckpt)
     test_set = ds.load_tsv(args.test)
-    evaluator = harness.make_evaluator(test_set, args.k, args.fold_seed)
+    evaluator = harness.make_evaluator(harness.EvalCases(test_set), args.k,
+                                       args.fold_seed)
     _write_json(evaluator(ckpt.model()), args.report)
 
 

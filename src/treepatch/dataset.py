@@ -82,10 +82,6 @@ class Dataset:
     def __getitem__(self, i):
         return self.examples[i]
 
-    @property
-    def by_id(self):
-        return {ex.id: ex for ex in self.examples}
-
     def classes(self):
         out = set()
         for ex in self.examples:

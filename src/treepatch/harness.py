@@ -13,15 +13,16 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
 from .model import (GROUPS, ModelError, TaggerModel, TrainConfig,
-                    UnknownLabel, bio_spans, encode, gold_targets,
-                    predict_ids, train)
+                    UnknownLabel, bio_spans, encode, encode_examples,
+                    gold_targets, predict_ids, train)
 from .regularizers import RegConfig, RegError
 from .treebank import INTENT_PREFIX, SLOT_PREFIX, serialize
 from .utils import derive_seed
@@ -219,9 +220,20 @@ class ExperimentConfig:
 
 @dataclass
 class DataBundle:
+    """The train and test sets and the D1/D2 split of a run, and the set-up
+    the commands on them share, each built at its first use and kept: the
+    class sets, one encoded train set per model vocabulary (corpus) and one
+    scoring state of the test set per class list (eval_cases). A sweep or
+    an experiment that runs many commands on one bundle pays for each once.
+    The sets must not change after a command has run on the bundle."""
+
     train: ds.Dataset
     test: ds.Dataset
     split: ds.SplitResult
+    _corpora: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _eval_cases: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def d1(self):
@@ -231,9 +243,34 @@ class DataBundle:
     def d2(self):
         return self.split.d2
 
+    @cached_property
+    def train_classes(self):
+        """Every label of the training set."""
+        return frozenset(self.train.classes())
+
+    @cached_property
     def classes(self):
-        """Every label of the training and test sets."""
-        return self.train.classes() | self.test.classes()
+        """Every label of the training and test sets, sorted."""
+        return tuple(sorted(self.train_classes | self.test.classes()))
+
+    def corpus(self, model):
+        """(corpus, row_of) of the whole train set under the model's
+        vocabulary (feature_dim, intents, slots), as train reads them
+        (model.encode_examples): encoded with its targets at the first call
+        with that vocabulary, then kept. A label the model lacks raises
+        UnknownLabel."""
+        vocab = (model.feature_dim, model.intents, model.slots)
+        if vocab not in self._corpora:
+            self._corpora[vocab] = encode_examples(model, self.train)
+        return self._corpora[vocab]
+
+    def eval_cases(self, classes):
+        """The EvalCases of the test set under `classes`, built at the first
+        call with those classes, then kept."""
+        key = tuple(classes)
+        if key not in self._eval_cases:
+            self._eval_cases[key] = EvalCases(self.test, key)
+        return self._eval_cases[key]
 
 
 def load_data(cfg):
@@ -255,60 +292,84 @@ def prepare(cfg):
     return DataBundle(train=train_set, test=test_set, split=split)
 
 
-def make_evaluator(test_set, k, seed, classes=None):
-    """Closure computing one evaluation record by scoring spans, not trees,
-    once per case: a distinct (query, gold tree) pair of the test set.
+class EvalCases:
+    """The scoring state of a test set under a list of classes, which every
+    evaluator make_evaluator builds from it shares: the cases, distinct
+    (query, gold tree) pairs in first-occurrence order, and the case of each
+    example; the gold paths of each case (extract_paths) as entries of a
+    PathVocab; and, once per model vocabulary and feature_dim, the cases'
+    queries encoded with their gold targets (encoded).
 
-    Up front: the fold assignment; the cases, in first-occurrence order, and
-    the case of each example; per case, the gold paths (extract_paths) as
-    entries of a PathVocab. Once per model vocabulary and feature_dim, the
-    cases' queries are encoded with their gold targets, read by
-    model.gold_targets as training reads them; a label the model lacks gets
-    -1, and so does every token of a tree that is not flat, as no
-    prediction (an intent over flat slot spans of the query) matches such a
-    tree. Each evaluation takes the argmax intents and tags of batched
-    forwards of the cases, reads their slot spans as decode_tree would
+    Evaluators intern their predicted paths into the same PathVocab, so it
+    grows only with the distinct paths predicted so far, never per call. A
+    path's id depends on the order paths were first seen, but
+    metrics.counts_from_entries adds integer counts per path and class, so
+    no record depends on which evaluator or command saw a path first.
+    """
+
+    def __init__(self, test_set, classes=None):
+        self.classes = sorted(test_set.classes() if classes is None
+                              else classes)
+        # looked up by query first: a gold tree is compared only with the
+        # earlier trees of its query, and never hashed
+        cases_of_query = {}  # query -> [(gold tree, case)]
+        cases, case_of = [], []
+        for ex in test_set:
+            known = cases_of_query.setdefault(ex.query, [])
+            for tree, case in known:
+                if tree == ex.tree:
+                    break
+            else:
+                case = len(cases)
+                known.append((ex.tree, case))
+                cases.append(ex)
+            case_of.append(case)
+        self.cases = cases
+        self.case_of = np.array(case_of, dtype=np.int64)
+        self.tokens = [tok for ex in cases for tok in ex.query.split()]
+        self.paths = metrics.PathVocab(self.classes)
+        self.gold = self.paths.entries(
+            [metrics.extract_paths(ex.tree) for ex in cases])
+        self._encoded = {}
+
+    def encoded(self, model):
+        """(the Encoded cases with their gold targets, the path id of each
+        intent's slotless tree) under the model's vocabulary, built at the
+        first call with it. A label the model lacks gets -1, and so does
+        every token of a tree that is not flat, as no prediction (an intent
+        over flat slot spans of the query) matches such a tree."""
+        vocab = (model.feature_dim, model.intents, model.tags)
+        if vocab not in self._encoded:
+            targets = [gold_targets(model, ex.tree) for ex in self.cases]
+            self._encoded[vocab] = (
+                encode([ex.query for ex in self.cases], model.feature_dim, [
+                    (intent, tags if flat else [-1] * len(tags))
+                    for intent, tags, flat in targets]),
+                np.array([self.paths.id((x,), "") for x in model.intents]))
+        return self._encoded[vocab]
+
+
+def make_evaluator(cases, k, seed):
+    """A new closure computing one evaluation record of a model by scoring
+    spans, not trees, once per case of an EvalCases (DataBundle.eval_cases
+    keeps a bundle's, so its commands share one).
+
+    Up front: the fold assignment of the test set's examples. Each
+    evaluation takes the argmax intents and tags of batched forwards of the
+    cases (EvalCases.encoded), reads their slot spans as decode_tree would
     (model.bio_spans) and interns each span's path (its labels, and its
-    tokens joined by spaces) into the same PathVocab; a case without spans
+    tokens joined by spaces) into the cases' PathVocab; a case without spans
     has its intent's slotless path. Exact match is the same intent and the
     same repaired tags as the gold targets. A prediction depends on its
     query's tokens alone, so each example's EM hit and path counts are its
     case's; the record equals evaluation_record of the trees predict_trees
     decodes. No tree is built.
     """
-    folds = metrics.fold_indices(len(test_set), k, seed)
-    classes = sorted(test_set.classes() if classes is None else classes)
-    # looked up by query first: a gold tree is compared only with the
-    # earlier trees of its query, and never hashed
-    cases_of_query = {}  # query -> [(gold tree, case)]
-    cases, case_of = [], []
-    for ex in test_set:
-        known = cases_of_query.setdefault(ex.query, [])
-        for tree, case in known:
-            if tree == ex.tree:
-                break
-        else:
-            case = len(cases)
-            known.append((ex.tree, case))
-            cases.append(ex)
-        case_of.append(case)
-    case_of = np.array(case_of, dtype=np.int64)
-    queries = [ex.query for ex in cases]
-    tokens = [tok for q in queries for tok in q.split()]
-    paths = metrics.PathVocab(classes)
-    gold = paths.entries([metrics.extract_paths(ex.tree) for ex in cases])
-    encoded = {}  # per model vocabulary: encoded cases, slotless path ids
+    folds = metrics.fold_indices(len(cases.case_of), k, seed)
+    paths, tokens = cases.paths, cases.tokens
 
     def evaluator(model):
-        vocab = (model.feature_dim, model.intents, model.tags)
-        if vocab not in encoded:
-            targets = [gold_targets(model, ex.tree) for ex in cases]
-            encoded[vocab] = (encode(queries, model.feature_dim, [
-                (intent, tags if flat else [-1] * len(tags))
-                for intent, tags, flat in targets]),
-                np.array([paths.id((x,), "") for x in model.intents]))
-        batch, slotless_path = encoded[vocab]
-
+        batch, slotless_path = cases.encoded(model)
         intent, tag = predict_ids(model, batch)
         start, end, slot, repaired = bio_spans(tag, batch.offsets)
         case_of_span = np.searchsorted(batch.offsets, start, side="right") - 1
@@ -323,11 +384,12 @@ def make_evaluator(test_set, k, seed, classes=None):
                                            slotless_path[intent[spanless]]]),
                 np.ones(len(pred_case), dtype=np.int64))
         counts = metrics.counts_from_entries(len(intent), paths.mentions,
-                                             gold, pred)
+                                             cases.gold, pred)
         tags_differ = np.logical_or.reduceat(repaired != batch.tags,
                                              batch.offsets[:-1])
         em_hits = ((intent == batch.intents) & ~tags_differ).astype(float)
-        return _record(em_hits[case_of], counts[case_of], folds, classes)
+        return _record(em_hits[cases.case_of], counts[cases.case_of], folds,
+                       cases.classes)
 
     return evaluator
 
@@ -411,25 +473,31 @@ def _scratch_plan_fn(train_ids, seed):
     return plan_fn
 
 
+def _evaluator(cfg, bundle):
+    """A new evaluator of a command, over the bundle's shared EvalCases."""
+    return make_evaluator(bundle.eval_cases(bundle.classes),
+                          int(cfg["eval"]["k"]),
+                          derive_seed(cfg.seed, "folds"))
+
+
 def cmd_train(cfg, bundle, on="all"):
     """Train a fresh model: on="all" gives the full-retraining baseline
     (d1 union d2); on="d1" gives the pre-patch model whose checkpoint carries
     the Fisher estimate. Returns (TrainResult, RunReport)."""
     if on == "all":
-        by_id = bundle.train.by_id
+        ids = bundle.train.ids()
     elif on == "d1":
-        by_id = bundle.d1.by_id
+        ids = bundle.d1.ids()
     else:
         raise ConfigError(f"train target must be all|d1, got {on!r}")
-    classes = sorted(bundle.classes())
-    intents = sorted(c for c in classes if c.startswith(INTENT_PREFIX))
-    slots = sorted(c for c in classes if c.startswith(SLOT_PREFIX))
+    classes = bundle.classes
+    intents = [c for c in classes if c.startswith(INTENT_PREFIX)]
+    slots = [c for c in classes if c.startswith(SLOT_PREFIX)]
     model = TaggerModel.init(intents, slots,
                              feature_dim=int(cfg["model"]["feature_dim"]))
-    evaluator = make_evaluator(bundle.test, int(cfg["eval"]["k"]),
-                               derive_seed(cfg.seed, "folds"), classes)
-    result = train(model, by_id,
-                   _scratch_plan_fn(sorted(by_id), derive_seed(cfg.seed, on)),
+    evaluator = _evaluator(cfg, bundle)
+    result = train(model, *bundle.corpus(model),
+                   _scratch_plan_fn(sorted(ids), derive_seed(cfg.seed, on)),
                    cfg.train_config(), evaluator, config_digest=cfg.digest())
     report = RunReport(kind="scratch" if on == "all" else "prev",
                        config_digest=cfg.digest(), records=result.history,
@@ -446,27 +514,23 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
     naive fine-tuning is p=0 with reg kind "none". EWC reads the Fisher
     estimate recorded in the previous checkpoint. The report additionally
     carries the forgetting count versus the pre-patch model."""
-    # training encodes an example only when a plan draws it, so check every
-    # label up front rather than whenever a later epoch reaches it
-    unknown = sorted(bundle.train.classes()
+    # name every label the checkpoint lacks, before any encoding or step
+    unknown = sorted(bundle.train_classes
                      - set(prev_ckpt.intents) - set(prev_ckpt.slots))
     if unknown:
         raise UnknownLabel("labels missing from the previous checkpoint: "
                            + ", ".join(unknown))
-    model = prev_ckpt.model()
-    sampler = cfg.sampler_config()
-
-    def plan_fn(epoch):
-        return sampling.epoch_plan(bundle.d1, bundle.d2, sampler, epoch).ids
-
-    classes = sorted(bundle.classes())
-    evaluator = make_evaluator(bundle.test, int(cfg["eval"]["k"]),
-                               derive_seed(cfg.seed, "folds"), classes)
+    anchor = prev_ckpt.model()  # prev's theta in memory order, made once
+    model = dataclasses.replace(anchor, theta=anchor.theta.copy())
+    plans = sampling.epoch_plans(bundle.d1, bundle.d2, cfg.sampler_config())
+    evaluator = _evaluator(cfg, bundle)
     before = evaluator(model)
 
-    result = train(model, bundle.train.by_id, plan_fn,
+    result = train(model, *bundle.corpus(model),
+                   lambda epoch: plans(epoch).ids,
                    cfg.train_config(cfg.reg_config()), evaluator,
-                   prev=prev_ckpt, config_digest=cfg.digest())
+                   prev=prev_ckpt, config_digest=cfg.digest(),
+                   theta_prev=anchor.theta)
 
     after = result.history[-1]
     degradation = degradation_from_records(before, after)

@@ -18,9 +18,10 @@ row widths are the intents and the tags, transposes (ParamLayout.reordered)
 at the Checkpoint boundary only: train's best and final checkpoints,
 Checkpoint.model and Checkpoint.fisher_accumulator.
 
-Queries are encoded once (Encoded); compile_batches, the one pass that cuts
-them into batches for prediction and training, makes the one batch form
-forward reads (Compiled).
+Queries are encoded once (Encoded; a training set with its targets by
+encode_examples); compile_batches, the one pass that cuts them into batches
+for prediction and training, makes the one batch form forward reads
+(Compiled).
 """
 
 from __future__ import annotations
@@ -170,15 +171,6 @@ class Encoded:
         return Encoded(self.feats[tokens], offsets, self.intents[rows],
                        self.tags[tokens])
 
-    @classmethod
-    def concat(cls, parts):
-        lengths = np.concatenate([p.lengths for p in parts])
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return cls(np.concatenate([p.feats for p in parts]), offsets,
-                   np.concatenate([p.intents for p in parts]),
-                   np.concatenate([p.tags for p in parts]))
-
 
 def _hashes(prefix, words, dim):
     return np.array([zlib.crc32(f"{prefix}{w}".encode("utf-8")) for w in words],
@@ -310,6 +302,19 @@ def encode_targets(model, example):
         raise UnknownLabel(", ".join(sorted(
             example.classes - model.intent_ids.keys() - model.bio_ids.keys())))
     return intent, tags
+
+
+def encode_examples(model, examples):
+    """(corpus, row_of) of training examples, what train reads: the Encoded
+    queries with their targets (encode_targets) under the model's
+    vocabulary, in the given order, and each example's id -> its row. A
+    token's features are hashes of its own and its neighbours' strings, so
+    a row's bytes do not depend on the other examples encoded with it. A
+    label the model lacks raises UnknownLabel naming the example's."""
+    examples = list(examples)
+    corpus = encode([ex.query for ex in examples], model.feature_dim,
+                    [encode_targets(model, ex) for ex in examples])
+    return corpus, {ex.id: row for row, ex in enumerate(examples)}
 
 
 def _count_leaves(node):
@@ -600,6 +605,35 @@ def save_checkpoint(ckpt, path):
             fh.write(part)
 
 
+_HEADER_KEYS = ("intents", "slots", "feature_dim", "hidden_dim",
+                "fisher_steps", "step", "config_digest", "history", "n_theta",
+                "n_fisher")
+
+
+def _header_problem(meta):
+    """Why the fields of a checkpoint header are malformed, or None: the
+    labels are lists of strings, with at least one intent; the counts are
+    integers, not bools, feature_dim at least 1 and the others at least 0;
+    config_digest is a string and history a list. hidden_dim is compared
+    with 0 later."""
+    for key in ("intents", "slots"):
+        labels = meta[key]
+        if (not isinstance(labels, list)
+                or not all(isinstance(label, str) for label in labels)):
+            return f"{key} must be a list of strings, got {labels!r}"
+    if not meta["intents"]:
+        return "intents is empty"
+    for key in ("feature_dim", "fisher_steps", "step", "n_theta", "n_fisher"):
+        least = 1 if key == "feature_dim" else 0
+        if type(meta[key]) is not int or meta[key] < least:
+            return f"{key} must be an integer >= {least}, got {meta[key]!r}"
+    if not isinstance(meta["config_digest"], str):
+        return f"config_digest must be a string, got {meta['config_digest']!r}"
+    if not isinstance(meta["history"], list):
+        return f"history must be a list, got {meta['history']!r}"
+    return None
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -612,23 +646,29 @@ def load_checkpoint(path):
     header_len = int.from_bytes(payload[:8], "big")
     try:
         meta = json.loads(str(payload[8: 8 + header_len], "utf-8"))
-        hidden_dim = meta["hidden_dim"]
-        n_theta, n_fisher = meta["n_theta"], meta["n_fisher"]
-        ckpt = Checkpoint(
-            intents=tuple(meta["intents"]),
-            slots=tuple(meta["slots"]),
-            feature_dim=int(meta["feature_dim"]),
-            theta_values=None,  # read from the body once its length is checked
-            fisher_sum_sq=None,
-            fisher_steps=int(meta["fisher_steps"]),
-            step=int(meta["step"]),
-            config_digest=meta["config_digest"],
-            history=tuple(meta["history"]),
-        )
-    except KeyError as err:
-        raise ChecksumError(f"{path}: the header lacks {err}") from None
-    except (TypeError, ValueError) as err:  # not UTF-8, not JSON, bad fields
+    except ValueError as err:  # not UTF-8, not JSON
         raise ChecksumError(f"{path}: malformed header: {err}") from None
+    if not isinstance(meta, dict):
+        raise ChecksumError(f"{path}: malformed header: not a JSON object")
+    missing = next((key for key in _HEADER_KEYS if key not in meta), None)
+    if missing is not None:
+        raise ChecksumError(f"{path}: the header lacks {missing!r}")
+    problem = _header_problem(meta)
+    if problem is not None:
+        raise ChecksumError(f"{path}: malformed header: {problem}")
+    hidden_dim = meta["hidden_dim"]
+    n_theta, n_fisher = meta["n_theta"], meta["n_fisher"]
+    ckpt = Checkpoint(
+        intents=tuple(meta["intents"]),
+        slots=tuple(meta["slots"]),
+        feature_dim=meta["feature_dim"],
+        theta_values=None,  # read from the body once its length is checked
+        fisher_sum_sq=None,
+        fisher_steps=meta["fisher_steps"],
+        step=meta["step"],
+        config_digest=meta["config_digest"],
+        history=tuple(meta["history"]),
+    )
     if hidden_dim != 0:
         raise DimMismatch(f"{path}: hidden_dim {hidden_dim!r}; only the "
                           f"linear model (hidden_dim 0) is supported")
@@ -672,23 +712,27 @@ class TrainResult:
     stopped_early: bool
 
 
-def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
-          config_digest=""):
+def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
+          config_digest="", theta_prev=None):
     """Seeded mini-batch SGD over epoch plans.
 
-    plan_fn(epoch_index) -> ordered id list for that epoch (already shuffled).
-    evaluator(model) -> record dict with an "em" float; called every
-    cfg.eval_every steps and once at the end. Early stopping after
+    corpus, row_of: encoded training examples with their targets under the
+    model's vocabulary, and each id's row in corpus (encode_examples;
+    DataBundle.corpus keeps one per vocabulary). train encodes nothing.
+    plan_fn(epoch_index) -> ordered id list for that epoch (already
+    shuffled). evaluator(model) -> record dict with an "em" float; called
+    every cfg.eval_every steps and once at the end. Early stopping after
     cfg.patience evaluations without an EM improvement; the checkpoint with
-    the best EM is returned. An example is encoded when an epoch plan first
-    draws it; examples no plan draws are never looked at.
+    the best EM is returned.
 
     prev, the previous Checkpoint of a fine-tune, is its anchor: its theta
     is theta_prev, its Fisher mean the EWC weights (None when it recorded no
     step, so that EWC raises MissingFisher) and its Fisher sums the start of
     this run's squared-gradient accumulation, which otherwise starts empty
-    at the first step. A prev of another layout, or a penalty without its
-    anchor, raises before any example is encoded.
+    at the first step. A caller that already holds prev.model()'s theta
+    passes it as theta_prev, so that prev's theta is reordered into memory
+    order once; train never writes it. A prev of another layout, or a
+    penalty without its anchor, raises before the first step.
 
     An epoch runs in two stages. Compile: the plan is mapped to corpus
     rows once, and compile_epoch cuts them into batches of batch_size,
@@ -704,13 +748,12 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
         if prev.layout != model.layout:
             raise LayoutMismatch("the previous checkpoint's layout differs "
                                  "from the model's")
-        theta_prev = prev.model().theta
+        if theta_prev is None:
+            theta_prev = prev.model().theta
         fisher_acc = prev.fisher_accumulator()
         fisher_prev = fisher_acc.fisher() if fisher_acc.steps else None
     sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
                              cfg.lr, cfg.freeze)
-    corpus = encode([], model.feature_dim, [])  # the examples drawn so far
-    row_of = {}  # example id -> its row in corpus
 
     history = []
     best_em = -1.0
@@ -751,16 +794,9 @@ def train(model, examples_by_id, plan_fn, cfg, evaluator, prev=None,
         return bad_evals >= cfg.patience
 
     for epoch in range(cfg.max_epochs):
-        plan = list(plan_fn(epoch))
-        new = list(dict.fromkeys(eid for eid in plan if eid not in row_of))
-        if new:
-            examples = [examples_by_id[eid] for eid in new]
-            corpus = Encoded.concat([corpus, encode(
-                [ex.query for ex in examples], model.feature_dim,
-                [encode_targets(model, ex) for ex in examples])])
-            row_of.update(zip(new, range(len(row_of), len(corpus))))
-        for batch in compile_epoch(corpus, [row_of[eid] for eid in plan],
-                                   cfg.batch_size, model.feature_dim):
+        rows = [row_of[eid] for eid in plan_fn(epoch)]
+        for batch in compile_epoch(corpus, rows, cfg.batch_size,
+                                   model.feature_dim):
             data_grad = _gradient(model, batch)[2]
             fisher_acc.update(data_grad)
             sgd_step(data_grad)

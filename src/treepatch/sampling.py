@@ -54,32 +54,50 @@ def build_replay(d1, p, seed):
     return tuple(ids[i] for i in sorted(picked))
 
 
-def epoch_plan(d1, d2, config, epoch_index):
-    """Shuffled id order for one epoch.
+def epoch_plans(d1, d2, config):
+    """plan(epoch_index) -> the EpochPlan of one epoch of a run, shuffled.
 
     replay mode: d2 plus the fixed buffer, the same draw every epoch.
     sample mode: d2 plus a fresh per-epoch draw from d1 without replacement.
+    What does not depend on the epoch is read or drawn once, here: d1's and
+    d2's ids, and the replay buffer or the sample mode's permutation of d1.
     """
+    new_ids = d2.ids()
     if config.mode == "replay":
-        old_ids = list(build_replay(d1, config.p, config.seed))
+        buffer = list(build_replay(d1, config.p, config.seed))
     else:
         # balanced supersampling: successive windows of one seeded
         # permutation (mod |d1|), so every old example's inclusion frequency
         # converges to p at rate 1/epochs while each epoch is still a draw
         # without replacement
-        ids = d1.ids()
-        n = len(ids)
-        n_old = _old_count(n, config.p)
+        old = np.array(d1.ids(), dtype=object)
+        n = len(old)
+        window = np.arange(_old_count(n, config.p))
         perm = np.random.default_rng(
             derive_seed(config.seed, "sample-perm", config.p)).permutation(n)
-        start = (epoch_index * n_old) % n if n else 0
-        picked = [perm[(start + i) % n] for i in range(n_old)]
-        old_ids = [ids[i] for i in sorted(picked)]
-    pool = list(d2.ids()) + old_ids
-    order = np.random.default_rng(
-        derive_seed(config.seed, "shuffle", epoch_index)).permutation(len(pool))
-    return EpochPlan(ids=tuple(pool[i] for i in order),
-                     n_old=len(old_ids), n_new=len(d2))
+
+    def plan(epoch_index):
+        if config.mode == "replay":
+            old_ids = buffer
+        elif len(window):
+            start = (epoch_index * len(window)) % n
+            old_ids = old[np.sort(perm[(start + window) % n])].tolist()
+        else:
+            old_ids = []
+        pool = new_ids + old_ids
+        rng = np.random.default_rng(
+            derive_seed(config.seed, "shuffle", epoch_index))
+        order = rng.permutation(len(pool))
+        return EpochPlan(ids=tuple([pool[i] for i in order.tolist()]),
+                         n_old=len(old_ids), n_new=len(new_ids))
+
+    return plan
+
+
+def epoch_plan(d1, d2, config, epoch_index):
+    """The EpochPlan of one epoch (see epoch_plans, which a run draws its
+    plans from)."""
+    return epoch_plans(d1, d2, config)(epoch_index)
 
 
 def batches(ids, batch_size):

@@ -197,7 +197,7 @@ class TestLoadTsvRepeats:
 
     def test_repeated_lines_share_one_tree(self, tmp_path):
         data = load_tsv(self._write(tmp_path / "rep.tsv", self.LINES))
-        by_id = data.by_id
+        by_id = {ex.id: ex for ex in data}
         assert by_id["a"].tree is by_id["c"].tree is by_id["f"].tree
         assert by_id["a"].classes is by_id["c"].classes
         assert by_id["b"].tree is by_id["e"].tree

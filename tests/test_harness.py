@@ -268,7 +268,7 @@ def test_evaluator_featurizes_once_and_matches_predict_trees(
                         lambda queries, dim, targets: calls.extend(queries)
                         or encode(queries, dim, targets))
     net = scratch[0].best.model()
-    evaluator = harness.make_evaluator(bundle.test, 5, 0)
+    evaluator = harness.make_evaluator(harness.EvalCases(bundle.test), 5, 0)
     first, second = evaluator(net), evaluator(net)
     # each case's query once, in first-occurrence order
     assert calls == [query for query, _ in dict.fromkeys(
@@ -278,6 +278,56 @@ def test_evaluator_featurizes_once_and_matches_predict_trees(
         [ex.tree for ex in bundle.test], predict_trees(net, bundle.test),
         folds, sorted(bundle.test.classes()))
     assert first == second == expected
+
+
+def _run_bytes(run, path):
+    """A command's report as canonical JSON and its best checkpoint's file
+    bytes."""
+    result, report = run
+    model_module.save_checkpoint(result.best, path)
+    return json.dumps(report.as_dict(), sort_keys=True), path.read_bytes()
+
+
+def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
+                                                             monkeypatch):
+    """cmd_train(on="d1"), a naive and an EWC cmd_finetune, then a d1 model
+    of another feature_dim, on one bundle: the train set's queries go to
+    encode once per model vocabulary, and each test case's gold tree to
+    extract_paths once. Each report and best checkpoint has the bytes of the
+    same command run alone on a fresh bundle, in reverse order, so neither
+    the shared PathVocab nor any other shared state carries over."""
+    configs = [ExperimentConfig.from_dict(harness._deep_merge(SMALL, override))
+               for override in ({}, {"sampler": {"p": 0.0}},
+                                {"reg": {"kind": "ewc", "strength": 1.0}},
+                                {"model": {"feature_dim": 256}})]
+    shared = harness.prepare(configs[0])
+    encoded, gold_trees = [], []
+    encode, extract_paths = model_module.encode, metrics.extract_paths
+    monkeypatch.setattr(model_module, "encode", lambda queries, *rest:
+                        encoded.append(list(queries)) or encode(queries, *rest))
+    monkeypatch.setattr(metrics, "extract_paths", lambda tree:
+                        gold_trees.append(tree) or extract_paths(tree))
+
+    def command(i, bundle):
+        if i in (1, 2):
+            return harness.cmd_finetune(configs[i], bundle, prev)
+        return harness.cmd_train(configs[i], bundle, on="d1")
+
+    first = command(0, shared)
+    prev = first[0].best
+    runs = [_run_bytes(first, tmp_path / "0.ckpt")]
+    runs += [_run_bytes(command(i, shared), tmp_path / f"{i}.ckpt")
+             for i in range(1, 4)]
+    queries = [ex.query for ex in shared.train]
+    assert encoded == [queries, queries]  # feature_dims 4096 and 256
+    cases = dict.fromkeys((ex.query, ex.tree) for ex in shared.test)
+    assert gold_trees == [tree for _, tree in cases]
+    monkeypatch.undo()
+
+    for i in reversed(range(4)):
+        alone = _run_bytes(command(i, harness.prepare(configs[i])),
+                           tmp_path / f"alone{i}.ckpt")
+        assert alone == runs[i]
 
 
 def _record(step, em, em_std, target_mean, target_std):
@@ -468,7 +518,8 @@ def random_models(draw):
        st.integers(2, 5), st.integers(0, 3))
 def test_span_scorer_equals_tree_oracle(test_set, nets, k, seed):
     classes = sorted(test_set.classes() | {"SL:DATE", "SL:NOWHERE"})
-    evaluator = harness.make_evaluator(test_set, k, seed, classes)
+    evaluator = harness.make_evaluator(harness.EvalCases(test_set, classes),
+                                       k, seed)
     gold = [ex.tree for ex in test_set]
     folds = metrics.fold_indices(len(test_set), k, seed)
     for net in nets:  # later calls reuse the evaluator's path ids
@@ -501,7 +552,8 @@ def repeating_test_sets(draw):
        st.integers(0, 3))
 def test_repeated_cases_score_as_the_tree_oracle(test_set, net, k, seed):
     classes = sorted(test_set.classes())
-    got = harness.make_evaluator(test_set, k, seed, classes)(net)
+    got = harness.make_evaluator(harness.EvalCases(test_set, classes), k,
+                                 seed)(net)
     expected = harness.evaluation_record(
         [ex.tree for ex in test_set], predict_trees(net, test_set),
         metrics.fold_indices(len(test_set), k, seed), classes)
@@ -533,7 +585,7 @@ def test_evaluator_builds_no_tree(bundle, scratch, monkeypatch):
     extract_paths = metrics.extract_paths
     monkeypatch.setattr(metrics, "extract_paths",
                         lambda tree: gold_trees.append(tree) or extract_paths(tree))
-    evaluator = harness.make_evaluator(bundle.test, 5, 0)
+    evaluator = harness.make_evaluator(harness.EvalCases(bundle.test), 5, 0)
     # once per distinct (query, tree), in first-occurrence order
     cases = list(dict.fromkeys((ex.query, ex.tree) for ex in bundle.test))
     assert len(cases) < len(bundle.test)

@@ -16,7 +16,8 @@ from treepatch.dataset import Dataset, Example
 from treepatch.metrics import exact_match
 from treepatch.model import (Checkpoint, ChecksumError, DimMismatch,
                              EmptyQuery, Encoded, TaggerModel, TrainConfig,
-                             UnknownLabel, decode_tree, encode, encode_targets,
+                             UnknownLabel, decode_tree, encode,
+                             encode_examples, encode_targets,
                              featurize, forward, load_checkpoint,
                              loss_and_grad, predict_trees, save_checkpoint,
                              train)
@@ -500,8 +501,8 @@ def toy_corpus(n_pairs=30):
     return Dataset(tuple(example(f"e{j}", t) for j, t in enumerate(texts)))
 
 
-def simple_plan(by_id, seed):
-    ids = sorted(by_id)
+def simple_plan(ids, seed):
+    ids = sorted(ids)
 
     def plan_fn(epoch):
         rng = np.random.default_rng(seed + epoch)
@@ -529,8 +530,8 @@ class TestTrain:
     def test_learns_separable_data(self):
         corpus = toy_corpus()
         net = tiny_model(feature_dim=512)
-        by_id = {e.id: e for e in corpus}
-        result = train(net, by_id, simple_plan(by_id, 0),
+        result = train(net, *encode_examples(net, corpus),
+                       simple_plan(corpus.ids(), 0),
                        TrainConfig(lr=0.5, batch_size=8, max_epochs=30,
                                    eval_every=50, patience=10),
                        em_evaluator(list(corpus)))
@@ -540,8 +541,8 @@ class TestTrain:
         corpus = toy_corpus()
         net = tiny_model(feature_dim=256)
         before = net.theta.values.copy()
-        by_id = {e.id: e for e in corpus}
-        result = train(net, by_id, simple_plan(by_id, 0),
+        result = train(net, *encode_examples(net, corpus),
+                       simple_plan(corpus.ids(), 0),
                        TrainConfig(lr=0.0, batch_size=16, max_epochs=1,
                                    eval_every=0, patience=10),
                        em_evaluator(list(corpus)))
@@ -552,11 +553,11 @@ class TestTrain:
 
     def test_deterministic(self):
         corpus = toy_corpus()
-        by_id = {e.id: e for e in corpus}
         outs = []
         for _ in range(2):
             net = tiny_model(feature_dim=256)
-            result = train(net, by_id, simple_plan(by_id, 1),
+            result = train(net, *encode_examples(net, corpus),
+                           simple_plan(corpus.ids(), 1),
                            TrainConfig(lr=0.3, batch_size=8, max_epochs=3,
                                        eval_every=10, patience=10),
                            em_evaluator(list(corpus)))
@@ -568,7 +569,7 @@ class TestTrain:
     def test_empty_plan_runs_no_step_and_evaluates_once(self):
         net = tiny_model()
         before = net.theta.values.copy()
-        result = train(net, {}, lambda epoch: [],
+        result = train(net, *encode_examples(net, []), lambda epoch: [],
                        TrainConfig(max_epochs=3, eval_every=1),
                        lambda net: {"em": 0.5})
         assert result.total_steps == 0
@@ -581,7 +582,6 @@ class TestTrain:
         """The best EM's theta, Fisher steps, step and history, kept in
         memory order through later improvements and non-improvements."""
         corpus = toy_corpus()
-        by_id = {e.id: e for e in corpus}
         net = tiny_model(feature_dim=64)
         ems = iter([0.1, 0.5, 0.7, 0.3, 0.2])
         seen = []  # theta, in checkpoint order, at each eval
@@ -590,7 +590,8 @@ class TestTrain:
             seen.append(net.layout.reordered(net.theta.values, False))
             return {"em": next(ems)}
 
-        result = train(net, by_id, simple_plan(by_id, 0),
+        result = train(net, *encode_examples(net, corpus),
+                       simple_plan(corpus.ids(), 0),
                        TrainConfig(lr=0.5, batch_size=8, max_epochs=3,
                                    eval_every=5, patience=10), evaluator)
         assert [r["step"] for r in result.history] == [5, 10, 15, 20, 24]
@@ -605,8 +606,7 @@ class TestTrain:
         corpus = toy_corpus()
         net = tiny_model(feature_dim=256)
         before = net.theta.values.copy()
-        by_id = {e.id: e for e in corpus}
-        train(net, by_id, simple_plan(by_id, 0),
+        train(net, *encode_examples(net, corpus), simple_plan(corpus.ids(), 0),
               TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0,
                           patience=10,
                           freeze=frozenset({"intent_head", "tag_head"})),
@@ -653,14 +653,15 @@ def fine_tune(kind, form, strength, prev_intent, frozen=(), batch_size=7,
     prev_ids = {eid: ex for eid, ex in by_id.items()
                 if prev_intent in (None, ex.tree.root.name)}
     net = tiny_model(feature_dim=32 if prev_intent is None else 512)
-    prev = train(net, prev_ids, simple_plan(prev_ids, 0),
+    corpus, row_of = encode_examples(net, by_id.values())
+    prev = train(net, corpus, row_of, simple_plan(prev_ids, 0),
                  TrainConfig(lr=0.5, batch_size=8, max_epochs=1, eval_every=0),
                  lambda net: {"em": 0.0}).final
     cfg = TrainConfig(lr=0.3, batch_size=batch_size, max_epochs=2,
                       eval_every=0,
                       reg=RegConfig(kind=kind, strength=strength, form=form),
                       freeze=frozenset(frozen))
-    result = train(prev.model(), by_id, simple_plan(by_id, 5), cfg,
+    result = train(prev.model(), corpus, row_of, simple_plan(by_id, 5), cfg,
                    lambda net: {"em": 0.0}, prev=prev)
     return by_id, prev, cfg, result
 
@@ -752,24 +753,31 @@ def test_fine_tune_checkpoint_keeps_its_bytes(tmp_path, kind, form,
     assert digest == FINE_TUNE_SHA256[kind, form, prev_intent]
 
 
-def test_train_encodes_only_drawn_examples(monkeypatch):
+def test_train_encodes_nothing(monkeypatch):
+    """train reads the rows its plans draw from a corpus encoded before it;
+    a row's bytes do not depend on the other examples encoded with it, and
+    a label the model lacks fails when the corpus is built, named."""
     corpus = toy_corpus()
-    by_id = {e.id: e for e in corpus}
-    # a label the model has never seen: harmless while no plan draws it
-    by_id["unseen"] = example("unseen", "[IN:Z never drawn ]")
-    drawn = sorted(by_id)[:10]
-    calls = []  # every query passed to the encoder
-    monkeypatch.setattr(m, "encode", lambda queries, dim, targets=None:
-                        calls.extend(queries) or encode(queries, dim, targets))
-    result = train(tiny_model(feature_dim=64), by_id,
-                   lambda epoch: drawn[epoch:] + drawn[:epoch],
-                   TrainConfig(lr=0.5, batch_size=4, max_epochs=3, eval_every=0),
-                   lambda net: {"em": 0.0})
-    assert result.total_steps == 9
-    assert sorted(calls) == sorted(by_id[i].query for i in drawn)
-    with pytest.raises(UnknownLabel):
-        train(tiny_model(feature_dim=64), by_id, lambda epoch: ["unseen"],
-              TrainConfig(max_epochs=1, eval_every=0), lambda net: {"em": 0.0})
+    drawn = sorted(corpus.ids())[:10]
+    config = TrainConfig(lr=0.5, batch_size=4, max_epochs=3, eval_every=0)
+    finals = []
+    for examples in (corpus, [ex for ex in corpus if ex.id in drawn]):
+        net = tiny_model(feature_dim=64)
+        encoded, row_of = encode_examples(net, examples)
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("encode", "encode_targets"):
+                patch.setattr(m, name, lambda *args: calls.append(args))
+            result = train(net, encoded, row_of,
+                           lambda epoch: drawn[epoch:] + drawn[:epoch], config,
+                           lambda net: {"em": 0.0})
+        assert calls == []
+        assert result.total_steps == 9
+        finals.append(result.final.theta_values.tobytes())
+    assert finals[0] == finals[1]
+    unseen = example("unseen", "[IN:Z never [SL:Z drawn ] ]")
+    with pytest.raises(UnknownLabel, match="^IN:Z, SL:Z$"):
+        encode_examples(tiny_model(feature_dim=64), (*corpus, unseen))
 
 
 # prev: no checkpoint (False), one of the model (True) or one of another
@@ -783,11 +791,11 @@ def test_train_encodes_only_drawn_examples(monkeypatch):
     ("ewc", True, "wrong_shape", LayoutMismatch),
     ("none", "other_layout", True, LayoutMismatch),
 ])
-def test_penalty_without_its_anchor_fails_before_encoding(
+def test_penalty_without_its_anchor_fails_before_any_step(
         monkeypatch, kind, prev, fisher, error):
     corpus = toy_corpus()
-    by_id = {e.id: e for e in corpus}
     net = tiny_model()
+    encoded, row_of = encode_examples(net, corpus)
     source = {True: net, "other_layout": tiny_model(feature_dim=32)}.get(prev)
     ckpt = None if source is None else Checkpoint(
         intents=source.intents, slots=source.slots,
@@ -796,9 +804,9 @@ def test_penalty_without_its_anchor_fails_before_encoding(
         fisher_sum_sq=np.ones(source.layout.size - (fisher == "wrong_shape")),
         fisher_steps=int(bool(fisher)), step=0)
     calls = []
-    monkeypatch.setattr(m, "encode", lambda *args: calls.append(args))
+    monkeypatch.setattr(m, "_gradient", lambda *args: calls.append(args))
     with pytest.raises(error):
-        train(net, by_id, simple_plan(by_id, 0),
+        train(net, encoded, row_of, simple_plan(row_of, 0),
               TrainConfig(max_epochs=1, eval_every=0,
                           reg=RegConfig(kind=kind, strength=1.0)),
               lambda net: {"em": 0.0}, prev=ckpt)
@@ -837,8 +845,8 @@ class TestCheckpoint:
     def _trained(self):
         corpus = toy_corpus()
         net = tiny_model(feature_dim=256)
-        by_id = {e.id: e for e in corpus}
-        result = train(net, by_id, simple_plan(by_id, 0),
+        result = train(net, *encode_examples(net, corpus),
+                       simple_plan(corpus.ids(), 0),
                        TrainConfig(lr=0.5, batch_size=8, max_epochs=3,
                                    eval_every=20, patience=10),
                        em_evaluator(list(corpus)))
@@ -895,6 +903,15 @@ class TestCheckpoint:
         pytest.param(b"[1, 2]", id="json-list"),
         pytest.param({"intents": 5}, id="intents-number"),
         pytest.param({"feature_dim": "x"}, id="feature-dim-text"),
+        # these passed the field reads: an empty intent list failed in the
+        # layout, naming no file, and the others loaded
+        pytest.param({"intents": []}, id="intents-empty"),
+        pytest.param({"intents": [[1]]}, id="intents-not-strings"),
+        pytest.param({"config_digest": 5}, id="config-digest-number"),
+        pytest.param({"fisher_steps": 1.5}, id="fisher-steps-fraction"),
+        pytest.param({"step": True}, id="step-bool"),
+        pytest.param({"feature_dim": 0}, id="feature-dim-zero"),
+        pytest.param({"history": {}}, id="history-object"),
     ])
     def test_malformed_header_rejected_naming_the_file(self, tmp_path, header):
         net = TaggerModel.init(("IN:A",), ("SL:X",), feature_dim=16)
@@ -997,7 +1014,7 @@ def test_checkpoint_stores_heads_row_major(tmp_path):
     np.testing.assert_array_equal(prev.fisher_accumulator().sum_sq,
                                   memory_order(net, fisher))
     # no epoch: the run snapshots the theta and the Fisher sums it starts from
-    ckpt = train(net, {}, lambda epoch: [],
+    ckpt = train(net, *encode_examples(net, []), lambda epoch: [],
                  TrainConfig(max_epochs=0, eval_every=0),
                  lambda net: {"em": 0.0}, prev=prev).final
     path = tmp_path / "o.ckpt"
@@ -1097,7 +1114,7 @@ def test_training_epoch_allocates_less_than_theta():
         return {"em": 0.0}
 
     try:
-        train(net, train_set.by_id, plan_fn,
+        train(net, *encode_examples(net, train_set), plan_fn,
               TrainConfig(lr=0.5, max_epochs=2, eval_every=0), evaluator)
     finally:
         tracemalloc.stop()

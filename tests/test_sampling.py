@@ -3,8 +3,9 @@ import pytest
 
 from treepatch.dataset import Dataset, Example
 from treepatch.sampling import (EpochPlan, SamplerConfig, SamplerError,
-                                batches, build_replay, epoch_plan)
+                                batches, build_replay, epoch_plan, epoch_plans)
 from treepatch.treebank import parse_top
+from treepatch.utils import derive_seed
 
 
 def make_dataset(prefix, n):
@@ -101,6 +102,45 @@ class TestEpochPlan:
         new_visits = 1.0
         old_visits = plan.n_old / len(D1)
         assert new_visits > old_visits
+
+
+def reference_epoch_plan(d1, d2, config, epoch_index):
+    """One epoch's plan drawn from scratch: d1's and d2's ids read, the
+    replay buffer built or the sample permutation drawn, and the window
+    taken one scalar at a time (the plan before epoch_plans)."""
+    if config.mode == "replay":
+        old_ids = list(build_replay(d1, config.p, config.seed))
+    else:
+        ids = d1.ids()
+        n = len(ids)
+        n_old = round(config.p * n)
+        perm = np.random.default_rng(
+            derive_seed(config.seed, "sample-perm", config.p)).permutation(n)
+        start = (epoch_index * n_old) % n if n else 0
+        picked = [perm[(start + i) % n] for i in range(n_old)]
+        old_ids = [ids[i] for i in sorted(picked)]
+    pool = list(d2.ids()) + old_ids
+    order = np.random.default_rng(
+        derive_seed(config.seed, "shuffle", epoch_index)).permutation(len(pool))
+    return EpochPlan(ids=tuple(pool[i] for i in order),
+                     n_old=len(old_ids), n_new=len(d2))
+
+
+@pytest.mark.parametrize("mode", ["replay", "sample"])
+@pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("n_d1", [1000, 13, 0])
+def test_plans_equal_the_per_epoch_reference(mode, p, n_d1):
+    """At |d1| = 13 and p = 0.2 an epoch takes round(2.6) = 3 old examples,
+    so the sample window of epoch 4 (positions 12, 0 and 1) wraps past
+    |d1|; at |d1| = 1000 the windows of 200 tile the permutation, and epoch
+    5 starts it again."""
+    d1 = D1 if n_d1 == 1000 else make_dataset("old", n_d1)
+    config = SamplerConfig(mode=mode, p=p, seed=11)
+    plans = epoch_plans(d1, D2, config)
+    for epoch in range(6):
+        expected = reference_epoch_plan(d1, D2, config, epoch)
+        assert plans(epoch) == expected
+        assert epoch_plan(d1, D2, config, epoch) == expected
 
 
 class TestBatches:
