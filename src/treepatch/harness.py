@@ -222,10 +222,12 @@ class ExperimentConfig:
 class DataBundle:
     """The train and test sets and the D1/D2 split of a run, and the set-up
     the commands on them share, each built at its first use and kept: the
-    class sets, one encoded train set per model vocabulary (corpus) and one
-    scoring state of the test set per class list (eval_cases). A sweep or
-    an experiment that runs many commands on one bundle pays for each once.
-    The sets must not change after a command has run on the bundle."""
+    class sets, the encoded train examples each command's plans can draw,
+    per model vocabulary (corpus), and one scoring state of the test set per
+    class list (eval_cases). A sweep or an experiment that runs many
+    commands on one bundle pays for each once, and a single command encodes
+    no example it cannot draw. The sets must not change after a command has
+    run on the bundle."""
 
     train: ds.Dataset
     test: ds.Dataset
@@ -253,16 +255,24 @@ class DataBundle:
         """Every label of the training and test sets, sorted."""
         return tuple(sorted(self.train_classes | self.test.classes()))
 
-    def corpus(self, model):
-        """(corpus, row_of) of the whole train set under the model's
-        vocabulary (feature_dim, intents, slots), as train reads them
-        (model.encode_examples): encoded with its targets at the first call
-        with that vocabulary, then kept. A label the model lacks raises
-        UnknownLabel."""
-        vocab = (model.feature_dim, model.intents, model.slots)
-        if vocab not in self._corpora:
-            self._corpora[vocab] = encode_examples(model, self.train)
-        return self._corpora[vocab]
+    def corpus(self, model, ids):
+        """(corpus, row_of) holding at least the train examples `ids` under
+        the model's vocabulary (feature_dim, intents, slots), as train reads
+        them (model.encode_examples). A corpus kept from an earlier call with
+        that vocabulary is returned when it holds every id; else the examples
+        of `ids` alone are encoded, in train-set order, and kept. So a command
+        encodes only what its plans can draw (a naive fine-tune: d2), and
+        commands drawing from one pool, or from a part of a kept one, encode
+        nothing. A label the model lacks raises UnknownLabel."""
+        ids = set(ids)
+        kept = self._corpora.setdefault(
+            (model.feature_dim, model.intents, model.slots), [])
+        for corpus, row_of in kept:
+            if row_of.keys() >= ids:
+                return corpus, row_of
+        kept.append(encode_examples(
+            model, [ex for ex in self.train if ex.id in ids]))
+        return kept[-1]
 
     def eval_cases(self, classes):
         """The EvalCases of the test set under `classes`, built at the first
@@ -496,7 +506,7 @@ def cmd_train(cfg, bundle, on="all"):
     model = TaggerModel.init(intents, slots,
                              feature_dim=int(cfg["model"]["feature_dim"]))
     evaluator = _evaluator(cfg, bundle)
-    result = train(model, *bundle.corpus(model),
+    result = train(model, *bundle.corpus(model, ids),
                    _scratch_plan_fn(sorted(ids), derive_seed(cfg.seed, on)),
                    cfg.train_config(), evaluator, config_digest=cfg.digest())
     report = RunReport(kind="scratch" if on == "all" else "prev",
@@ -514,23 +524,23 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
     naive fine-tuning is p=0 with reg kind "none". EWC reads the Fisher
     estimate recorded in the previous checkpoint. The report additionally
     carries the forgetting count versus the pre-patch model."""
-    # name every label the checkpoint lacks, before any encoding or step
+    # only the examples the plans can draw are encoded, so name every label
+    # the checkpoint lacks up front, whichever examples the seed draws
     unknown = sorted(bundle.train_classes
                      - set(prev_ckpt.intents) - set(prev_ckpt.slots))
     if unknown:
         raise UnknownLabel("labels missing from the previous checkpoint: "
                            + ", ".join(unknown))
-    anchor = prev_ckpt.model()  # prev's theta in memory order, made once
-    model = dataclasses.replace(anchor, theta=anchor.theta.copy())
-    plans = sampling.epoch_plans(bundle.d1, bundle.d2, cfg.sampler_config())
+    model = prev_ckpt.model()
+    plans = sampling.EpochPlans(bundle.d1, bundle.d2, cfg.sampler_config())
+    train_cfg = cfg.train_config(cfg.reg_config())
     evaluator = _evaluator(cfg, bundle)
     before = evaluator(model)
 
-    result = train(model, *bundle.corpus(model),
-                   lambda epoch: plans(epoch).ids,
-                   cfg.train_config(cfg.reg_config()), evaluator,
-                   prev=prev_ckpt, config_digest=cfg.digest(),
-                   theta_prev=anchor.theta)
+    result = train(model,
+                   *bundle.corpus(model, plans.drawn_ids(train_cfg.max_epochs)),
+                   lambda epoch: plans(epoch).ids, train_cfg, evaluator,
+                   prev=prev_ckpt, config_digest=cfg.digest())
 
     after = result.history[-1]
     degradation = degradation_from_records(before, after)

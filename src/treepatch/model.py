@@ -713,7 +713,7 @@ class TrainResult:
 
 
 def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
-          config_digest="", theta_prev=None):
+          config_digest=""):
     """Seeded mini-batch SGD over epoch plans.
 
     corpus, row_of: encoded training examples with their targets under the
@@ -729,10 +729,8 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
     is theta_prev, its Fisher mean the EWC weights (None when it recorded no
     step, so that EWC raises MissingFisher) and its Fisher sums the start of
     this run's squared-gradient accumulation, which otherwise starts empty
-    at the first step. A caller that already holds prev.model()'s theta
-    passes it as theta_prev, so that prev's theta is reordered into memory
-    order once; train never writes it. A prev of another layout, or a
-    penalty without its anchor, raises before the first step.
+    at the first step. A prev of another layout, or a penalty without its
+    anchor, raises before the first step.
 
     An epoch runs in two stages. Compile: the plan is mapped to corpus
     rows once, and compile_epoch cuts them into batches of batch_size,
@@ -748,8 +746,7 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
         if prev.layout != model.layout:
             raise LayoutMismatch("the previous checkpoint's layout differs "
                                  "from the model's")
-        if theta_prev is None:
-            theta_prev = prev.model().theta
+        theta_prev = prev.model().theta
         fisher_acc = prev.fisher_accumulator()
         fisher_prev = fisher_acc.fisher() if fisher_acc.steps else None
     sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,

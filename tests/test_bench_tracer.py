@@ -23,7 +23,7 @@ CONFIG = {
 def test_evaluator_calls_recorded_after_an_untraced_set_up():
     cfg = harness.ExperimentConfig.from_dict(CONFIG)
     bundle = harness.prepare(cfg)
-    # untraced: the bundle's corpus and scoring state are built here
+    # untraced: the bundle's class sets and scoring state are built here
     prev = harness.cmd_train(cfg, bundle, on="d1")[0].best
     tracer = Tracer([layers.EVALUATOR[:3]])
     tracer.install()

@@ -15,6 +15,7 @@ from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
 from treepatch.model import (Checkpoint, TaggerModel, UnknownLabel,
                              load_checkpoint, predict_trees)
 from treepatch.regularizers import MissingFisher
+from treepatch.sampling import EpochPlans
 from treepatch.treebank import Node, ParseTree, serialize
 
 SMALL = {
@@ -288,25 +289,37 @@ def _run_bytes(run, path):
     return json.dumps(report.as_dict(), sort_keys=True), path.read_bytes()
 
 
-def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
-                                                             monkeypatch):
-    """cmd_train(on="d1"), a naive and an EWC cmd_finetune, then a d1 model
-    of another feature_dim, on one bundle: the train set's queries go to
-    encode once per model vocabulary, and each test case's gold tree to
-    extract_paths once. Each report and best checkpoint has the bytes of the
-    same command run alone on a fresh bundle, in reverse order, so neither
-    the shared PathVocab nor any other shared state carries over."""
-    configs = [ExperimentConfig.from_dict(harness._deep_merge(SMALL, override))
-               for override in ({}, {"sampler": {"p": 0.0}},
-                                {"reg": {"kind": "ewc", "strength": 1.0}},
-                                {"model": {"feature_dim": 256}})]
-    shared = harness.prepare(configs[0])
+def _spy_setup(monkeypatch):
+    """Record the queries of each encode call and the trees given to
+    extract_paths."""
     encoded, gold_trees = [], []
     encode, extract_paths = model_module.encode, metrics.extract_paths
     monkeypatch.setattr(model_module, "encode", lambda queries, *rest:
                         encoded.append(list(queries)) or encode(queries, *rest))
     monkeypatch.setattr(metrics, "extract_paths", lambda tree:
                         gold_trees.append(tree) or extract_paths(tree))
+    return encoded, gold_trees
+
+
+BUNDLE_CONFIGS = [
+    ExperimentConfig.from_dict(harness._deep_merge(SMALL, override))
+    for override in ({}, {"sampler": {"p": 0.0}},
+                     {"reg": {"kind": "ewc", "strength": 1.0}},
+                     {"model": {"feature_dim": 256}})]
+
+
+def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
+                                                             monkeypatch):
+    """cmd_train(on="d1"), a naive and an EWC cmd_finetune (p=0.2), then a
+    d1 model of another feature_dim, on one bundle: each command encodes the
+    train examples its plans can draw, in train-set order, and nothing that
+    a corpus kept for its vocabulary holds; each test case's gold tree goes
+    to extract_paths once. Each report and best checkpoint has the bytes of
+    the same command run alone on a fresh bundle, in reverse order, so
+    neither the shared PathVocab nor any other shared state carries over."""
+    configs = BUNDLE_CONFIGS
+    shared = harness.prepare(configs[0])
+    encoded, gold_trees = _spy_setup(monkeypatch)
 
     def command(i, bundle):
         if i in (1, 2):
@@ -318,8 +331,20 @@ def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
     runs = [_run_bytes(first, tmp_path / "0.ckpt")]
     runs += [_run_bytes(command(i, shared), tmp_path / f"{i}.ckpt")
              for i in range(1, 4)]
-    queries = [ex.query for ex in shared.train]
-    assert encoded == [queries, queries]  # feature_dims 4096 and 256
+    ewc = configs[2]
+    drawn = set(EpochPlans(shared.d1, shared.d2, ewc.sampler_config())
+                .drawn_ids(ewc.train_config().max_epochs))
+    assert len(shared.d2) < len(drawn) < len(shared.train)
+
+    def queries(ids):
+        ids = set(ids)
+        return [ex.query for ex in shared.train if ex.id in ids]
+
+    # d1 and d2, the EWC run's draw, then d1 again at feature_dim 256
+    assert encoded == [queries(shared.d1.ids()), queries(shared.d2.ids()),
+                       queries(drawn), queries(shared.d1.ids())]
+    command(1, shared), command(2, shared)
+    assert len(encoded) == 4  # the same pools again: nothing encoded
     cases = dict.fromkeys((ex.query, ex.tree) for ex in shared.test)
     assert gold_trees == [tree for _, tree in cases]
     monkeypatch.undo()
@@ -328,6 +353,19 @@ def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
         alone = _run_bytes(command(i, harness.prepare(configs[i])),
                            tmp_path / f"alone{i}.ckpt")
         assert alone == runs[i]
+
+
+def test_commands_after_a_whole_set_train_encode_nothing(monkeypatch):
+    """After cmd_train(on="all"), the d1 model and both fine-tunes draw
+    from parts of its corpus: the train set is encoded once."""
+    configs = BUNDLE_CONFIGS
+    shared = harness.prepare(configs[0])
+    encoded, _ = _spy_setup(monkeypatch)
+    harness.cmd_train(configs[0], shared, on="all")
+    prev = harness.cmd_train(configs[0], shared, on="d1")[0].best
+    for cfg in configs[1:3]:
+        harness.cmd_finetune(cfg, shared, prev)
+    assert encoded == [[ex.query for ex in shared.train]]
 
 
 def _record(step, em, em_std, target_mean, target_std):

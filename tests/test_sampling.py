@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from treepatch.dataset import Dataset, Example
-from treepatch.sampling import (EpochPlan, SamplerConfig, SamplerError,
-                                batches, build_replay, epoch_plan, epoch_plans)
+from treepatch.sampling import (EpochPlan, EpochPlans, SamplerConfig,
+                                SamplerError, batches, build_replay,
+                                epoch_plan)
 from treepatch.treebank import parse_top
 from treepatch.utils import derive_seed
 
@@ -107,7 +108,7 @@ class TestEpochPlan:
 def reference_epoch_plan(d1, d2, config, epoch_index):
     """One epoch's plan drawn from scratch: d1's and d2's ids read, the
     replay buffer built or the sample permutation drawn, and the window
-    taken one scalar at a time (the plan before epoch_plans)."""
+    taken one scalar at a time (the plan before EpochPlans)."""
     if config.mode == "replay":
         old_ids = list(build_replay(d1, config.p, config.seed))
     else:
@@ -136,11 +137,16 @@ def test_plans_equal_the_per_epoch_reference(mode, p, n_d1):
     5 starts it again."""
     d1 = D1 if n_d1 == 1000 else make_dataset("old", n_d1)
     config = SamplerConfig(mode=mode, p=p, seed=11)
-    plans = epoch_plans(d1, D2, config)
+    plans = EpochPlans(d1, D2, config)
+    drawn = set()
     for epoch in range(6):
         expected = reference_epoch_plan(d1, D2, config, epoch)
         assert plans(epoch) == expected
         assert epoch_plan(d1, D2, config, epoch) == expected
+        # every id of the plans so far, each once: d2's, then d1's in order
+        drawn.update(expected.ids)
+        assert plans.drawn_ids(epoch + 1) == [
+            i for i in D2.ids() + d1.ids() if i in drawn]
 
 
 class TestBatches:
