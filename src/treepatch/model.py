@@ -12,11 +12,11 @@ are feature-major, a (feature_dim, rows) matrix: the rows of one hashed
 feature (one per intent or tag) lie side by side, so a batch's gradient
 is a few hundred whole feature rows of each head (a SparseGrad of rows),
 and the Fisher update and the SGD step index those rows instead of
-columns at stride feature_dim. A checkpoint stores them
-row-major, (rows, feature_dim), as files always have. The layout, whose
-row widths are the intents and the tags, transposes (ParamLayout.reordered)
-at the Checkpoint boundary only: train's best and final checkpoints,
-Checkpoint.model and Checkpoint.fisher_accumulator.
+columns at stride feature_dim. A Checkpoint holds θ and the Fisher sums
+in this memory order too; only its file stores them row-major, (rows,
+feature_dim), as files always have. The layout, whose row widths are the
+intents and the tags, transposes (ParamLayout.reordered) at the file
+boundary only: save_checkpoint and load_checkpoint.
 
 Queries are encoded once (Encoded; a training set with its targets by
 encode_examples); compile_batches, the one pass that cuts them into batches
@@ -542,6 +542,11 @@ def predict_trees(model, examples):
 
 @dataclass
 class Checkpoint:
+    """A model's θ and Fisher sums at one step, both in memory order
+    (feature-major, as TaggerModel.theta); the file stores them row-major
+    (see save_checkpoint). train's best and final checkpoints may share
+    their arrays: the best is the final one when no step followed it."""
+
     intents: tuple
     slots: tuple
     feature_dim: int
@@ -553,10 +558,9 @@ class Checkpoint:
     history: tuple = ()
 
     def model(self):
-        """The model of theta_values, in memory order."""
-        theta = self.layout.reordered(self.theta_values, to_memory=True)
+        """The model of a copy of theta_values."""
         return TaggerModel(self.intents, self.slots, self.feature_dim,
-                           ParamVector(self.layout, theta))
+                           ParamVector(self.layout, self.theta_values.copy()))
 
     @cached_property
     def layout(self):
@@ -564,11 +568,9 @@ class Checkpoint:
                            len(tag_vocab(self.slots)))
 
     def fisher_accumulator(self):
-        """An accumulator that continues fisher_sum_sq, in memory order."""
-        return FisherAccumulator(
-            self.layout, self.layout.reordered(self.fisher_sum_sq,
-                                               to_memory=True),
-            self.fisher_steps)
+        """An accumulator that continues a copy of fisher_sum_sq."""
+        return FisherAccumulator(self.layout, self.fisher_sum_sq.copy(),
+                                 self.fisher_steps)
 
 
 _MAGIC = b"TPCK0001"
@@ -576,7 +578,16 @@ _MAGIC = b"TPCK0001"
 
 def save_checkpoint(ckpt, path):
     """Single-file container: magic, sha256 of the payload, then the payload
-    (8-byte header length, JSON header, θ and Fisher as float64)."""
+    (8-byte header length, JSON header, θ and the Fisher sums as float64,
+    each row-major). The payload is hashed and written part by part: each
+    array is transposed (ParamLayout.reordered) into one reused buffer,
+    then hashed and written from it, and the digest goes last into its
+    slot after the magic."""
+    layout = ckpt.layout
+    arrays = (ckpt.theta_values, ckpt.fisher_sum_sq)
+    if any(np.shape(values) != (layout.size,) for values in arrays):
+        raise DimMismatch("theta_values and fisher_sum_sq must hold the "
+                          f"layout's {layout.size} values")
     meta = {
         "intents": list(ckpt.intents),
         "slots": list(ckpt.slots),
@@ -586,23 +597,21 @@ def save_checkpoint(ckpt, path):
         "step": ckpt.step,
         "config_digest": ckpt.config_digest,
         "history": list(ckpt.history),
+        "n_theta": layout.size,
+        "n_fisher": layout.size,
     }
-    theta = np.ascontiguousarray(ckpt.theta_values, dtype=np.float64)
-    fisher = np.ascontiguousarray(ckpt.fisher_sum_sq, dtype=np.float64)
-    meta["n_theta"] = int(theta.size)
-    meta["n_fisher"] = int(fisher.size)
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
-    # the payload goes to sha256 and the file part by part: the arrays'
-    # own buffers are read in place, never copied into one bytes object
-    payload = (len(header).to_bytes(8, "big"), header, theta, fisher)
-    digest = hashlib.sha256()
-    for part in payload:
-        digest.update(part)
+    digest, buf = hashlib.sha256(), np.empty(layout.size)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(digest.digest())
-        for part in payload:
+        fh.write(bytes(digest.digest_size))  # the digest's slot
+        for part in chain((len(header).to_bytes(8, "big"), header),
+                          (layout.reordered(values, to_memory=False, out=buf)
+                           for values in arrays)):
+            digest.update(part)
             fh.write(part)
+        fh.seek(len(_MAGIC))
+        fh.write(digest.digest())
 
 
 _HEADER_KEYS = ("intents", "slots", "feature_dim", "hidden_dim",
@@ -635,6 +644,11 @@ def _header_problem(meta):
 
 
 def load_checkpoint(path):
+    """The Checkpoint saved at `path`, its θ and Fisher sums transposed
+    from the file's row-major order into memory order. A file that is not
+    a checkpoint, fails its checksum or has a malformed header raises
+    ChecksumError, and one whose sizes disagree DimMismatch, naming the
+    path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     start = len(_MAGIC) + 32
@@ -682,9 +696,11 @@ def load_checkpoint(path):
                           f"{8 * (n_theta + n_fisher)} of n_theta {n_theta} "
                           f"and n_fisher {n_fisher} float64 values")
     values = np.frombuffer(body, dtype=np.float64)
-    # one copy each: aligned, writable arrays that own their memory
-    ckpt.theta_values = values[:n_theta].copy()
-    ckpt.fisher_sum_sq = values[n_theta:].copy()
+    # one transpose each, into memory order: new aligned, writable arrays
+    # that own their memory
+    ckpt.theta_values = ckpt.layout.reordered(values[:n_theta], to_memory=True)
+    ckpt.fisher_sum_sq = ckpt.layout.reordered(values[n_theta:],
+                                               to_memory=True)
     return ckpt
 
 
@@ -725,11 +741,12 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
     cfg.patience evaluations without an EM improvement; the checkpoint with
     the best EM is returned.
 
-    prev, the previous Checkpoint of a fine-tune, is its anchor: its theta
-    is theta_prev, its Fisher mean the EWC weights (None when it recorded no
-    step, so that EWC raises MissingFisher) and its Fisher sums the start of
-    this run's squared-gradient accumulation, which otherwise starts empty
-    at the first step. A prev of another layout, or a penalty without its
+    prev, the previous Checkpoint of a fine-tune, is its anchor: its
+    theta_values, read in place (no step writes them), are theta_prev, its
+    Fisher mean the EWC weights (None when it recorded no step, so that EWC
+    raises MissingFisher) and a copy of its Fisher sums the start of this
+    run's squared-gradient accumulation, which otherwise starts empty at
+    the first step. A prev of another layout, or a penalty without its
     anchor, raises before the first step.
 
     An epoch runs in two stages. Compile: the plan is mapped to corpus
@@ -738,6 +755,12 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
     each batch runs the gradient kernel that loss_and_grad also runs, but
     computes no loss, then one Fisher update and the one step
     regularizers.anchored_step returned.
+
+    Both checkpoints take their arrays, in memory order, as they are. The
+    final one holds a copy of the model's θ (the caller keeps the model)
+    and this run's Fisher sums. The best EM's θ and sums are copied into
+    two buffers only when a step is about to change them; when no step
+    followed its eval, the best checkpoint is the final one.
     """
     if prev is None:
         theta_prev = fisher_prev = None
@@ -746,45 +769,38 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
         if prev.layout != model.layout:
             raise LayoutMismatch("the previous checkpoint's layout differs "
                                  "from the model's")
-        theta_prev = prev.model().theta
+        theta_prev = ParamVector(prev.layout, prev.theta_values)
         fisher_acc = prev.fisher_accumulator()
         fisher_prev = fisher_acc.fisher() if fisher_acc.steps else None
     sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
                              cfg.lr, cfg.freeze)
+    del fisher_prev  # the step keeps what it reads of the Fisher mean
 
     history = []
     best_em = -1.0
-    # the best EM's theta and Fisher sums, in memory order, in buffers made
-    # at the first improvement, and its (Fisher steps, step, history
-    # length); reordered once, when the best checkpoint is built
-    best_theta = best_sum_sq = best = None
+    # the best EM's (Fisher steps, step, history length), and buffers made
+    # once for its theta and Fisher sums; pending: they are not copied yet
+    best = best_theta = best_sum_sq = None
+    pending = False
     bad_evals = 0
     step = 0
     stopped = False
 
     def checkpoint(theta, sum_sq, fisher_steps, at_step, n_history):
-        layout = model.layout
         return Checkpoint(
             intents=model.intents, slots=model.slots,
-            feature_dim=model.feature_dim,
-            theta_values=layout.reordered(theta, to_memory=False),
-            fisher_sum_sq=layout.reordered(sum_sq, to_memory=False),
-            fisher_steps=fisher_steps, step=at_step,
+            feature_dim=model.feature_dim, theta_values=theta,
+            fisher_sum_sq=sum_sq, fisher_steps=fisher_steps, step=at_step,
             config_digest=config_digest, history=tuple(history[:n_history]))
 
     def run_eval():
-        nonlocal best_em, best_theta, best_sum_sq, best, bad_evals
+        nonlocal best_em, best, pending, bad_evals
         record = dict(evaluator(model))
         record["step"] = step
         history.append(record)
         if record["em"] > best_em:
             best_em = record["em"]
-            if best is None:
-                best_theta = np.empty_like(model.theta.values)
-                best_sum_sq = np.empty_like(fisher_acc.sum_sq)
-            np.copyto(best_theta, model.theta.values)
-            np.copyto(best_sum_sq, fisher_acc.sum_sq)
-            best = (fisher_acc.steps, step, len(history))
+            best, pending = (fisher_acc.steps, step, len(history)), True
             bad_evals = 0
         else:
             bad_evals += 1
@@ -794,6 +810,13 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
         rows = [row_of[eid] for eid in plan_fn(epoch)]
         for batch in compile_epoch(corpus, rows, cfg.batch_size,
                                    model.feature_dim):
+            if pending:  # this step changes the best eval's state
+                if best_theta is None:
+                    best_theta = np.empty_like(model.theta.values)
+                    best_sum_sq = np.empty_like(fisher_acc.sum_sq)
+                np.copyto(best_theta, model.theta.values)
+                np.copyto(best_sum_sq, fisher_acc.sum_sq)
+                pending = False
             data_grad = _gradient(model, batch)[2]
             fisher_acc.update(data_grad)
             sgd_step(data_grad)
@@ -807,10 +830,9 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
 
     if not history or history[-1]["step"] != step:
         run_eval()
-    best_ckpt = None if best is None else checkpoint(best_theta, best_sum_sq,
-                                                     *best)
-    best_theta = best_sum_sq = None  # freed before final's arrays are made
-    final = checkpoint(model.theta.values, fisher_acc.sum_sq,
+    final = checkpoint(model.theta.values.copy(), fisher_acc.sum_sq,
                        fisher_acc.steps, step, len(history))
-    return TrainResult(best=best_ckpt or final, final=final, history=history,
+    best_ckpt = (final if best is None or pending
+                 else checkpoint(best_theta, best_sum_sq, *best))
+    return TrainResult(best=best_ckpt, final=final, history=history,
                        total_steps=step, stopped_early=stopped)

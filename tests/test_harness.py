@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
                                cmd_compare, parity_step)
 from treepatch.model import (Checkpoint, TaggerModel, UnknownLabel,
                              load_checkpoint, predict_trees)
-from treepatch.regularizers import MissingFisher
+from treepatch.regularizers import MissingFisher, ParamLayout
 from treepatch.sampling import EpochPlans
 from treepatch.treebank import Node, ParseTree, serialize
 
@@ -198,6 +199,9 @@ class TestConfig:
         assert a.digest() == b.digest() != c.digest()
 
 
+EVAL_AT_END = {"train": {"eval_every": 0}}  # one eval, after the last step
+
+
 class TestTrain:
     def test_scratch_report_shape(self, scratch):
         _, report = scratch
@@ -219,6 +223,14 @@ class TestTrain:
         assert report.kind == "prev"
         assert result.best.fisher_steps == result.best.step
 
+    def test_best_is_final_when_no_step_follows_its_eval(self, bundle):
+        """With eval_every 0 the one eval is the last: no step follows the
+        best EM, so the best checkpoint is the final one."""
+        result, report = harness.cmd_train(ExperimentConfig.from_dict(
+            harness._deep_merge(SMALL, EVAL_AT_END)), bundle, on="d1")
+        assert result.best is result.final
+        assert report.best_step == result.total_steps > 0
+
 
 class TestFinetune:
     def test_naive_runs_and_reports_degradation(self, bundle, prev):
@@ -228,6 +240,44 @@ class TestFinetune:
         assert report.kind == "finetune"
         assert report.records[0]["step"] == 0
         assert "degraded_count" in report.degradation
+
+    @pytest.mark.parametrize("reg", [{"kind": "none", "strength": 0.0},
+                                     {"kind": "ewc", "strength": 1.0}])
+    def test_squared_form_reorders_nothing(self, bundle, prev, monkeypatch,
+                                           reg):
+        """Checkpoints hold theta and the Fisher sums in memory order, so a
+        fine-tune in the squared form, from prev's model to its result,
+        transposes nothing (ParamLayout.reordered); only a file and the
+        norm form's sum do. Checkpoints in file order took 7."""
+        cfg = ExperimentConfig.from_dict(
+            harness._deep_merge(SMALL, {"reg": reg}))
+        calls = []
+        reordered = ParamLayout.reordered
+        monkeypatch.setattr(ParamLayout, "reordered", lambda *args, **kw:
+                            calls.append(args) or reordered(*args, **kw))
+        result, _ = harness.cmd_finetune(cfg, bundle, prev[0].best)
+        assert result.total_steps > 0
+        assert calls == []
+
+    def test_ewc_peaks_below_five_thetas(self, bundle, prev):
+        """An EWC fine-tune whose one eval is its last, on the default
+        feature_dim, holds a copy of prev's theta as its model, the
+        continued Fisher sums, their mean until the step is built, and the
+        final theta: its traced peak stays below 5 theta. Its best
+        checkpoint is the final one. Checkpoints in file order, with the
+        best state always copied, peaked near 9 theta."""
+        cfg = ExperimentConfig.from_dict(harness._deep_merge(
+            SMALL, {"reg": {"kind": "ewc", "strength": 1.0}, **EVAL_AT_END}))
+        prev_ckpt = prev[0].best
+        assert prev_ckpt.feature_dim == 4096
+        tracemalloc.start()
+        try:
+            result, _ = harness.cmd_finetune(cfg, bundle, prev_ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best is result.final
+        assert peak < 5 * prev_ckpt.theta_values.nbytes
 
     def test_ewc_without_fisher_rejected(self, bundle, prev):
         cfg = ExperimentConfig.from_dict(

@@ -120,8 +120,8 @@ def row_major_views(net, theta=None):
 
 
 def checkpoint_order(net, values):
-    """Theta-sized values of net, in memory order, as a checkpoint stores
-    them: each head's weights row-major, then its biases."""
+    """Theta-sized values of net, in memory order, as a checkpoint file
+    stores them: each head's weights row-major, then its biases."""
     return np.concatenate([view.ravel() for view in row_major_views(
         net, ParamVector(net.layout, values)).values()])
 
@@ -584,10 +584,10 @@ class TestTrain:
         corpus = toy_corpus()
         net = tiny_model(feature_dim=64)
         ems = iter([0.1, 0.5, 0.7, 0.3, 0.2])
-        seen = []  # theta, in checkpoint order, at each eval
+        seen = []  # theta at each eval
 
         def evaluator(net):
-            seen.append(net.layout.reordered(net.theta.values, False))
+            seen.append(net.theta.values.copy())
             return {"em": next(ems)}
 
         result = train(net, *encode_examples(net, corpus),
@@ -601,6 +601,25 @@ class TestTrain:
         assert best.theta_values.tobytes() == seen[2].tobytes()
         assert result.final.theta_values.tobytes() == seen[4].tobytes()
         assert result.final.history == tuple(result.history)
+
+    def test_best_is_final_when_no_step_follows_its_eval(self):
+        """A best EM at the last eval makes the best checkpoint the final
+        one, arrays and all. The final theta is a copy: the caller's model
+        may change after the run."""
+        corpus = toy_corpus()
+        net = tiny_model(feature_dim=64)
+        ems = iter([0.1, 0.7])
+        result = train(net, *encode_examples(net, corpus),
+                       simple_plan(corpus.ids(), 0),
+                       TrainConfig(lr=0.5, batch_size=8, max_epochs=1,
+                                   eval_every=5),
+                       lambda net: {"em": next(ems)})
+        assert [r["step"] for r in result.history] == [5, 8]
+        assert result.best is result.final
+        assert result.final.history == tuple(result.history)
+        theta = net.theta.values.copy()
+        net.theta.values[:] = 0.0
+        np.testing.assert_array_equal(result.final.theta_values, theta)
 
     def test_full_freeze_keeps_theta_bit_identical(self):
         corpus = toy_corpus()
@@ -633,13 +652,9 @@ def reference_train(net, by_id, plan_fn, cfg, theta_prev, fisher_prev,
 
 def fisher_support(net, fisher_sum_sq):
     """The hashed features with a positive Fisher sum in some head row,
-    reading checkpoint-order sums row-major."""
-    found = np.zeros(net.feature_dim, dtype=bool)
-    start = 0
-    for rows in (len(net.intents), len(net.tags)):
-        weights = fisher_sum_sq[start:start + rows * net.feature_dim]
-        found |= (weights.reshape(rows, net.feature_dim) > 0).any(axis=0)
-        start += rows * net.feature_dim + rows
+    reading memory-order (feature-major) sums."""
+    views = row_major_views(net, ParamVector(net.layout, fisher_sum_sq))
+    found = (views["W_int"] > 0).any(axis=0) | (views["W_tag"] > 0).any(axis=0)
     return set(np.flatnonzero(found).tolist())
 
 
@@ -718,10 +733,9 @@ def assert_equals_dense_reference(tmp_path, by_id, prev, cfg, result):
                                  cfg, prev.model().theta,
                                  prev.fisher_accumulator().fisher(),
                                  prev.fisher_accumulator())
-    reference = dataclasses.replace(
-        result.final, theta_values=checkpoint_order(net, theta),
-        fisher_sum_sq=checkpoint_order(net, acc.sum_sq),
-        fisher_steps=acc.steps)
+    reference = dataclasses.replace(result.final, theta_values=theta,
+                                    fisher_sum_sq=acc.sum_sq,
+                                    fisher_steps=acc.steps)
     save_checkpoint(result.final, tmp_path / "train.ckpt")
     save_checkpoint(reference, tmp_path / "reference.ckpt")
     assert ((tmp_path / "train.ckpt").read_bytes()
@@ -988,6 +1002,18 @@ class TestCheckpoint:
         with pytest.raises(DimMismatch, match=r"holds 1048 bytes, not the 1088"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_save_rejects_arrays_of_another_size(self, tmp_path, extra):
+        """save_checkpoint transposes into a layout-sized buffer: an array
+        of another size raises, and is not cut to the layout's."""
+        net = TaggerModel.init(("IN:A",), ("SL:X",), feature_dim=16)
+        ckpt = Checkpoint(intents=net.intents, slots=net.slots, feature_dim=16,
+                          theta_values=net.theta.values,
+                          fisher_sum_sq=np.zeros(net.layout.size + extra),
+                          fisher_steps=0, step=0)
+        with pytest.raises(DimMismatch, match="layout's 68 values"):
+            save_checkpoint(ckpt, tmp_path / "z.ckpt")
+
     def test_loaded_model_reproduces_metrics(self, tmp_path):
         result, corpus = self._trained()
         path = tmp_path / "d.ckpt"
@@ -1000,19 +1026,19 @@ class TestCheckpoint:
 
 
 def test_checkpoint_stores_heads_row_major(tmp_path):
-    """A distinct value at every coordinate: the file holds each head's
-    weights row-major, then its biases (checkpoint_order's reading, not
-    _views'), for theta and the Fisher sums alike, and loading it gives the
-    model back the theta it had in memory."""
+    """A distinct value at every coordinate: a checkpoint holds theta and
+    the Fisher sums in memory order, and its file holds each head's weights
+    row-major, then its biases (checkpoint_order's reading, not _views'),
+    for theta and the Fisher sums alike; loading it gives back the arrays
+    it had in memory."""
     net = tiny_model(feature_dim=16)
     size = net.layout.size
     net.theta.values[:] = np.arange(1.0, size + 1)
     fisher = np.arange(size + 1.0, 2 * size + 1)  # in checkpoint order
     prev = Checkpoint(intents=net.intents, slots=net.slots, feature_dim=16,
-                      theta_values=checkpoint_order(net, net.theta.values),
-                      fisher_sum_sq=fisher, fisher_steps=3, step=0)
-    np.testing.assert_array_equal(prev.fisher_accumulator().sum_sq,
-                                  memory_order(net, fisher))
+                      theta_values=net.theta.values.copy(),
+                      fisher_sum_sq=memory_order(net, fisher), fisher_steps=3,
+                      step=0)
     # no epoch: the run snapshots the theta and the Fisher sums it starts from
     ckpt = train(net, *encode_examples(net, []), lambda epoch: [],
                  TrainConfig(max_epochs=0, eval_every=0),
@@ -1029,9 +1055,8 @@ def test_checkpoint_stores_heads_row_major(tmp_path):
     np.testing.assert_array_equal(body[:16],
                                   net.theta.values[:16 * 2:2])
     loaded = load_checkpoint(path)
-    np.testing.assert_array_equal(loaded.model().theta.values,
-                                  net.theta.values)
-    np.testing.assert_array_equal(loaded.fisher_accumulator().sum_sq,
+    np.testing.assert_array_equal(loaded.theta_values, net.theta.values)
+    np.testing.assert_array_equal(loaded.fisher_sum_sq,
                                   memory_order(net, fisher))
 
 
@@ -1069,9 +1094,10 @@ def test_theta_of_other_row_widths_rejected():
 
 
 def test_save_checkpoint_copies_neither_array(tmp_path):
-    """sha256 and the file read theta and the Fisher sums in place, so the
-    traced peak of a save stays below the body's size; joining the header
-    and both arrays' bytes into one payload peaked near twice it."""
+    """Each array is transposed into one reused theta-sized buffer, then
+    hashed and written from it, so the traced peak of a save stays below
+    the body's size; joining the header and both arrays' bytes into one
+    payload peaked near twice it."""
     net = TaggerModel.init(INTENTS, SLOTS, feature_dim=4096)
     ckpt = Checkpoint(intents=net.intents, slots=net.slots, feature_dim=4096,
                       theta_values=net.theta.values,
