@@ -20,9 +20,9 @@ import numpy as np
 
 from . import dataset as ds
 from . import datagen, metrics, sampling
-from .model import (GROUPS, ModelError, TaggerModel, TrainConfig,
-                    UnknownLabel, bio_spans, encode, encode_examples,
-                    gold_targets, predict_ids, train)
+from .model import (CHUNK, GROUPS, Encoded, ModelError, TaggerModel,
+                    TrainConfig, UnknownLabel, bio_spans, compile_batches,
+                    encode, encode_examples, gold_targets, predict_ids, train)
 from .regularizers import RegConfig, RegError
 from .treebank import INTENT_PREFIX, SLOT_PREFIX, serialize
 from .utils import derive_seed
@@ -308,7 +308,9 @@ class EvalCases:
     (query, gold tree) pairs in first-occurrence order, and the case of each
     example; the gold paths of each case (extract_paths) as entries of a
     PathVocab; and, once per model vocabulary and feature_dim, the cases'
-    queries encoded with their gold targets (encoded).
+    queries encoded with their gold targets and compiled into prediction
+    batches (encoded), so that an evaluation does only the work that
+    depends on θ.
 
     Evaluators intern their predicted paths into the same PathVocab, so it
     grows only with the distinct paths predicted so far, never per call. A
@@ -343,18 +345,24 @@ class EvalCases:
         self._encoded = {}
 
     def encoded(self, model):
-        """(the Encoded cases with their gold targets, the path id of each
-        intent's slotless tree) under the model's vocabulary, built at the
-        first call with it. A label the model lacks gets -1, and so does
-        every token of a tree that is not flat, as no prediction (an intent
-        over flat slot spans of the query) matches such a tree."""
+        """(the Encoded cases with their gold targets, their Compiled
+        prediction batches, the path id of each intent's slotless tree)
+        under the model's vocabulary, built at the first call with it. The
+        batches are the cases' queries compiled without targets in batches
+        of CHUNK examples, as predict_trees compiles its queries. A label
+        the model lacks gets -1, and so does every token of a tree that is
+        not flat, as no prediction (an intent over flat slot spans of the
+        query) matches such a tree."""
         vocab = (model.feature_dim, model.intents, model.tags)
         if vocab not in self._encoded:
             targets = [gold_targets(model, ex.tree) for ex in self.cases]
+            batch = encode([ex.query for ex in self.cases], model.feature_dim,
+                           [(intent, tags if flat else [-1] * len(tags))
+                            for intent, tags, flat in targets])
             self._encoded[vocab] = (
-                encode([ex.query for ex in self.cases], model.feature_dim, [
-                    (intent, tags if flat else [-1] * len(tags))
-                    for intent, tags, flat in targets]),
+                batch,
+                compile_batches(Encoded(batch.feats, batch.offsets), CHUNK,
+                                model.feature_dim),
                 np.array([self.paths.id((x,), "") for x in model.intents]))
         return self._encoded[vocab]
 
@@ -364,23 +372,30 @@ def make_evaluator(cases, k, seed):
     spans, not trees, once per case of an EvalCases (DataBundle.eval_cases
     keeps a bundle's, so its commands share one).
 
-    Up front: the fold assignment of the test set's examples. Each
-    evaluation takes the argmax intents and tags of batched forwards of the
-    cases (EvalCases.encoded), reads their slot spans as decode_tree would
+    Up front: the fold assignment of the test set's examples, kept as a
+    (k, cases) matrix of how many examples of each fold belong to each
+    case. Each evaluation takes the argmax intents and tags of the cases'
+    compiled batches (EvalCases.encoded, compiled at the first call with a
+    model vocabulary), reads their slot spans as decode_tree would
     (model.bio_spans) and interns each span's path (its labels, and its
-    tokens joined by spaces) into the cases' PathVocab; a case without spans
-    has its intent's slotless path. Exact match is the same intent and the
-    same repaired tags as the gold targets. A prediction depends on its
-    query's tokens alone, so each example's EM hit and path counts are its
-    case's; the record equals evaluation_record of the trees predict_trees
-    decodes. No tree is built.
+    tokens joined by spaces) into the cases' PathVocab; a case without
+    spans has its intent's slotless path. Exact match is the same intent
+    and the same repaired tags as the gold targets. A prediction depends on
+    its query's tokens alone, so each example's EM hit and path counts are
+    its case's, and a fold's sums are the matrix times the per-case hits
+    and counts; the record equals evaluation_record of the trees
+    predict_trees decodes. No tree is built, and nothing is computed per
+    example.
     """
     folds = metrics.fold_indices(len(cases.case_of), k, seed)
+    fold_cases = np.stack([np.bincount(cases.case_of[idx],
+                                       minlength=len(cases.cases))
+                           for idx in folds])
     paths, tokens = cases.paths, cases.tokens
 
     def evaluator(model):
-        batch, slotless_path = cases.encoded(model)
-        intent, tag = predict_ids(model, batch)
+        batch, batches, slotless_path = cases.encoded(model)
+        intent, tag = predict_ids(model, batches)
         start, end, slot, repaired = bio_spans(tag, batch.offsets)
         case_of_span = np.searchsorted(batch.offsets, start, side="right") - 1
         span_ids = [
@@ -397,8 +412,8 @@ def make_evaluator(cases, k, seed):
                                              cases.gold, pred)
         tags_differ = np.logical_or.reduceat(repaired != batch.tags,
                                              batch.offsets[:-1])
-        em_hits = ((intent == batch.intents) & ~tags_differ).astype(float)
-        return _record(em_hits[cases.case_of], counts[cases.case_of], folds,
+        em_hits = (intent == batch.intents) & ~tags_differ
+        return _record(em_hits.astype(np.int64), counts, fold_cases,
                        cases.classes)
 
     return evaluator
@@ -406,20 +421,14 @@ def make_evaluator(cases, k, seed):
 
 def evaluation_record(gold, pred, folds, classes):
     """One JSON-able record from gold and predicted trees: EM (point and
-    folds), global TP-F1, and fold-based per-class TP-F1 scores. This is the
-    tree-based oracle of make_evaluator's span scorer; no evaluation calls
-    it."""
+    folds), global TP-F1, and fold-based per-class TP-F1 scores, aggregated
+    per example. This is the tree-based oracle of make_evaluator's span
+    scorer, which sums per case; no evaluation calls it."""
     counts = metrics.path_counts([metrics.extract_paths(t) for t in gold],
                                  [metrics.extract_paths(t) for t in pred],
                                  classes)
     em_hits = np.array([serialize(g) == serialize(p) for g, p in zip(gold, pred)],
                        dtype=float)
-    return _record(em_hits, counts, folds, classes)
-
-
-def _record(em_hits, counts, folds, classes):
-    """The evaluation record of per-example EM hits (0.0 or 1.0) and
-    path_counts-shaped counts."""
     em_folds = metrics.UncertainScore.from_folds(
         [em_hits[idx].mean() for idx in folds])
     global_report = metrics.report_from_counts(*counts[:, 0].sum(axis=0))
@@ -432,6 +441,28 @@ def _record(em_hits, counts, folds, classes):
         "em_folds": em_folds.as_dict(),
         "tp_f1": global_report.as_dict(),
         "per_class": {cls: score.as_dict() for cls, score in per_class.items()},
+    }
+
+
+def _record(hits, counts, fold_cases, classes):
+    """evaluation_record's record from per-case EM hits (int64, 0 or 1) and
+    counts_from_entries counts, given fold_cases, the (k, cases) number of
+    examples of each fold in each case. Each fold's hits and counts are
+    integer sums (exact), so a fold's EM, its hits over its size, has the
+    bits of the mean of its examples' 0.0/1.0 hits."""
+    k, n_cases = fold_cases.shape
+    sizes = fold_cases.sum(axis=1)
+    fold_hits = fold_cases @ hits
+    fold_counts = (fold_cases @ counts.reshape(n_cases, -1)).reshape(
+        k, *counts.shape[1:])
+    fold_f1 = _f1(fold_counts[:, 1:])
+    return {
+        "em": int(fold_hits.sum()) / int(sizes.sum()),
+        "em_folds": metrics.fold_score((fold_hits / sizes).tolist()),
+        "tp_f1": metrics.report_from_counts(
+            *fold_counts[:, 0].sum(axis=0)).as_dict(),
+        "per_class": {cls: metrics.fold_score(f1) for cls, f1 in
+                      zip(classes, fold_f1.T.tolist())},
     }
 
 

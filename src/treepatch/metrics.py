@@ -57,16 +57,28 @@ class UncertainScore:
 
     @classmethod
     def from_folds(cls, per_fold):
-        per_fold = tuple(float(x) for x in per_fold)
-        if len(per_fold) < 2:
-            raise TooFewExamples("need at least 2 folds")
-        mean = sum(per_fold) / len(per_fold)
-        var = sum((x - mean) ** 2 for x in per_fold) / (len(per_fold) - 1)
-        return cls(mean=mean, std=math.sqrt(var), n_folds=len(per_fold), per_fold=per_fold)
+        score = fold_score(per_fold)
+        return cls(**{**score, "per_fold": tuple(score["per_fold"])})
 
     def as_dict(self):
         return {"mean": self.mean, "std": self.std, "n_folds": self.n_folds,
                 "per_fold": list(self.per_fold)}
+
+
+def fold_score(per_fold):
+    """The as_dict of UncertainScore.from_folds(per_fold), the one
+    definition of the fold statistic, built without the dataclass: the
+    mean and the sample std (k - 1) of the scores as Python floats. The
+    squares are Python's x ** 2, whose bits numpy's square does not always
+    give."""
+    per_fold = list(map(float, per_fold))
+    k = len(per_fold)
+    if k < 2:
+        raise TooFewExamples("need at least 2 folds")
+    mean = sum(per_fold) / k
+    var = sum([(x - mean) ** 2 for x in per_fold]) / (k - 1)
+    return {"mean": mean, "std": math.sqrt(var), "n_folds": k,
+            "per_fold": per_fold}
 
 
 @dataclass(frozen=True)

@@ -517,12 +517,12 @@ def bio_spans(tags, offsets):
     return start, start + lengths, slot[start], repaired
 
 
-def predict_ids(model, batch):
-    """Most likely intent ids (examples,) and tag ids (tokens,) of an
-    Encoded batch, compiled without targets in batches of CHUNK examples."""
+def predict_ids(model, batches):
+    """Most likely intent ids (examples,) and tag ids (tokens,) of Compiled
+    batches, in order: the argmax of forward's distributions. Prediction
+    compiles its queries without targets, in batches of CHUNK examples."""
     intents, tags = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for chunk in compile_batches(Encoded(batch.feats, batch.offsets), CHUNK,
-                                 model.feature_dim):
+    for chunk in batches:
         p_int, p_tag = forward(model, chunk)
         intents.append(p_int.argmax(axis=1))
         tags.append(p_tag.argmax(axis=1))
@@ -533,7 +533,8 @@ def predict_trees(model, examples):
     """Most likely tree of each example's query."""
     queries = [ex.query for ex in examples]
     batch = encode(queries, model.feature_dim)
-    intents, tags = predict_ids(model, batch)
+    intents, tags = predict_ids(
+        model, compile_batches(batch, CHUNK, model.feature_dim))
     tags, offsets = tags.tolist(), batch.offsets.tolist()
     return [decode_tree(query, model.intents[intent],
                         [model.tags[t] for t in tags[offsets[i]:offsets[i + 1]]])
@@ -743,11 +744,11 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
 
     prev, the previous Checkpoint of a fine-tune, is its anchor: its
     theta_values, read in place (no step writes them), are theta_prev, its
-    Fisher mean the EWC weights (None when it recorded no step, so that EWC
-    raises MissingFisher) and a copy of its Fisher sums the start of this
-    run's squared-gradient accumulation, which otherwise starts empty at
-    the first step. A prev of another layout, or a penalty without its
-    anchor, raises before the first step.
+    Fisher mean the EWC weights (computed for EWC alone; None when prev
+    recorded no step, so that EWC raises MissingFisher) and a copy of its
+    Fisher sums the start of this run's squared-gradient accumulation,
+    which otherwise starts empty at the first step. A prev of another
+    layout, or a penalty without its anchor, raises before the first step.
 
     An epoch runs in two stages. Compile: the plan is mapped to corpus
     rows once, and compile_epoch cuts them into batches of batch_size,
@@ -771,7 +772,8 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
                                  "from the model's")
         theta_prev = ParamVector(prev.layout, prev.theta_values)
         fisher_acc = prev.fisher_accumulator()
-        fisher_prev = fisher_acc.fisher() if fisher_acc.steps else None
+        fisher_prev = (fisher_acc.fisher()
+                       if cfg.reg.kind == "ewc" and fisher_acc.steps else None)
     sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,
                              cfg.lr, cfg.freeze)
     del fisher_prev  # the step keeps what it reads of the Fisher mean

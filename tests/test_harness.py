@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 import tracemalloc
 
@@ -15,7 +16,7 @@ from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
                                cmd_compare, parity_step)
 from treepatch.model import (Checkpoint, TaggerModel, UnknownLabel,
                              load_checkpoint, predict_trees)
-from treepatch.regularizers import MissingFisher, ParamLayout
+from treepatch.regularizers import FisherAccumulator, MissingFisher, ParamLayout
 from treepatch.sampling import EpochPlans
 from treepatch.treebank import Node, ParseTree, serialize
 
@@ -279,13 +280,37 @@ class TestFinetune:
         assert result.best is result.final
         assert peak < 5 * prev_ckpt.theta_values.nbytes
 
-    def test_ewc_without_fisher_rejected(self, bundle, prev):
+    def test_ewc_without_fisher_rejected(self, bundle, prev, monkeypatch):
         cfg = ExperimentConfig.from_dict(
             harness._deep_merge(SMALL, {"reg": {"kind": "ewc", "strength": 1.0}}))
         ckpt = copy.deepcopy(prev[0].best)
         ckpt.fisher_steps = 0
+        steps = []
+        gradient = model_module._gradient
+        monkeypatch.setattr(model_module, "_gradient", lambda *args:
+                            steps.append(args) or gradient(*args))
         with pytest.raises(MissingFisher):
             harness.cmd_finetune(cfg, bundle, ckpt)
+        assert steps == []  # raised before the first step
+
+    @pytest.mark.parametrize("reg, means", [
+        ({"kind": "none", "strength": 0.0}, 0),
+        ({"kind": "movenorm", "strength": 1.0}, 0),
+        ({"kind": "ewc", "strength": 1.0}, 1)])
+    def test_fisher_mean_computed_for_ewc_alone(self, bundle, prev,
+                                                monkeypatch, reg, means):
+        """prev's Fisher mean is θ-sized and only the EWC penalty reads it,
+        so a naive or move-norm fine-tune never computes it and an EWC one
+        computes it once."""
+        cfg = ExperimentConfig.from_dict(
+            harness._deep_merge(SMALL, {"reg": reg, **EVAL_AT_END}))
+        calls = []
+        fisher = FisherAccumulator.fisher
+        monkeypatch.setattr(FisherAccumulator, "fisher", lambda acc:
+                            calls.append(acc) or fisher(acc))
+        result, _ = harness.cmd_finetune(cfg, bundle, prev[0].best)
+        assert result.total_steps > 0
+        assert len(calls) == means
 
     def test_labels_unknown_to_prev_rejected_before_training(self, bundle):
         classes = bundle.d1.classes() | bundle.d2.classes()
@@ -329,6 +354,76 @@ def test_evaluator_featurizes_once_and_matches_predict_trees(
         [ex.tree for ex in bundle.test], predict_trees(net, bundle.test),
         folds, sorted(bundle.test.classes()))
     assert first == second == expected
+
+
+def test_evaluator_call_encodes_and_compiles_nothing_after_the_first(
+        bundle, scratch, monkeypatch):
+    """EvalCases encodes and compiles the cases once per model vocabulary,
+    so an evaluator call after the first with a vocabulary, of any
+    evaluator over the same cases, does only the work that depends on θ; a
+    model of another feature_dim encodes and compiles once."""
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kw: calls.append(name) or fn(*args, **kw)
+
+    for module in (harness, model_module):
+        for name in ("encode", "compile_batches"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    cases = harness.EvalCases(bundle.test)
+    evaluator = harness.make_evaluator(cases, 5, 0)
+    net = scratch[0].best.model()
+    first = evaluator(net)
+    assert calls == ["encode", "compile_batches"]
+    calls.clear()
+    assert evaluator(net) == first
+    harness.make_evaluator(cases, 3, 1)(net)
+    assert calls == []
+    wide = TaggerModel.init(net.intents, net.slots,
+                            feature_dim=2 * net.feature_dim)
+    evaluator(wide)
+    evaluator(wide)
+    assert calls == ["encode", "compile_batches"]
+
+
+# 5-fold scores whose sample std loses its last bit when the squares are
+# numpy's square instead of Python's x ** 2 (numpy 2.4, glibc libm)
+SQUARE_SENSITIVE_FOLDS = (
+    [0.449413, 0.872112, 0.639464, 0.152446, 0.988257],
+    [0.057379, 0.498223, 0.619756, 0.286536, 0.861876],
+    [0.361676, 0.440013, 0.471554, 0.913585, 0.502878])
+
+
+def _fold_std(xs):
+    """The sample std of fold scores, in Python floats."""
+    m = sum(xs) / len(xs)
+    return math.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - 1))
+
+
+def test_fold_statistic_is_python_float_arithmetic(bundle, scratch,
+                                                   monkeypatch):
+    """UncertainScore.from_folds and the evaluator's per-class scores give
+    the bits of the Python-float oracle: fold rows of F1 scores fed to the
+    record through _f1 come out with the oracle's mean and std."""
+    for xs in SQUARE_SENSITIVE_FOLDS:
+        score = metrics.UncertainScore.from_folds(xs)
+        assert score.std.hex() == _fold_std(xs).hex()
+        assert score.mean.hex() == (sum(xs) / len(xs)).hex()
+    classes = sorted(bundle.test.classes())
+    rows = np.zeros((5, len(classes)))
+    rows[:, :len(SQUARE_SENSITIVE_FOLDS)] = np.array(SQUARE_SENSITIVE_FOLDS).T
+    monkeypatch.setattr(harness, "_f1", lambda counts: rows.copy())
+    record = harness.make_evaluator(harness.EvalCases(bundle.test), 5, 0)(
+        scratch[0].best.model())
+    for cls, xs in zip(classes, SQUARE_SENSITIVE_FOLDS):
+        score = record["per_class"][cls]
+        assert score["per_fold"] == xs and score["n_folds"] == 5
+        assert score["std"].hex() == _fold_std(xs).hex()
+        assert score["mean"].hex() == (sum(xs) / len(xs)).hex()
+    em = record["em_folds"]
+    assert em["std"].hex() == _fold_std(em["per_fold"]).hex()
 
 
 def _run_bytes(run, path):

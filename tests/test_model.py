@@ -296,9 +296,13 @@ class TestPrediction:
                    for _ in range(2 * m.CHUNK + 57)]
         queries[300:320] = queries[:20]
         queries[320:330] = words[:10]
-        intents, tags = m.predict_ids(net, encode(queries, net.feature_dim))
-        alone = [m.predict_ids(net, encode([q], net.feature_dim))
-                 for q in queries]
+
+        def predict(qs):
+            return m.predict_ids(net, m.compile_batches(
+                encode(qs, net.feature_dim), m.CHUNK, net.feature_dim))
+
+        intents, tags = predict(queries)
+        alone = [predict([q]) for q in queries]
         np.testing.assert_array_equal(intents,
                                       np.concatenate([i for i, _ in alone]))
         np.testing.assert_array_equal(tags,
