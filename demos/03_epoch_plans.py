@@ -13,7 +13,7 @@ import numpy as np
 
 from treepatch.datagen import GenConfig, builtin_grammar, generate
 from treepatch.dataset import SplitSpec, make_split
-from treepatch.sampling import SamplerConfig, batches, build_replay, epoch_plan
+from treepatch.sampling import SamplerConfig, build_replay, epoch_plan
 
 train, _ = generate(builtin_grammar(), GenConfig(seed=3, n_train=1000, n_test=10))
 split = make_split(train, SplitSpec("SL:ORGANIZER_EVENT", 95.0, seed=3))
@@ -44,5 +44,5 @@ print(f"sample: inclusion over {epochs} epochs "
 
 # Plans chunk into shuffled minibatches for the trainer.
 plan = epoch_plan(d1, d2, cfg, 0)
-chunks = batches(plan.ids, batch_size=16)
+chunks = [plan.ids[i:i + 16] for i in range(0, len(plan.ids), 16)]
 print(f"\nepoch 0: {len(plan.ids)} examples -> {len(chunks)} batches of <=16")

@@ -223,19 +223,17 @@ class DataBundle:
     """The train and test sets and the D1/D2 split of a run, and the set-up
     the commands on them share, each built at its first use and kept: the
     class sets, the encoded train examples each command's plans can draw,
-    per model vocabulary (corpus), and one scoring state of the test set per
-    class list (eval_cases). A sweep or an experiment that runs many
-    commands on one bundle pays for each once, and a single command encodes
-    no example it cannot draw. The sets must not change after a command has
-    run on the bundle."""
+    per model vocabulary (corpus), and the one scoring state of the test
+    set under those classes (eval_cases). A sweep or an experiment that
+    runs many commands on one bundle pays for each once, and a single
+    command encodes no example it cannot draw. The sets must not change
+    after a command has run on the bundle."""
 
     train: ds.Dataset
     test: ds.Dataset
     split: ds.SplitResult
     _corpora: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _eval_cases: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     @property
     def d1(self):
@@ -274,13 +272,10 @@ class DataBundle:
             model, [ex for ex in self.train if ex.id in ids]))
         return kept[-1]
 
-    def eval_cases(self, classes):
-        """The EvalCases of the test set under `classes`, built at the first
-        call with those classes, then kept."""
-        key = tuple(classes)
-        if key not in self._eval_cases:
-            self._eval_cases[key] = EvalCases(self.test, key)
-        return self._eval_cases[key]
+    @cached_property
+    def eval_cases(self):
+        """The EvalCases of the test set under classes."""
+        return EvalCases(self.test, self.classes)
 
 
 def load_data(cfg):
@@ -516,8 +511,7 @@ def _scratch_plan_fn(train_ids, seed):
 
 def _evaluator(cfg, bundle):
     """A new evaluator of a command, over the bundle's shared EvalCases."""
-    return make_evaluator(bundle.eval_cases(bundle.classes),
-                          int(cfg["eval"]["k"]),
+    return make_evaluator(bundle.eval_cases, int(cfg["eval"]["k"]),
                           derive_seed(cfg.seed, "folds"))
 
 

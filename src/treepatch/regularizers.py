@@ -6,14 +6,12 @@ running mean of squared task-loss gradients accumulated from the very first
 training step. Default "squared" form is the classic quadratic; the "norm"
 form is the literal L2 distance with an epsilon guard at zero.
 
-theta's ParamLayout describes its geometry (groups, row widths, and the
-one reordering between memory order, which runs and checkpoints keep, and
-the row-major order of a checkpoint file); anchored_step, the one SGD step
-(sparse when the penalty is off, else one kernel for every kind and form),
-reads it from theta. A
-data gradient is a SparseGrad of whole rows: per group, the rows a batch
-touches and a block of their values, which the Fisher update, the sparse
-step and the anchored kernel index row by row.
+theta's ParamLayout describes its geometry (groups and row widths);
+anchored_step, the one SGD step (sparse when the penalty is off, else one
+kernel for every kind and form), reads it from theta. A data gradient is
+a SparseGrad of whole rows: per group, the rows a batch touches and a
+block of their values, which the Fisher update, the sparse step and the
+anchored kernel index row by row.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ class MissingAnchor(RegError):
 class ParamLayout:
     """Ordered named groups partitioning a flat parameter vector. In memory
     a group is rows of its width (1 unless given): one per feature, then
-    its biases; a checkpoint file stores the feature rows transposed (see
-    reordered)."""
+    its biases; a checkpoint file stores the feature rows transposed, and
+    reordered converts at that boundary only."""
 
     groups: tuple  # ((name, size), ...)
     widths: tuple = ()  # the row width of each group, in order
@@ -79,8 +77,9 @@ class ParamLayout:
     def reordered(self, values, to_memory, out=None):
         """Layout-sized `values` in the other order, in `out` (a new array
         unless given): a checkpoint file's row-major order to memory order
-        when to_memory, else back. The identity on a group of width 1; the
-        biases keep their place."""
+        when to_memory, else back. Only save_checkpoint and load_checkpoint
+        call it. The identity on a group of width 1; the biases keep their
+        place."""
         out = np.empty_like(values) if out is None else out
         for (name, size), width in zip(self.groups, self.widths):
             group = self.slice_of(name)
@@ -236,9 +235,7 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     w = 0, and the dense step adds delta * 0 = +-0, so theta comes out
     bit-identical. The norm form keeps w * delta^2 in one theta-sized array
     (+0 where w = 0, fixed in frozen groups, refreshed on the support) and
-    adds it up in a checkpoint file's row-major order, into a buffer made
-    once (ParamLayout.reordered), as penalty does on values in that order.
-    theta_prev and fisher are read, never written.
+    adds it up as penalty does. theta_prev and fisher are read, never written.
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
@@ -260,9 +257,9 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     weight, scale = anchor
     norm, ewc = config.form == "norm", np.ndim(weight) > 0
     w = np.broadcast_to(weight, (layout.size,))
-    if norm:  # the terms w * delta^2, and a buffer for file order
+    if norm:  # the terms w * delta^2
         delta = theta.values - theta_prev.values
-        terms, saved = w * delta * delta, np.empty(layout.size)
+        terms = w * delta * delta
     w_rows, prev_rows = layout.rows(w), layout.rows(theta_prev.values)
     terms_rows = layout.rows(terms) if norm else None
     support = [(i, np.flatnonzero((w_rows[i] > 0).any(axis=1)))
@@ -307,8 +304,7 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
         if norm:
             for i, rows, _, terms_s in gathered:
                 terms_rows[i][rows] = terms_s
-            root = np.sqrt(np.sum(layout.reordered(
-                terms, to_memory=False, out=saved)) + config.epsilon)
+            root = np.sqrt(np.sum(terms) + config.epsilon)
         np.multiply(buf, c, out=buf)
         if norm:
             np.divide(buf, root, out=buf)

@@ -114,11 +114,3 @@ def epoch_plan(d1, d2, config, epoch_index):
     """The EpochPlan of one epoch (see EpochPlans, which a run draws its
     plans from)."""
     return EpochPlans(d1, d2, config)(epoch_index)
-
-
-def batches(ids, batch_size):
-    """Contiguous batches of a sequence of ids; the last may be short."""
-    if batch_size < 1:
-        raise SamplerError("batch_size must be >= 1")
-    ids = list(ids)
-    return [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]

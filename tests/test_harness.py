@@ -242,14 +242,18 @@ class TestFinetune:
         assert report.records[0]["step"] == 0
         assert "degraded_count" in report.degradation
 
-    @pytest.mark.parametrize("reg", [{"kind": "none", "strength": 0.0},
-                                     {"kind": "ewc", "strength": 1.0}])
-    def test_squared_form_reorders_nothing(self, bundle, prev, monkeypatch,
-                                           reg):
-        """Checkpoints hold theta and the Fisher sums in memory order, so a
-        fine-tune in the squared form, from prev's model to its result,
-        transposes nothing (ParamLayout.reordered); only a file and the
-        norm form's sum do. Checkpoints in file order took 7."""
+    @pytest.mark.parametrize("reg", [
+        {"kind": "none", "strength": 0.0},
+        {"kind": "ewc", "strength": 1.0},
+        {"kind": "movenorm", "strength": 1.0, "form": "norm"},
+        {"kind": "ewc", "strength": 1.0, "form": "norm"}])
+    def test_fine_tune_reorders_nothing(self, bundle, prev, monkeypatch,
+                                        reg):
+        """Checkpoints hold theta and the Fisher sums in memory order, and
+        the norm form sums its terms in that order, so a fine-tune of any
+        kind and form, from prev's model to its result, transposes nothing
+        (ParamLayout.reordered); only a file does. Checkpoints in file
+        order took 7 calls, and a norm-form sum in file order one a step."""
         cfg = ExperimentConfig.from_dict(
             harness._deep_merge(SMALL, {"reg": reg}))
         calls = []
@@ -279,6 +283,26 @@ class TestFinetune:
             tracemalloc.stop()
         assert result.best is result.final
         assert peak < 5 * prev_ckpt.theta_values.nbytes
+
+    @pytest.mark.parametrize("kind, bound", [("movenorm", 5.5), ("ewc", 7.5)])
+    def test_norm_form_peaks_below_bound(self, bundle, prev, kind, bound):
+        """A norm-form fine-tune whose one eval is its last keeps its
+        theta-sized terms w * delta^2 and sums them where they are: its
+        traced peak stays below `bound` theta (measured 5.13 for move-norm,
+        7.01 for EWC). A checkpoint-order buffer for the sum cost one theta
+        more (6.13 and 8.01)."""
+        cfg = ExperimentConfig.from_dict(harness._deep_merge(
+            SMALL, {"reg": {"kind": kind, "strength": 1.0, "form": "norm"},
+                    **EVAL_AT_END}))
+        prev_ckpt = prev[0].best
+        tracemalloc.start()
+        try:
+            result, _ = harness.cmd_finetune(cfg, bundle, prev_ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best is result.final
+        assert peak < bound * prev_ckpt.theta_values.nbytes
 
     def test_ewc_without_fisher_rejected(self, bundle, prev, monkeypatch):
         cfg = ExperimentConfig.from_dict(

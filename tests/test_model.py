@@ -25,7 +25,6 @@ from treepatch.regularizers import (LayoutMismatch, MissingAnchor,
                                     MissingFisher, ParamLayout, ParamVector,
                                     RegConfig, anchored_step, apply_freeze,
                                     penalty)
-from treepatch.sampling import batches
 from treepatch.treebank import parse_top, serialize
 
 INTENTS = ("IN:A", "IN:B")
@@ -146,13 +145,20 @@ def in_order(rows):
     return total
 
 
+def batches(ids, batch_size):
+    """Contiguous batches of a sequence of ids, the last maybe short: the
+    dense reference's batching, which compile_epoch's must match."""
+    ids = list(ids)
+    return [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]
+
+
 def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
                             fisher=None):
     """The per-example loop that the batched kernel replaced, kept as its
     oracle. batch: list of (feats, intent_id, tag_ids); dense gradients.
     A token sum adds the tokens in order (in_order), on heads of every
-    width. The penalty is taken in checkpoint order, the order of its
-    sum."""
+    width. The penalty is penalty's on theta as it is, in memory
+    order."""
     v = row_major_views(model)
     grad = ParamVector.zeros(model.layout)
     gv = row_major_views(model, grad)
@@ -182,15 +188,9 @@ def reference_loss_and_grad(model, batch, reg=None, theta_prev=None,
 
     data_grad = grad.copy()
     if reg is not None and reg.kind != "none":
-        def saved(vector):
-            return ParamVector(vector.layout,
-                               checkpoint_order(model, vector.values))
-
-        pen_value, pen_grad = penalty(
-            saved(model.theta), saved(theta_prev),
-            None if fisher is None else checkpoint_order(model, fisher), reg)
+        pen_value, pen_grad = penalty(model.theta, theta_prev, fisher, reg)
         loss += pen_value
-        grad.values += memory_order(model, pen_grad.values)
+        grad.values += pen_grad.values
     return float(loss), grad, data_grad
 
 
@@ -749,16 +749,16 @@ def assert_equals_dense_reference(tmp_path, by_id, prev, cfg, result):
 # sha256 of the final checkpoint of fine_tune(kind, form, 0.5, prev_intent),
 # as the row-major parameter layout wrote it: the on-disk bytes must not
 # depend on the order of theta in memory, and no other pin covers the norm
-# form, whose sum adds in checkpoint order
+# form, whose sum adds in memory order, as penalty's does
 FINE_TUNE_SHA256 = {
     ("movenorm", "norm", None):
-        "a0d968f8636ea6f3f4078460721e58ba0b080030c9e6bffa5b0a5c6f4398ba23",
+        "4445d98afffb1d869d8011d5138d78904639721825e0b5f241c570531348778f",
     ("ewc", "norm", None):
-        "5aaebc03e4088194a25cd597e1c1b4985df734da161b7f05149b01e5e78f1ab7",
+        "4b4425828714744dd3cae4e536f205fa6414ab3f09c9e6301d8a6135a8486b27",
     ("ewc", "squared", "IN:A"):
         "010431bbdfa5070e68eef2494a9f8e9085a84bc8bb57b1d63f2cbae80d37da3d",
     ("ewc", "norm", "IN:A"):
-        "b256a361116732a6ba3dc2d28bd801c3ba577f2fbf6795de4fdb7e7e4bc989c9",
+        "f25d419a95c87706714260c57f93184dcb203a52ef107ea02d1f109f1dee55a8",
 }
 
 

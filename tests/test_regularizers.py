@@ -280,10 +280,10 @@ class TestAnchoredStep:
             self, layout, frozen, form):
         """EWC over a Fisher that is zero on most rows, and on single
         coordinates of the others: the support-row step, over the rows of
-        theta's layout, equals penalty (taken in checkpoint order) plus the
-        dense update on the coordinates inside the support and outside it,
-        touched or not. theta starts away from theta_prev, so that in the
-        norm form the frozen groups add fixed terms to the root."""
+        theta's layout, equals penalty plus the dense update on the
+        coordinates inside the support and outside it, touched or not.
+        theta starts away from theta_prev, so that in the norm form the
+        frozen groups add fixed terms to the root."""
         rng = np.random.default_rng(3)
         size = layout.size
         fisher = rng.exponential(size=size)
@@ -298,30 +298,21 @@ class TestAnchoredStep:
             scale=0.1, size=size))
         dense = fused.copy()
         step = anchored_step(fused, theta_prev, fisher, config, 1e-2, mask)
-        flat = ParamLayout(layout.groups)
-
-        def saved(values):
-            return layout.reordered(values, to_memory=False)
-
         for _ in range(5):
             grad = row_grad(layout, rng, 0.2)
             step(grad)
-            _, total = penalty(ParamVector(flat, saved(dense.values)),
-                               ParamVector(flat, saved(theta_prev.values)),
-                               saved(fisher), config)
-            total = ParamVector(layout, layout.reordered(total.values,
-                                                         to_memory=True))
+            _, total = penalty(dense, theta_prev, fisher, config)
             add_rows(total.values, grad)
             dense.values -= 1e-2 * apply_freeze(total, mask).values
         assert fused.values.tobytes() == dense.values.tobytes()
         assert not np.array_equal(fused.values, theta_prev.values)
 
     @pytest.mark.parametrize("kind", ["movenorm", "ewc"])
-    def test_norm_form_sums_in_checkpoint_order(self, kind):
+    def test_norm_form_sums_as_penalty_does(self, kind):
         """On a layout with row widths, the norm form's step equals penalty
-        taken on checkpoint-ordered values, reordered back, plus the dense
-        update. delta and F span many magnitudes, so that on some step the
-        sum in memory order differs from the sum in checkpoint order."""
+        on theta as it is, in memory order, plus the dense update. delta
+        and F span many magnitudes, so that on some step the sum in memory
+        order differs from the sum in a checkpoint file's order."""
         layout = ParamLayout(self.BIG.groups, (1, 10, 7))
         rng = np.random.default_rng(11)
         size = layout.size
@@ -334,33 +325,25 @@ class TestAnchoredStep:
         lr = 1.0  # steps large enough to show the root's last bits
         step = anchored_step(fused, theta_prev, fisher, config, lr,
                              frozenset())
-        flat = ParamLayout(layout.groups)
-
-        def saved(values):
-            return layout.reordered(values, to_memory=False)
-
         orders_differ = False
         for _ in range(5):
             squares = (dense.values - theta_prev.values) ** 2
             if kind == "ewc":
                 squares *= fisher * fisher
-            orders_differ |= np.sum(squares) != np.sum(saved(squares))
+            orders_differ |= np.sum(squares) != np.sum(
+                layout.reordered(squares, to_memory=False))
             grad = row_grad(layout, rng, 0.05)
             step(grad)
-            _, total = penalty(ParamVector(flat, saved(dense.values)),
-                               ParamVector(flat, saved(theta_prev.values)),
-                               saved(fisher), config)
-            total = layout.reordered(total.values, to_memory=True)
-            add_rows(total, grad)
-            dense.values -= lr * total
+            _, total = penalty(dense, theta_prev, fisher, config)
+            add_rows(total.values, grad)
+            dense.values -= lr * total.values
         assert orders_differ
         assert fused.values.tobytes() == dense.values.tobytes()
 
     @pytest.mark.parametrize("kind", ["movenorm", "ewc"])
     def test_norm_step_allocates_nothing_theta_sized(self, kind):
-        """After its first call, a norm-form step adds up its terms in a
-        checkpoint-order buffer made once: no step allocates an array near
-        theta's size."""
+        """After its first call, a norm-form step adds up its terms where
+        they are: no step allocates an array near theta's size."""
         layout = ParamLayout(self.BIG.groups, (1, 10, 7))
         rng = np.random.default_rng(5)
         theta_prev = ParamVector(layout, rng.normal(size=layout.size))

@@ -3,8 +3,7 @@ import pytest
 
 from treepatch.dataset import Dataset, Example
 from treepatch.sampling import (EpochPlan, EpochPlans, SamplerConfig,
-                                SamplerError, batches, build_replay,
-                                epoch_plan)
+                                SamplerError, build_replay, epoch_plan)
 from treepatch.treebank import parse_top
 from treepatch.utils import derive_seed
 
@@ -147,17 +146,3 @@ def test_plans_equal_the_per_epoch_reference(mode, p, n_d1):
         drawn.update(expected.ids)
         assert plans.drawn_ids(epoch + 1) == [
             i for i in D2.ids() + d1.ids() if i in drawn]
-
-
-class TestBatches:
-    def test_sizes(self):
-        plan = EpochPlan(ids=tuple(range(10)), n_old=0, n_new=10)
-        assert [len(b) for b in batches(plan.ids, 4)] == [4, 4, 2]
-
-    def test_single_batch_when_large(self):
-        assert len(batches(list(range(5)), 100)) == 1
-
-    def test_concatenation_is_identity(self):
-        ids = tuple(f"x{i}" for i in range(13))
-        got = [i for b in batches(ids, 5) for i in b]
-        assert got == list(ids)
