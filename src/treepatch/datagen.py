@@ -117,46 +117,68 @@ def _cdf(p):
     return cdf
 
 
-def _sample_intent(grammar, label, rng, s, depth, fillers):
-    """A tree of intent `label`. fillers caches, per (slot, whether nested
-    fillers fit in the depth left), the usable fillers and their _cdf."""
+def _sample_intent(grammar, label, rng, s, depth, fillers, nodes):
+    """(key, node) of a tree of intent `label`. The key is the draws that
+    chose the tree: the intent, the template's index and each slot's
+    filler, as its index in grammar.fillers[slot] or the key of the nested
+    intent; an index is the first of equal alternatives', so equal trees
+    get one key. nodes interns the trees by key: a key met again costs its
+    draws and builds no Node. fillers caches, per (slot, whether nested
+    fillers fit in the depth left), the usable fillers' indices and their
+    _cdf."""
     if depth > grammar.max_depth:
         raise DepthExceeded(label)
     templates = grammar.intent_templates(label)
-    tpl = templates[rng.integers(len(templates))]  # as rng.choice(len(...))
-    children = []
-    for item in tpl:
+    # as rng.choice(len(templates))
+    t = templates.index(templates[rng.integers(len(templates))])
+    slots = []  # per slot of the template: (its filler's key, its children)
+    for item in templates[t]:
         if not item.startswith(SLOT_PREFIX):
-            children.append(item)
             continue
         # nested fillers are unreachable once the depth budget is spent
         key = (item, depth + 2 <= grammar.max_depth)
         if key not in fillers:
             alts = grammar.fillers[item]
-            usable = [a for a in alts if not isinstance(a, str) or key[1]]
+            usable = [alts.index(a) for a in alts
+                      if not isinstance(a, str) or key[1]]
             if not usable:
                 raise DepthExceeded(item)
-            weights = zipf_weights(len(alts), s)[[alts.index(a)
-                                                  for a in usable]]
+            weights = zipf_weights(len(alts), s)[usable]
             fillers[key] = usable, _cdf(weights / weights.sum())
         usable, cdf = fillers[key]
-        alt = usable[cdf.searchsorted(rng.random(), side="right")]
+        pick = usable[cdf.searchsorted(rng.random(), side="right")]
+        alt = grammar.fillers[item][pick]
         if isinstance(alt, str):
-            slot_children = (_sample_intent(grammar, alt, rng, s, depth + 2,
-                                            fillers),)
+            nested_key, nested = _sample_intent(grammar, alt, rng, s,
+                                                depth + 2, fillers, nodes)
+            slots.append((nested_key, (nested,)))
         else:
-            slot_children = tuple(alt)
-        children.append(Node(item, slot_children))
-    return Node(label, tuple(children))
+            slots.append((pick, alt))
+    key = (label, t, tuple(k for k, _ in slots))
+    node = nodes.get(key)
+    if node is None:
+        slot_children = (children for _, children in slots)
+        node = nodes[key] = Node(label, tuple(
+            Node(item, next(slot_children)) if item.startswith(SLOT_PREFIX)
+            else item for item in templates[t]))
+    return key, node
 
 
 def _sample_corpus(grammar, rng, n, s, id_prefix):
-    cdf, fillers = _cdf(zipf_weights(len(grammar.intents), s)), {}
+    """n examples drawn from rng. Each distinct tree is built once: its
+    Node by _sample_intent, its ParseTree and query at the first example
+    that draws it, and the examples with equal trees share that one
+    immutable tree. Every example is still checked by Example."""
+    cdf, fillers, nodes = _cdf(zipf_weights(len(grammar.intents), s)), {}, {}
+    roots = {}  # key -> (ParseTree, query) of each distinct root drawn
     examples = []
     for i in range(n):
         label = grammar.intents[cdf.searchsorted(rng.random(), side="right")][0]
-        tree = ParseTree(_sample_intent(grammar, label, rng, s, 1, fillers))
-        query = " ".join(tree.leaves)
+        key, root = _sample_intent(grammar, label, rng, s, 1, fillers, nodes)
+        if key not in roots:
+            tree = ParseTree(root)
+            roots[key] = tree, " ".join(tree.leaves)
+        tree, query = roots[key]
         examples.append(Example(id=f"{id_prefix}:{i}", query=query, tree=tree))
     return Dataset(tuple(examples))
 

@@ -309,11 +309,20 @@ def encode_examples(model, examples):
     queries with their targets (encode_targets) under the model's
     vocabulary, in the given order, and each example's id -> its row. A
     token's features are hashes of its own and its neighbours' strings, so
-    a row's bytes do not depend on the other examples encoded with it. A
-    label the model lacks raises UnknownLabel naming the example's."""
+    a row's bytes do not depend on the other examples encoded with it:
+    each distinct example, a query and one tree object (datagen and
+    load_tsv share a tree between equal examples), is encoded once and its
+    row repeated (Encoded.take). A label the model lacks raises
+    UnknownLabel naming the example's."""
     examples = list(examples)
-    corpus = encode([ex.query for ex in examples], model.feature_dim,
-                    [encode_targets(model, ex) for ex in examples])
+    distinct = {}  # (query, id of the tree) -> its first example
+    for ex in examples:
+        distinct.setdefault((ex.query, id(ex.tree)), ex)
+    corpus = encode([ex.query for ex in distinct.values()], model.feature_dim,
+                    [encode_targets(model, ex) for ex in distinct.values()])
+    if len(distinct) < len(examples):
+        row = {key: r for r, key in enumerate(distinct)}
+        corpus = corpus.take([row[ex.query, id(ex.tree)] for ex in examples])
     return corpus, {ex.id: row for row, ex in enumerate(examples)}
 
 

@@ -260,8 +260,24 @@ PINNED_SHA256 = {
         "848b03292080b8eaff7d46fb24a917c02353fc9e3a21818e7b5ba34aea2e303e",
 }
 
+# the state each pinned checkpoint loads to (conftest.checkpoint_state_sha256):
+# a change of the checkpoint file format re-pins PINNED_SHA256's .ckpt
+# values alone and keeps these
+PINNED_STATE_SHA256 = {
+    "all.ckpt":
+        "deb80adbaa398b383b268d9d0ba41f19c6923ce65671157156e278988471da0b",
+    "d1.ckpt":
+        "d6236b6e07210802e15b387ff01d62957c5535853582c46d612561d40d719ac7",
+    "ft.ckpt":
+        "839e771c0cdd2eb5599729fea4ac89fb9b996c21f6dd1b53f871cc1dbe6b9687",
+    "naive.ckpt":
+        "fc36bd648bff4377c5bbd138214edfe994b44eb91edb933a8bad1371360ce947",
+    "replay_mn.ckpt":
+        "d9f3773a885499cbf0b27ccac43e54a1760c57ac102de2221c11662a9f2f554c",
+}
 
-def test_criterion_7_outputs_match_pinned_digests(tmp_path):
+
+def test_criterion_7_outputs_match_pinned_digests(tmp_path, state_sha256):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
         "seed": 13,
@@ -291,6 +307,9 @@ def test_criterion_7_outputs_match_pinned_digests(tmp_path):
              "--ckpt", f"{out}/replay_mn.ckpt",
              "--report", f"{out}/replay_mn.json"]):
         assert cli_main(argv) == 0, argv
+    states = {name: state_sha256(load_checkpoint(tmp_path / name))
+              for name in PINNED_STATE_SHA256}
+    assert states == PINNED_STATE_SHA256
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_SHA256}
     assert got == PINNED_SHA256

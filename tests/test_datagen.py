@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from treepatch import datagen
 from treepatch.datagen import (GenConfig, Grammar, GrammarError,
                                builtin_grammar, generate, load_grammar,
                                zipf_weights)
-from treepatch.treebank import parse_top, serialize
+from treepatch.dataset import Dataset, Example
+from treepatch.treebank import (SLOT_PREFIX, Node, ParseTree, parse_top,
+                                serialize)
+from treepatch.utils import derive_seed
 
 
 def declared_classes(grammar):
@@ -184,11 +188,7 @@ def test_grammar_of_the_wrong_shape_rejected_naming_it(tmp_path, data, error):
 
 
 def test_depth_budget_excludes_unreachable_nesting():
-    grammar = Grammar(
-        intents=(("IN:A", (("x", "SL:X"),)), ("IN:B", (("y",),))),
-        fillers={"SL:X": (("flat",), "IN:B")},
-        max_depth=2,
-    )
+    grammar = depth_limited_grammar()
     train, _ = generate(grammar, GenConfig(seed=0, n_train=100, n_test=1))
     in_a = [serialize(ex.tree) for ex in train if ex.tree.root.name == "IN:A"]
     assert in_a and set(in_a) == {"[IN:A x [SL:X flat ] ]"}
@@ -202,6 +202,139 @@ def test_no_token_fallback_raises():
     )
     with pytest.raises(datagen.DepthExceeded):
         generate(grammar, GenConfig(seed=0, n_train=10, n_test=1))
+
+
+def reference_intent(grammar, label, rng, s, depth, fillers):
+    """A new tree of intent `label`, built node by node from the draws
+    generate makes: the oracle that interning changes no tree."""
+    if depth > grammar.max_depth:
+        raise datagen.DepthExceeded(label)
+    templates = grammar.intent_templates(label)
+    tpl = templates[rng.integers(len(templates))]
+    children = []
+    for item in tpl:
+        if not item.startswith(SLOT_PREFIX):
+            children.append(item)
+            continue
+        key = (item, depth + 2 <= grammar.max_depth)
+        if key not in fillers:
+            alts = grammar.fillers[item]
+            usable = [a for a in alts if not isinstance(a, str) or key[1]]
+            if not usable:
+                raise datagen.DepthExceeded(item)
+            weights = zipf_weights(len(alts), s)[[alts.index(a)
+                                                  for a in usable]]
+            fillers[key] = usable, datagen._cdf(weights / weights.sum())
+        usable, cdf = fillers[key]
+        alt = usable[cdf.searchsorted(rng.random(), side="right")]
+        if isinstance(alt, str):
+            slot_children = (reference_intent(grammar, alt, rng, s, depth + 2,
+                                              fillers),)
+        else:
+            slot_children = tuple(alt)
+        children.append(Node(item, slot_children))
+    return Node(label, tuple(children))
+
+
+def reference_generate(grammar, config):
+    """generate with a new Node, ParseTree and query for every example."""
+    out = []
+    for part, n in (("train", config.n_train), ("test", config.n_test)):
+        rng = np.random.default_rng(derive_seed(config.seed, "datagen", part))
+        cdf = datagen._cdf(zipf_weights(len(grammar.intents),
+                                        config.tail_exponent))
+        fillers, examples = {}, []
+        for i in range(n):
+            label = grammar.intents[cdf.searchsorted(rng.random(),
+                                                     side="right")][0]
+            tree = ParseTree(reference_intent(grammar, label, rng,
+                                              config.tail_exponent, 1, fillers))
+            examples.append(Example(f"{part}:{i}", " ".join(tree.leaves), tree))
+        out.append(Dataset(tuple(examples)))
+    return tuple(out)
+
+
+def nested_grammar():
+    """Two levels of nesting, and equal alternatives: a repeated template
+    and a repeated filler, each drawn under its own index."""
+    return Grammar(
+        intents=(("IN:A", (("go", "to", "SL:X"), ("go", "to", "SL:X"),
+                           ("a", "SL:Y"))),
+                 ("IN:B", (("see", "SL:Y"), ("b", "SL:Z"))),
+                 ("IN:C", (("c", "SL:Y"),))),
+        fillers={"SL:X": (("home",), "IN:B", ("home",), "IN:B"),
+                 "SL:Y": (("that",), ("this", "one")),
+                 "SL:Z": ("IN:C", ("zed",))},
+        max_depth=6,
+    )
+
+
+def depth_limited_grammar():
+    """The grammar of test_depth_budget_excludes_unreachable_nesting."""
+    return Grammar(
+        intents=(("IN:A", (("x", "SL:X"),)), ("IN:B", (("y",),))),
+        fillers={"SL:X": (("flat",), "IN:B")},
+        max_depth=2,
+    )
+
+
+ORACLE_CASES = [
+    pytest.param(builtin_grammar(), seed, id=f"builtin-seed{seed}")
+    for seed in (1, 2, 11)] + [
+    pytest.param(nested_grammar(), 3, id="nested"),
+    pytest.param(depth_limited_grammar(), 0, id="depth-limited")]
+
+
+@pytest.mark.parametrize("grammar, seed", ORACLE_CASES)
+def test_generate_equals_a_tree_per_example_reference(grammar, seed):
+    config = GenConfig(seed=seed, n_train=2000, n_test=400)
+    for got, want in zip(generate(grammar, config),
+                         reference_generate(grammar, config)):
+        assert ([(ex.id, ex.query, serialize(ex.tree)) for ex in got]
+                == [(ex.id, ex.query, serialize(ex.tree)) for ex in want])
+
+
+@pytest.mark.parametrize("grammar, seed", ORACLE_CASES)
+def test_equal_trees_share_one_tree_built_once(grammar, seed, monkeypatch):
+    """A corpus builds one ParseTree per distinct tree, and every example
+    with that tree holds it; Example still checks each example."""
+    built = {"ParseTree": 0, "Example": 0}
+
+    def counted(cls):
+        def make(*args, **kw):
+            built[cls.__name__] += 1
+            return cls(*args, **kw)
+        return make
+
+    monkeypatch.setattr(datagen, "ParseTree", counted(ParseTree))
+    monkeypatch.setattr(datagen, "Example", counted(Example))
+    train, test = generate(grammar, GenConfig(seed=seed, n_train=2000,
+                                              n_test=400))
+    distinct = 0
+    for corpus in (train, test):
+        trees = {}
+        for ex in corpus:
+            trees.setdefault(serialize(ex.tree), set()).add(id(ex.tree))
+        assert all(len(ids) == 1 for ids in trees.values())
+        assert len(trees) < len(corpus)
+        distinct += len(trees)
+    assert built == {"ParseTree": distinct, "Example": 2400}
+
+
+def test_generate_retains_one_tree_per_distinct_tree():
+    """A 5000/100 builtin corpus holds its 5100 examples and the few
+    hundred distinct trees they share: it retained about 1.1 MB under
+    tracemalloc, where a tree per example retained 4.3-5.1 MB."""
+    grammar = builtin_grammar()
+    generate(grammar, GenConfig(seed=1, n_train=50, n_test=10))  # warm
+    tracemalloc.start()
+    try:
+        corpora = generate(grammar, GenConfig(seed=1, n_train=5000, n_test=100))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(corpora[0]) == 5000
+    assert retained < 2.5e6
 
 
 def test_zipf_weights_normalized():

@@ -284,6 +284,33 @@ class TestFinetune:
         assert result.best is result.final
         assert peak < 5 * prev_ckpt.theta_values.nbytes
 
+    @pytest.mark.parametrize("command, override, bound", [
+        ("finetune", {"sampler": {"p": 0.0},
+                      "reg": {"kind": "none", "strength": 0.0}}, 3.25),
+        ("finetune", {"reg": {"kind": "movenorm", "strength": 1.0}}, 4.35),
+        ("train", {}, 3.25)], ids=["naive", "movenorm", "train-d1"])
+    def test_command_peaks_below_its_theta_budget(self, bundle, prev, command,
+                                                  override, bound):
+        """A command whose one eval is its last, on the default
+        feature_dim, stays below its traced budget in theta: a naive
+        fine-tune and cmd_train(on="d1") peaked at 3.06 and 3.11, a
+        squared move-norm fine-tune, whose step builds a theta-sized
+        support buffer, at 4.17."""
+        cfg = ExperimentConfig.from_dict(
+            harness._deep_merge(SMALL, {**override, **EVAL_AT_END}))
+        prev_ckpt = prev[0].best
+        tracemalloc.start()
+        try:
+            if command == "train":
+                result, _ = harness.cmd_train(cfg, bundle, on="d1")
+            else:
+                result, _ = harness.cmd_finetune(cfg, bundle, prev_ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best is result.final
+        assert peak < bound * prev_ckpt.theta_values.nbytes
+
     @pytest.mark.parametrize("kind, bound", [("movenorm", 5.5), ("ewc", 7.5)])
     def test_norm_form_peaks_below_bound(self, bundle, prev, kind, bound):
         """A norm-form fine-tune whose one eval is its last keeps its
@@ -470,6 +497,14 @@ def _spy_setup(monkeypatch):
     return encoded, gold_trees
 
 
+def _distinct_queries(train_set, ids):
+    """The queries encode_examples encodes for the train examples `ids`: one
+    per distinct example, a query and its tree object, in train-set order."""
+    ids = set(ids)
+    return [query for query, _ in dict.fromkeys(
+        (ex.query, id(ex.tree)) for ex in train_set if ex.id in ids)]
+
+
 BUNDLE_CONFIGS = [
     ExperimentConfig.from_dict(harness._deep_merge(SMALL, override))
     for override in ({}, {"sampler": {"p": 0.0}},
@@ -481,11 +516,12 @@ def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
                                                              monkeypatch):
     """cmd_train(on="d1"), a naive and an EWC cmd_finetune (p=0.2), then a
     d1 model of another feature_dim, on one bundle: each command encodes the
-    train examples its plans can draw, in train-set order, and nothing that
-    a corpus kept for its vocabulary holds; each test case's gold tree goes
-    to extract_paths once. Each report and best checkpoint has the bytes of
-    the same command run alone on a fresh bundle, in reverse order, so
-    neither the shared PathVocab nor any other shared state carries over."""
+    distinct train examples its plans can draw, in train-set order, and
+    nothing that a corpus kept for its vocabulary holds; each test case's
+    gold tree goes to extract_paths once. Each report and best checkpoint
+    has the bytes of the same command run alone on a fresh bundle, in
+    reverse order, so neither the shared PathVocab nor any other shared
+    state carries over."""
     configs = BUNDLE_CONFIGS
     shared = harness.prepare(configs[0])
     encoded, gold_trees = _spy_setup(monkeypatch)
@@ -506,8 +542,7 @@ def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
     assert len(shared.d2) < len(drawn) < len(shared.train)
 
     def queries(ids):
-        ids = set(ids)
-        return [ex.query for ex in shared.train if ex.id in ids]
+        return _distinct_queries(shared.train, ids)
 
     # d1 and d2, the EWC run's draw, then d1 again at feature_dim 256
     assert encoded == [queries(shared.d1.ids()), queries(shared.d2.ids()),
@@ -526,7 +561,8 @@ def test_bundle_sets_up_once_and_commands_share_nothing_else(tmp_path,
 
 def test_commands_after_a_whole_set_train_encode_nothing(monkeypatch):
     """After cmd_train(on="all"), the d1 model and both fine-tunes draw
-    from parts of its corpus: the train set is encoded once."""
+    from parts of its corpus: the train set's distinct examples are encoded
+    once."""
     configs = BUNDLE_CONFIGS
     shared = harness.prepare(configs[0])
     encoded, _ = _spy_setup(monkeypatch)
@@ -534,7 +570,7 @@ def test_commands_after_a_whole_set_train_encode_nothing(monkeypatch):
     prev = harness.cmd_train(configs[0], shared, on="d1")[0].best
     for cfg in configs[1:3]:
         harness.cmd_finetune(cfg, shared, prev)
-    assert encoded == [[ex.query for ex in shared.train]]
+    assert encoded == [_distinct_queries(shared.train, shared.train.ids())]
 
 
 def _record(step, em, em_std, target_mean, target_std):

@@ -761,12 +761,28 @@ FINE_TUNE_SHA256 = {
         "f25d419a95c87706714260c57f93184dcb203a52ef107ea02d1f109f1dee55a8",
 }
 
+# the state of the same checkpoints, in memory and as loaded
+# (conftest.checkpoint_state_sha256), which a change of file format keeps
+FINE_TUNE_STATE_SHA256 = {
+    ("movenorm", "norm", None):
+        "bca30c2c26ef33888f1a9246f88507f8ec66ab38080b16593a65c5a6d895aa07",
+    ("ewc", "norm", None):
+        "57edc8f25c7765fe39f057d410f6e7ed3beb52000c82c2974b7c1bedf5076ab5",
+    ("ewc", "squared", "IN:A"):
+        "c966abc68979c6ecacd1330540d8ce5640f76883a1fe32ba5fcc0a9ce93a0799",
+    ("ewc", "norm", "IN:A"):
+        "2d740fd585a7d2e527db721e0b934fcaa85fa2d896dffb6ba4514089b8acdf3e",
+}
+
 
 @pytest.mark.parametrize("kind, form, prev_intent", FINE_TUNE_SHA256)
-def test_fine_tune_checkpoint_keeps_its_bytes(tmp_path, kind, form,
-                                              prev_intent):
+def test_fine_tune_checkpoint_keeps_its_bytes(tmp_path, state_sha256, kind,
+                                              form, prev_intent):
     result = fine_tune(kind, form, 0.5, prev_intent)[3]
     save_checkpoint(result.final, tmp_path / "f.ckpt")
+    state = FINE_TUNE_STATE_SHA256[kind, form, prev_intent]
+    assert state_sha256(result.final) == state
+    assert state_sha256(load_checkpoint(tmp_path / "f.ckpt")) == state
     digest = hashlib.sha256((tmp_path / "f.ckpt").read_bytes()).hexdigest()
     assert digest == FINE_TUNE_SHA256[kind, form, prev_intent]
 
@@ -796,6 +812,38 @@ def test_train_encodes_nothing(monkeypatch):
     unseen = example("unseen", "[IN:Z never [SL:Z drawn ] ]")
     with pytest.raises(UnknownLabel, match="^IN:Z, SL:Z$"):
         encode_examples(tiny_model(feature_dim=64), (*corpus, unseen))
+
+
+def test_encode_examples_encodes_each_distinct_example_once(monkeypatch):
+    """A generated corpus repeats its trees, one object each. Its corpus
+    equals the per-example encoding in value and dtype, while encode sees
+    each (query, tree object) once: an equal tree of another object, or
+    the shared tree under another spacing of its query, is one more."""
+    train_set, _ = generate(builtin_grammar(),
+                            GenConfig(seed=3, n_train=300, n_test=1))
+    first = train_set[0]
+    examples = [*train_set,
+                Example("copy", first.query, parse_top(serialize(first.tree))),
+                Example("spaced", first.query.replace(" ", "  "), first.tree)]
+    classes = sorted(train_set.classes())
+    net = TaggerModel.init([c for c in classes if c.startswith("IN:")],
+                           [c for c in classes if c.startswith("SL:")],
+                           feature_dim=512)
+    want = encode([ex.query for ex in examples], net.feature_dim,
+                  [encode_targets(net, ex) for ex in examples])
+    encoded_queries = []
+    real_encode = m.encode
+    monkeypatch.setattr(m, "encode", lambda queries, *args: encoded_queries
+                        .extend(queries) or real_encode(queries, *args))
+    corpus, row_of = encode_examples(net, examples)
+    distinct = {(ex.query, id(ex.tree)) for ex in examples}
+    assert len(encoded_queries) == len(distinct) < len(train_set)
+    assert len({serialize(ex.tree) for ex in train_set}) + 2 == len(distinct)
+    for name in ("feats", "offsets", "intents", "tags"):
+        got, expected = getattr(corpus, name), getattr(want, name)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected), name
+    assert row_of == {ex.id: row for row, ex in enumerate(examples)}
 
 
 # prev: no checkpoint (False), one of the model (True) or one of another
