@@ -35,8 +35,11 @@ print(f"scratch: em {scratch_rep.final_record['em']:.3f} "
 print(f"previous (D1 only): em {prev_rep.final_record['em']:.3f}")
 
 
-def finetune(label, over):
-    c = harness.ExperimentConfig.from_dict(harness._deep_merge(config, over))
+def finetune(label, sampler, reg, max_epochs=config["train"]["max_epochs"]):
+    # from_dict merges each section given onto the defaults
+    c = harness.ExperimentConfig.from_dict(
+        {**config, "sampler": sampler, "reg": reg,
+         "train": {**config["train"], "max_epochs": max_epochs}})
     _, rep = harness.cmd_finetune(c, bundle, prev_res.best)
     harness.cmd_compare(rep, scratch_rep, target)
     parity = (f"{rep.relative_steps:.1f}% of scratch steps"
@@ -48,10 +51,9 @@ def finetune(label, over):
 
 
 # Naive: only the patch, no anchoring. Watch old classes degrade.
-finetune("naive     ", {"sampler": {"mode": "sample", "p": 0.0},
-                        "reg": {"kind": "none", "strength": 0.0},
-                        "train": {"max_epochs": 60}})
+finetune("naive     ", {"mode": "sample", "p": 0.0},
+         {"kind": "none", "strength": 0.0}, max_epochs=60)
 
 # EWC anchoring plus supersampling 20% of D1 each epoch.
-finetune("ewc+sample", {"sampler": {"mode": "sample", "p": 0.2},
-                        "reg": {"kind": "ewc", "strength": 10.0}})
+finetune("ewc+sample", {"mode": "sample", "p": 0.2},
+         {"kind": "ewc", "strength": 10.0})

@@ -9,6 +9,7 @@ choices are Zipf-weighted so rare classes exist by construction.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,9 @@ def _cdf(p):
     """The cumulative weights rng.choice(len(p), p=p) draws from, computed as
     Generator.choice computes them: the running sum, divided by its last
     value. cdf.searchsorted(rng.random(), side="right") then draws the index
-    that call would, from the same random number."""
+    that call would, from the same random number, and so does
+    bisect_right(cdf.tolist(), rng.random()), the form generate draws with
+    (a list's bisect costs far less per call than numpy's searchsorted)."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
@@ -125,7 +128,7 @@ def _sample_intent(grammar, label, rng, s, depth, fillers, nodes):
     get one key. nodes interns the trees by key: a key met again costs its
     draws and builds no Node. fillers caches, per (slot, whether nested
     fillers fit in the depth left), the usable fillers' indices and their
-    _cdf."""
+    _cdf as a list, which each draw bisects."""
     if depth > grammar.max_depth:
         raise DepthExceeded(label)
     templates = grammar.intent_templates(label)
@@ -144,9 +147,9 @@ def _sample_intent(grammar, label, rng, s, depth, fillers, nodes):
             if not usable:
                 raise DepthExceeded(item)
             weights = zipf_weights(len(alts), s)[usable]
-            fillers[key] = usable, _cdf(weights / weights.sum())
+            fillers[key] = usable, _cdf(weights / weights.sum()).tolist()
         usable, cdf = fillers[key]
-        pick = usable[cdf.searchsorted(rng.random(), side="right")]
+        pick = usable[bisect_right(cdf, rng.random())]
         alt = grammar.fillers[item][pick]
         if isinstance(alt, str):
             nested_key, nested = _sample_intent(grammar, alt, rng, s,
@@ -168,12 +171,14 @@ def _sample_corpus(grammar, rng, n, s, id_prefix):
     """n examples drawn from rng. Each distinct tree is built once: its
     Node by _sample_intent, its ParseTree and query at the first example
     that draws it, and the examples with equal trees share that one
-    immutable tree. Every example is still checked by Example."""
-    cdf, fillers, nodes = _cdf(zipf_weights(len(grammar.intents), s)), {}, {}
+    immutable tree. Every example is still checked by Example. The intent
+    is drawn by bisecting the _cdf of the intents' weights, as a list."""
+    cdf = _cdf(zipf_weights(len(grammar.intents), s)).tolist()
+    fillers, nodes = {}, {}
     roots = {}  # key -> (ParseTree, query) of each distinct root drawn
     examples = []
     for i in range(n):
-        label = grammar.intents[cdf.searchsorted(rng.random(), side="right")][0]
+        label = grammar.intents[bisect_right(cdf, rng.random())][0]
         key, root = _sample_intent(grammar, label, rng, s, 1, fillers, nodes)
         if key not in roots:
             tree = ParseTree(root)

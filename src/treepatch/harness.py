@@ -424,18 +424,14 @@ def evaluation_record(gold, pred, folds, classes):
                                  classes)
     em_hits = np.array([serialize(g) == serialize(p) for g, p in zip(gold, pred)],
                        dtype=float)
-    em_folds = metrics.UncertainScore.from_folds(
-        [em_hits[idx].mean() for idx in folds])
-    global_report = metrics.report_from_counts(*counts[:, 0].sum(axis=0))
     fold_f1 = _f1(np.stack([counts[idx, 1:].sum(axis=0) for idx in folds]))
-    per_class = {cls: metrics.UncertainScore.from_folds(fold_f1[:, j].tolist())
-                 for j, cls in enumerate(classes)}
-
     return {
         "em": float(em_hits.mean()),
-        "em_folds": em_folds.as_dict(),
-        "tp_f1": global_report.as_dict(),
-        "per_class": {cls: score.as_dict() for cls, score in per_class.items()},
+        "em_folds": metrics.fold_score([em_hits[idx].mean() for idx in folds]),
+        "tp_f1": metrics.report_from_counts(
+            *counts[:, 0].sum(axis=0)).as_dict(),
+        "per_class": {cls: metrics.fold_score(fold_f1[:, j].tolist())
+                      for j, cls in enumerate(classes)},
     }
 
 
@@ -548,7 +544,9 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
     The method matrix is spanned by sampler.mode x sampler.p x reg.kind:
     naive fine-tuning is p=0 with reg kind "none". EWC reads the Fisher
     estimate recorded in the previous checkpoint. The report additionally
-    carries the forgetting count versus the pre-patch model."""
+    carries the forgetting count versus the pre-patch model: degraded_classes
+    of the per-class fold scores of the first record (the pre-patch model)
+    and of the last, as the records hold them."""
     # only the examples the plans can draw are encoded, so name every label
     # the checkpoint lacks up front, whichever examples the seed draws
     unknown = sorted(bundle.train_classes
@@ -567,26 +565,15 @@ def cmd_finetune(cfg, bundle, prev_ckpt):
                    lambda epoch: plans(epoch).ids, train_cfg, evaluator,
                    prev=prev_ckpt, config_digest=cfg.digest())
 
-    after = result.history[-1]
-    degradation = degradation_from_records(before, after)
     report = RunReport(kind="finetune", config_digest=cfg.digest(),
                        records=[dict(before, step=0)] + result.history,
                        total_steps=result.total_steps,
                        stopped_early=result.stopped_early,
                        best_step=result.best.step,
-                       degradation=degradation)
+                       degradation=metrics.degraded_classes(
+                           before["per_class"],
+                           result.history[-1]["per_class"]))
     return result, report
-
-
-def _class_scores(record):
-    """A record's per-class scores, read back as UncertainScores."""
-    return {c: metrics.UncertainScore(**{**v, "per_fold": tuple(v["per_fold"])})
-            for c, v in record["per_class"].items()}
-
-
-def degradation_from_records(before_record, after_record):
-    return metrics.degraded_classes(_class_scores(before_record),
-                                    _class_scores(after_record)).as_dict()
 
 
 def parity_step(finetune_report, scratch_report, target_class, require="both"):

@@ -48,29 +48,12 @@ class TpF1Report:
         return dict(self.__dict__)
 
 
-@dataclass(frozen=True)
-class UncertainScore:
-    mean: float
-    std: float
-    n_folds: int
-    per_fold: tuple
-
-    @classmethod
-    def from_folds(cls, per_fold):
-        score = fold_score(per_fold)
-        return cls(**{**score, "per_fold": tuple(score["per_fold"])})
-
-    def as_dict(self):
-        return {"mean": self.mean, "std": self.std, "n_folds": self.n_folds,
-                "per_fold": list(self.per_fold)}
-
-
 def fold_score(per_fold):
-    """The as_dict of UncertainScore.from_folds(per_fold), the one
-    definition of the fold statistic, built without the dataclass: the
-    mean and the sample std (k - 1) of the scores as Python floats. The
-    squares are Python's x ** 2, whose bits numpy's square does not always
-    give."""
+    """A fold score, the one form of the fold statistic: {"mean", "std",
+    "n_folds", "per_fold"}, the mean and the sample std (k - 1) of the
+    per-fold scores as Python floats. Records store it as it is, and
+    degraded_classes reads it so. The squares are Python's x ** 2, whose
+    bits numpy's square does not always give."""
     per_fold = list(map(float, per_fold))
     k = len(per_fold)
     if k < 2:
@@ -79,23 +62,6 @@ def fold_score(per_fold):
     var = sum([(x - mean) ** 2 for x in per_fold]) / (k - 1)
     return {"mean": mean, "std": math.sqrt(var), "n_folds": k,
             "per_fold": per_fold}
-
-
-@dataclass(frozen=True)
-class DegradationReport:
-    entries: tuple  # (class, before UncertainScore, after UncertainScore, degraded bool)
-    degraded_count: int
-    skipped: tuple = ()  # classes present in only one of the two maps
-
-    def as_dict(self):
-        return {
-            "degraded_count": self.degraded_count,
-            "skipped": list(self.skipped),
-            "entries": [
-                {"class": c, "before": b.as_dict(), "after": a.as_dict(), "degraded": d}
-                for c, b, a, d in self.entries
-            ],
-        }
 
 
 def extract_paths(tree):
@@ -255,17 +221,20 @@ def fold_indices(n, k, seed):
 
 
 def is_degraded(before, after):
-    return before.mean - after.mean > 2 * before.std
+    """Whether a class's mean fold score dropped by more than twice its
+    std before: the forgetting rule, on two fold scores."""
+    return before["mean"] - after["mean"] > 2 * before["std"]
 
 
 def degraded_classes(before, after):
-    """Count classes whose mean dropped by more than 2x the before-std."""
-    shared = sorted(set(before) & set(after))
-    skipped = tuple(sorted(set(before) ^ set(after)))
-    entries = []
-    count = 0
-    for cls in shared:
-        deg = is_degraded(before[cls], after[cls])
-        count += deg
-        entries.append((cls, before[cls], after[cls], deg))
-    return DegradationReport(entries=tuple(entries), degraded_count=count, skipped=skipped)
+    """The forgetting count of two {class: fold score} maps, as a record's
+    per_class holds them: {"degraded_count", "skipped", "entries"}, where
+    skipped lists (sorted) the classes present in only one map and entries
+    holds one {"class", "before", "after", "degraded"} per shared class, in
+    class order, with the two maps' fold scores as they are."""
+    entries = [{"class": cls, "before": before[cls], "after": after[cls],
+                "degraded": is_degraded(before[cls], after[cls])}
+               for cls in sorted(set(before) & set(after))]
+    return {"degraded_count": sum(e["degraded"] for e in entries),
+            "skipped": sorted(set(before) ^ set(after)),
+            "entries": entries}

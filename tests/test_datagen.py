@@ -1,3 +1,4 @@
+import bisect
 import re
 import tracemalloc
 
@@ -319,6 +320,27 @@ def test_equal_trees_share_one_tree_built_once(grammar, seed, monkeypatch):
         assert len(trees) < len(corpus)
         distinct += len(trees)
     assert built == {"ParseTree": distinct, "Example": 2400}
+
+
+@pytest.mark.parametrize("grammar, seed", ORACLE_CASES)
+def test_bisect_draws_as_searchsorted_at_every_cdf_value(grammar, seed,
+                                                         monkeypatch):
+    """Every cdf generate caches draws, bisected as a list, the index
+    searchsorted(side="right") draws from the array, at each of its values
+    and at their neighbouring floats: where the two could part."""
+    cdfs = []
+    cdf = datagen._cdf
+    monkeypatch.setattr(datagen, "_cdf", lambda p: cdfs.append(cdf(p))
+                        or cdfs[-1])
+    generate(grammar, GenConfig(seed=seed, n_train=200, n_test=40))
+    assert cdfs
+    for cdf in cdfs:
+        probes = np.concatenate([cdf, np.nextafter(cdf, 0.0),
+                                 np.nextafter(cdf, 2.0), [0.0]])
+        probes = probes[probes < 1.0]  # rng.random() is in [0, 1)
+        as_list = cdf.tolist()
+        assert ([bisect.bisect_right(as_list, x) for x in probes.tolist()]
+                == cdf.searchsorted(probes, side="right").tolist())
 
 
 def test_generate_retains_one_tree_per_distinct_tree():

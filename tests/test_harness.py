@@ -242,6 +242,33 @@ class TestFinetune:
         assert report.records[0]["step"] == 0
         assert "degraded_count" in report.degradation
 
+    def test_forgetting_reads_the_records_as_written(self, bundle, prev):
+        """The degradation entries hold the per-class fold scores of the
+        first record (the pre-patch model) and of the final one as the
+        records hold them, and degraded_classes on the report read back
+        from its JSON gives the same dict."""
+        cfg = ExperimentConfig.from_dict(harness._deep_merge(
+            SMALL, {"sampler": {"p": 0.0}, **EVAL_AT_END}))
+        _, report = harness.cmd_finetune(cfg, bundle, prev[0].best)
+        before = report.records[0]["per_class"]
+        after = report.final_record["per_class"]
+        degradation = report.degradation
+        assert [e["class"] for e in degradation["entries"]] == sorted(before)
+        assert sorted(after) == sorted(before) and degradation["skipped"] == []
+        for entry in degradation["entries"]:
+            assert entry["before"] == before[entry["class"]]
+            assert entry["after"] == after[entry["class"]]
+            assert entry["degraded"] is metrics.is_degraded(entry["before"],
+                                                            entry["after"])
+        assert degradation["degraded_count"] == sum(
+            e["degraded"] for e in degradation["entries"])
+        back = RunReport.from_dict(json.loads(
+            json.dumps(report.as_dict(), sort_keys=True)))
+        assert metrics.degraded_classes(
+            back.records[0]["per_class"],
+            back.final_record["per_class"]) == degradation
+        assert back.degradation == degradation
+
     @pytest.mark.parametrize("reg", [
         {"kind": "none", "strength": 0.0},
         {"kind": "ewc", "strength": 1.0},
@@ -455,13 +482,13 @@ def _fold_std(xs):
 
 def test_fold_statistic_is_python_float_arithmetic(bundle, scratch,
                                                    monkeypatch):
-    """UncertainScore.from_folds and the evaluator's per-class scores give
-    the bits of the Python-float oracle: fold rows of F1 scores fed to the
+    """metrics.fold_score and the evaluator's per-class scores give the
+    bits of the Python-float oracle: fold rows of F1 scores fed to the
     record through _f1 come out with the oracle's mean and std."""
     for xs in SQUARE_SENSITIVE_FOLDS:
-        score = metrics.UncertainScore.from_folds(xs)
-        assert score.std.hex() == _fold_std(xs).hex()
-        assert score.mean.hex() == (sum(xs) / len(xs)).hex()
+        score = metrics.fold_score(xs)
+        assert score["std"].hex() == _fold_std(xs).hex()
+        assert score["mean"].hex() == (sum(xs) / len(xs)).hex()
     classes = sorted(bundle.test.classes())
     rows = np.zeros((5, len(classes)))
     rows[:, :len(SQUARE_SENSITIVE_FOLDS)] = np.array(SQUARE_SENSITIVE_FOLDS).T

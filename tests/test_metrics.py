@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -6,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepatch import metrics
-from treepatch.metrics import (DegradationReport, LengthMismatch,
-                               TooFewExamples, TreePath, UncertainScore,
+from treepatch.metrics import (LengthMismatch, TooFewExamples, TreePath,
                                degraded_classes, exact_match, extract_paths,
-                               path_counts, path_mentions, per_class_tp_f1,
-                               report_from_counts, tp_f1)
+                               fold_score, path_counts, path_mentions,
+                               per_class_tp_f1, report_from_counts, tp_f1)
 from treepatch.treebank import Node, ParseTree, parse_top, serialize
 
 FIG1_GOLD = parse_top(
@@ -230,10 +230,10 @@ class TestExactMatch:
 class TestFoldScores:
     def test_constant_metric_has_zero_std(self):
         gold = [FIG1_GOLD] * 20
-        score = UncertainScore.from_folds(
+        score = fold_score(
             [exact_match([gold[i] for i in idx], [gold[i] for i in idx])
              for idx in metrics.fold_indices(len(gold), 5, seed=1)])
-        assert score.mean == 1.0 and score.std == 0.0
+        assert score["mean"] == 1.0 and score["std"] == 0.0
 
     def test_fold_sizes_near_equal(self):
         folds = metrics.fold_indices(1000, 5, seed=0)
@@ -241,9 +241,11 @@ class TestFoldScores:
         assert sorted(i for f in folds for i in f) == list(range(1000))
 
     def test_mean_and_sample_std(self):
-        score = UncertainScore.from_folds([0.8, 0.8, 0.7, 0.9, 0.8])
-        assert math.isclose(score.mean, 0.8)
-        assert math.isclose(score.std, 0.07071067811865475, rel_tol=1e-12)
+        score = fold_score([0.8, 0.8, 0.7, 0.9, 0.8])
+        assert math.isclose(score["mean"], 0.8)
+        assert math.isclose(score["std"], 0.07071067811865475, rel_tol=1e-12)
+        assert score["n_folds"] == 5
+        assert score["per_fold"] == [0.8, 0.8, 0.7, 0.9, 0.8]
 
     def test_too_few_examples(self):
         with pytest.raises(TooFewExamples):
@@ -258,40 +260,40 @@ class TestFoldScores:
 
 
 def _score(mean, std):
-    return UncertainScore(mean=mean, std=std, n_folds=5,
-                          per_fold=(mean,) * 5)
+    return {"mean": mean, "std": std, "n_folds": 5, "per_fold": [mean] * 5}
 
 
 class TestDegradedClasses:
     def test_no_change_means_no_degradation(self):
         scores = {"SL:A": _score(0.8, 0.05), "SL:B": _score(0.5, 0.1)}
         report = degraded_classes(scores, scores)
-        assert report.degraded_count == 0
+        assert report["degraded_count"] == 0
 
     def test_drop_beyond_two_sigma_is_degraded(self):
         before = {"SL:A": _score(0.80, 0.05)}
         after = {"SL:A": _score(0.65, 0.05)}
-        assert degraded_classes(before, after).degraded_count == 1
+        assert degraded_classes(before, after)["degraded_count"] == 1
 
     def test_drop_within_two_sigma_is_not(self):
         before = {"SL:B": _score(0.80, 0.05)}
         after = {"SL:B": _score(0.72, 0.05)}
-        assert degraded_classes(before, after).degraded_count == 0
+        assert degraded_classes(before, after)["degraded_count"] == 0
 
     def test_extra_classes_reported_as_skipped(self):
         before = {"SL:A": _score(0.8, 0.1), "SL:ONLY_BEFORE": _score(0.5, 0.1)}
         after = {"SL:A": _score(0.8, 0.1), "SL:ONLY_AFTER": _score(0.5, 0.1)}
         report = degraded_classes(before, after)
-        assert set(report.skipped) == {"SL:ONLY_BEFORE", "SL:ONLY_AFTER"}
-        assert report.degraded_count == 0
+        assert report["skipped"] == ["SL:ONLY_AFTER", "SL:ONLY_BEFORE"]
+        assert report["degraded_count"] == 0
 
     def test_count_invariant_under_relabeling(self):
         before = {"SL:A": _score(0.9, 0.01), "SL:B": _score(0.4, 0.2)}
         after = {"SL:A": _score(0.2, 0.01), "SL:B": _score(0.35, 0.2)}
         renamed_before = {"SL:X": before["SL:A"], "SL:Y": before["SL:B"]}
         renamed_after = {"SL:X": after["SL:A"], "SL:Y": after["SL:B"]}
-        assert (degraded_classes(before, after).degraded_count
-                == degraded_classes(renamed_before, renamed_after).degraded_count)
+        assert (degraded_classes(before, after)["degraded_count"]
+                == degraded_classes(renamed_before,
+                                    renamed_after)["degraded_count"])
 
 
 def test_reports_are_json_shaped():
@@ -299,7 +301,9 @@ def test_reports_are_json_shaped():
     d = report.as_dict()
     assert set(d) == {"precision", "recall", "f1",
                       "n_correct", "n_predicted", "n_expected"}
-    score = UncertainScore.from_folds([0.1, 0.2])
-    assert set(score.as_dict()) == {"mean", "std", "n_folds", "per_fold"}
+    score = fold_score([0.1, 0.2])
+    assert set(score) == {"mean", "std", "n_folds", "per_fold"}
     deg = degraded_classes({"SL:A": score}, {"SL:A": score})
-    assert isinstance(deg.as_dict()["entries"], list)
+    assert deg == {"degraded_count": 0, "skipped": [], "entries": [
+        {"class": "SL:A", "before": score, "after": score, "degraded": False}]}
+    assert json.loads(json.dumps(deg)) == deg

@@ -1,15 +1,18 @@
-"""No module of the library uses another one's private names: a name with a
-leading underscore belongs to the module that defines it, which may change
-it freely. Each module under src/treepatch must neither import such a name
-from another treepatch module nor read one off an imported treepatch
-module. The files are parsed, not run."""
+"""No module of the library uses another one's private names, and no demo
+uses any: a name with a leading underscore belongs to the module that
+defines it, which may change it freely. Each module under src/treepatch and
+each script under demos must neither import such a name from another
+treepatch module nor read one off an imported treepatch module. The files
+are parsed, not run."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "treepatch"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "treepatch"
+DEMOS = ROOT / "demos"
 
 
 def _private(name):
@@ -56,3 +59,8 @@ def test_detector_finds_each_kind_of_use():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_module_uses_another_modules_private_names(module):
     assert private_uses((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_no_demo_uses_private_names(demo):
+    assert private_uses((DEMOS / demo).read_text(encoding="utf-8")) == []
