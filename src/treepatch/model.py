@@ -67,9 +67,12 @@ def featurize(query, feature_dim):
 
 
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of the logits z, computed in z: it
+    overwrites its argument and returns it."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def tag_vocab(slots):
@@ -101,6 +104,7 @@ class TaggerModel:
             self.theta = ParamVector.zeros(self.layout)
         if self.theta.layout != self.layout:
             raise DimMismatch("theta layout does not match vocab/dims")
+        self._views_of = None  # (theta's values, their views): see _views
 
     @cached_property
     def tags(self):
@@ -125,10 +129,14 @@ class TaggerModel:
     def _views(self):
         """Views of theta's heads in memory order: W_int (feature_dim,
         intents) and W_tag (feature_dim, tags), feature-major, and the
-        biases b_int and b_tag, each head's last row."""
-        ih, th = self.layout.rows(self.theta.values)
-        return {"W_int": ih[:-1], "b_int": ih[-1],
-                "W_tag": th[:-1], "b_tag": th[-1]}
+        biases b_int and b_tag, each head's last row. Made once per theta
+        array: a model whose theta is replaced reads the new one."""
+        values = self.theta.values
+        if self._views_of is None or self._views_of[0] is not values:
+            ih, th = self.layout.rows(values)
+            self._views_of = values, {"W_int": ih[:-1], "b_int": ih[-1],
+                                      "W_tag": th[:-1], "b_tag": th[-1]}
+        return self._views_of[1]
 
 
 MAX_FEATS = 4  # word, prev, next and bigram: at most four ids per token
@@ -234,9 +242,9 @@ def _column_sums(W, slots, n_tokens):
     out = np.zeros((n_tokens, W.shape[1]))
     for tokens, ids in slots:
         if tokens is None:
-            out += W[ids]
+            out += W.take(ids, axis=0)
         else:
-            out[tokens] += W[ids]
+            out[tokens] += W.take(ids, axis=0)
     return out
 
 
@@ -262,6 +270,7 @@ def forward(model, batch):
                             len(batch.lengths))
                   / batch.lengths[:, None] + v["b_int"])
     tag_logits = _column_sums(v["W_tag"], batch.slots, n) + v["b_tag"]
+    # the logits are made here, so the softmax may overwrite them
     return _softmax(int_logits), _softmax(tag_logits)
 
 
@@ -577,11 +586,6 @@ class Checkpoint:
         return make_layout(self.feature_dim, len(self.intents),
                            len(tag_vocab(self.slots)))
 
-    def fisher_accumulator(self):
-        """An accumulator that continues a copy of fisher_sum_sq."""
-        return FisherAccumulator(self.layout, self.fisher_sum_sq.copy(),
-                                 self.fisher_steps)
-
 
 _MAGIC = b"TPCK0001"
 
@@ -780,7 +784,10 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
             raise LayoutMismatch("the previous checkpoint's layout differs "
                                  "from the model's")
         theta_prev = ParamVector(prev.layout, prev.theta_values)
-        fisher_acc = prev.fisher_accumulator()
+        # on the model's layout, the very object its gradients carry, so
+        # that no step compares two layouts
+        fisher_acc = FisherAccumulator(model.layout, prev.fisher_sum_sq.copy(),
+                                       prev.fisher_steps)
         fisher_prev = (fisher_acc.fisher()
                        if cfg.reg.kind == "ewc" and fisher_acc.steps else None)
     sgd_step = anchored_step(model.theta, theta_prev, fisher_prev, cfg.reg,

@@ -57,22 +57,23 @@ class ParamLayout:
         if len(self.widths) != len(self.groups):
             raise LayoutMismatch(f"{len(self.widths)} row widths for "
                                  f"{len(self.groups)} groups")
+        slices, offset = {}, 0  # each group's slice, made once: not a field
         for (name, size), width in zip(self.groups, self.widths):
+            if name in slices:
+                raise LayoutMismatch(f"{name}: two groups of that name")
             if width < 1 or size % width:
                 raise LayoutMismatch(f"{name}: {size} coordinates do not form "
                                      f"rows of {width}")
+            slices[name] = slice(offset, offset + size)
+            offset += size
+        object.__setattr__(self, "_slices", slices)
 
     @property
     def size(self):
         return sum(size for _, size in self.groups)
 
     def slice_of(self, name):
-        offset = 0
-        for gname, size in self.groups:
-            if gname == name:
-                return slice(offset, offset + size)
-            offset += size
-        raise KeyError(name)
+        return self._slices[name]  # a name not in the layout: KeyError
 
     def reordered(self, values, to_memory, out=None):
         """Layout-sized `values` in the other order, in `out` (a new array
@@ -94,8 +95,9 @@ class ParamLayout:
     def rows(self, values):
         """Per group, in order, its part of the layout-sized `values` as a
         (rows, width) view."""
-        return tuple(values[self.slice_of(name)].reshape(-1, width)
-                     for (name, _), width in zip(self.groups, self.widths))
+        return tuple(values[group].reshape(-1, width)
+                     for group, width in zip(self._slices.values(),
+                                             self.widths))
 
 
 @dataclass
@@ -233,9 +235,11 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     written back. Each group maps its rows to their place in the support
     buffer; touched rows outside the support take the sparse step: there
     w = 0, and the dense step adds delta * 0 = +-0, so theta comes out
-    bit-identical. The norm form keeps w * delta^2 in one theta-sized array
-    (+0 where w = 0, fixed in frozen groups, refreshed on the support) and
-    adds it up as penalty does. theta_prev and fisher are read, never written.
+    bit-identical. A group whose touched rows all lie in the support (every
+    move-norm group, most EWC ones) adds its block in one go. The norm form
+    keeps w * delta^2 in one theta-sized array (+0 where w = 0, fixed in
+    frozen groups, refreshed on the support) and adds it up as penalty
+    does. theta_prev and fisher are read, never written.
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
@@ -308,10 +312,13 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
         np.multiply(buf, c, out=buf)
         if norm:
             np.divide(buf, root, out=buf)
-        outside = []  # per group, its touched rows outside the support
+        outside = []  # per group with any, its touched rows outside support
         for i, place, buf_rows in groups:
             rows, block = data_grad.rows[i], data_grad.blocks[i]
             at = place[rows]
+            if not len(at) or at.min() >= 0:  # every touched row inside
+                buf_rows[at] += block
+                continue
             inside = at >= 0
             buf_rows[at[inside]] += block[inside]
             outside.append((i, rows[~inside], block[~inside]))
@@ -328,7 +335,10 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
 
 @dataclass
 class FisherAccumulator:
-    """Running sum of squared gradients; fisher() is their mean."""
+    """Running sum of squared gradients; fisher() is their mean. A
+    SparseGrad adds into sum_sq's row views, made once per sum_sq array,
+    and is checked against the accumulator's layout unless it carries that
+    very layout object (train's gradients do)."""
 
     layout: ParamLayout
     sum_sq: np.ndarray = None
@@ -340,17 +350,21 @@ class FisherAccumulator:
         self.sum_sq = np.asarray(self.sum_sq, dtype=np.float64)
         if self.sum_sq.shape != (self.layout.size,):
             raise LayoutMismatch("sum_sq shape differs from layout")
+        self._rows = None  # (sum_sq, its row views), made at the first use
 
     def update(self, grad):
         """Add one gradient: a ParamVector, a SparseGrad or a plain array."""
-        if isinstance(grad, (ParamVector, SparseGrad)):
-            _check_layouts(self, grad)
         if isinstance(grad, SparseGrad):
-            for sum_rows, rows, block in zip(self.layout.rows(self.sum_sq),
-                                             grad.rows, grad.blocks):
+            if grad.layout is not self.layout:
+                _check_layouts(self, grad)
+            if self._rows is None or self._rows[0] is not self.sum_sq:
+                self._rows = self.sum_sq, self.layout.rows(self.sum_sq)
+            for sum_rows, rows, block in zip(self._rows[1], grad.rows,
+                                             grad.blocks):
                 sum_rows[rows] += block * block
         else:
             if isinstance(grad, ParamVector):
+                _check_layouts(self, grad)
                 grad = grad.values
             grad = np.asarray(grad, dtype=np.float64)
             if grad.shape != self.sum_sq.shape:

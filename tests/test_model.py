@@ -4,6 +4,8 @@ import json
 import re
 import tracemalloc
 import zlib
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepatch import model as m
+from treepatch import regularizers
 from treepatch.datagen import GenConfig, builtin_grammar, generate
 from treepatch.dataset import Dataset, Example
 from treepatch.metrics import exact_match
@@ -21,10 +24,10 @@ from treepatch.model import (Checkpoint, ChecksumError, DimMismatch,
                              featurize, forward, load_checkpoint,
                              loss_and_grad, predict_trees, save_checkpoint,
                              train)
-from treepatch.regularizers import (LayoutMismatch, MissingAnchor,
-                                    MissingFisher, ParamLayout, ParamVector,
-                                    RegConfig, anchored_step, apply_freeze,
-                                    penalty)
+from treepatch.regularizers import (FisherAccumulator, LayoutMismatch,
+                                    MissingAnchor, MissingFisher, ParamLayout,
+                                    ParamVector, RegConfig, anchored_step,
+                                    apply_freeze, penalty)
 from treepatch.treebank import parse_top, serialize
 
 INTENTS = ("IN:A", "IN:B")
@@ -282,6 +285,56 @@ class TestForward:
         net.theta.values -= 0.1 * dense(grad)
         after = forward(net, compiled(net, batch))[0][0, 0]
         assert after > before
+
+    def test_writes_neither_theta_nor_its_batch(self):
+        """forward's softmax overwrites the logits forward made, nothing
+        that it reads: theta and every array of the batch keep their bytes,
+        and a second call returns the same distributions."""
+        net = tiny_model()
+        net.theta.values[:] = np.random.default_rng(1).normal(
+            size=net.layout.size)
+        exs = [example("a", "[IN:A hello [SL:X there ] ]"),
+               example("b", "[IN:B go [SL:Y far away ] now ]")]
+        batch = compiled(net, encode([ex.query for ex in exs],
+                                     net.feature_dim,
+                                     [encode_targets(net, ex) for ex in exs]))
+
+        def arrays():
+            out = [net.theta.values]
+            for f in dataclasses.fields(batch):
+                value = getattr(batch, f.name)
+                out.extend(chain.from_iterable(value) if f.name == "slots"
+                           else [value])
+            return [a.tobytes() for a in out if a is not None]
+
+        before = arrays()
+        first = forward(net, batch)
+        second = forward(net, batch)
+        assert arrays() == before
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes() and a is not b
+
+    def test_replaced_theta_is_read(self):
+        """A model reads the theta it holds now: views made for an earlier
+        theta are not reused."""
+        net = tiny_model()
+        batches = m.compile_batches(encoded(net, "hello there", "go far"),
+                                    m.CHUNK, net.feature_dim)
+        old = m.predict_ids(net, batches)
+        assert np.shares_memory(net._views()["W_tag"], net.theta.values)
+        values = np.random.default_rng(2).normal(size=net.layout.size)
+        net.theta = ParamVector(net.layout, values)
+        assert all(np.shares_memory(view, values)
+                   for view in net._views().values())
+        assert (net._views()["b_tag"].tolist()
+                == values[-len(net.tags):].tolist())
+        fresh = TaggerModel(net.intents, net.slots, net.feature_dim,
+                            ParamVector(net.layout, values.copy()))
+        new = m.predict_ids(net, batches)
+        for ids, expected in zip(new, m.predict_ids(fresh, batches)):
+            np.testing.assert_array_equal(ids, expected)
+        assert any(not np.array_equal(ids, stale)
+                   for ids, stale in zip(new, old))
 
 
 class TestPrediction:
@@ -551,9 +604,8 @@ class TestTrain:
                                    eval_every=0, patience=10),
                        em_evaluator(list(corpus)))
         np.testing.assert_array_equal(net.theta.values, before)
-        acc = result.final.fisher_accumulator()
-        assert acc.steps == result.total_steps > 0
-        assert acc.fisher().sum() > 0
+        assert result.final.fisher_steps == result.total_steps > 0
+        assert result.final.fisher_sum_sq.sum() > 0
 
     def test_deterministic(self):
         corpus = toy_corpus()
@@ -732,11 +784,13 @@ def test_train_across_chunks_equals_dense_reference(tmp_path, kind, frozen,
 def assert_equals_dense_reference(tmp_path, by_id, prev, cfg, result):
     """train's final checkpoint, saved, has the bytes of reference_train's
     from the same prev."""
-    net = prev.model()
+    def accumulator():  # one that continues a copy of prev's Fisher sums
+        return FisherAccumulator(prev.layout, prev.fisher_sum_sq.copy(),
+                                 prev.fisher_steps)
+
     theta, acc = reference_train(prev.model(), by_id, simple_plan(by_id, 5),
                                  cfg, prev.model().theta,
-                                 prev.fisher_accumulator().fisher(),
-                                 prev.fisher_accumulator())
+                                 accumulator().fisher(), accumulator())
     reference = dataclasses.replace(result.final, theta_values=theta,
                                     fisher_sum_sq=acc.sum_sq,
                                     fisher_steps=acc.steps)
@@ -785,6 +839,89 @@ def test_fine_tune_checkpoint_keeps_its_bytes(tmp_path, state_sha256, kind,
     assert state_sha256(load_checkpoint(tmp_path / "f.ckpt")) == state
     digest = hashlib.sha256((tmp_path / "f.ckpt").read_bytes()).hexdigest()
     assert digest == FINE_TUNE_SHA256[kind, form, prev_intent]
+
+
+@pytest.mark.parametrize("reg, frozen", [
+    pytest.param(None, (), id="scratch"),
+    pytest.param(RegConfig(kind="ewc", strength=0.5), (), id="ewc"),
+    pytest.param(RegConfig(kind="movenorm", strength=0.5, form="norm"),
+                 ("tag_head",), id="movenorm-norm-frozen"),
+])
+def test_a_step_walks_no_layout(monkeypatch, reg, frozen):
+    """Where theta's groups start, its and the Fisher sums' row views, and
+    whether two layouts agree are found once per run: runs of 1 and of 3
+    epochs over the same plans look up as many group slices and compare as
+    many layouts."""
+    by_id = {e.id: e for e in toy_corpus()}
+    net = tiny_model()
+    corpus, row_of = encode_examples(net, by_id.values())
+    prev = None
+    if reg is not None:
+        prev = train(net, corpus, row_of, simple_plan(by_id, 0),
+                     TrainConfig(lr=0.5, batch_size=8, max_epochs=1,
+                                 eval_every=0),
+                     lambda net: {"em": 0.0}).final
+    calls = Counter()
+    slice_of, check = ParamLayout.slice_of, regularizers._check_layouts
+
+    def counted_slice_of(layout, name):
+        calls["slice_of"] += 1
+        return slice_of(layout, name)
+
+    def counted_check(*vectors):
+        calls["check"] += 1
+        return check(*vectors)
+
+    monkeypatch.setattr(ParamLayout, "slice_of", counted_slice_of)
+    monkeypatch.setattr(regularizers, "_check_layouts", counted_check)
+    counts, steps = [], []
+    for epochs in (1, 3):
+        calls.clear()
+        cfg = TrainConfig(lr=0.3, batch_size=7, max_epochs=epochs,
+                          eval_every=0, reg=reg or RegConfig(),
+                          freeze=frozenset(frozen))
+        start = tiny_model() if prev is None else prev.model()
+        result = train(start, corpus, row_of, simple_plan(by_id, 5), cfg,
+                       em_evaluator(list(by_id.values())), prev=prev)
+        counts.append(dict(calls))
+        steps.append(result.total_steps)
+    assert steps[1] == 3 * steps[0] > 0
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("inside", [True, False],
+                         ids=["all-rows-in-support", "a-row-outside"])
+def test_squared_ewc_step_branches_equal_the_dense_oracle(inside):
+    """The squared EWC step adds a group's data gradient in one go when
+    every row the batch touches lies in the Fisher's support, and splits
+    it at the support otherwise. prev saw only IN:A examples at a
+    feature_dim where IN:B's words are rows of zero Fisher: an IN:A batch
+    takes the first branch in both heads, an IN:B batch the second. Each
+    stepped theta has the bytes of the oracle gradient's dense step."""
+    by_id, prev, cfg, _ = fine_tune("ewc", "squared", 0.5, "IN:A")
+    net, dense_net = prev.model(), prev.model()
+    theta_prev = ParamVector(prev.layout, prev.theta_values)
+    fisher = prev.fisher_sum_sq / prev.fisher_steps
+    step = anchored_step(net.theta, theta_prev, fisher, cfg.reg, cfg.lr,
+                         frozenset())
+    corpus, row_of = encode_examples(net, by_id.values())
+    support = [np.flatnonzero((rows > 0).any(axis=1))
+               for rows in net.layout.rows(fisher)]
+    for n in range(3):
+        exs = [ex for ex in by_id.values()
+               if (ex.tree.root.name == "IN:A") == inside][n:n + 4]
+        batch = compiled(net, corpus.take([row_of[ex.id] for ex in exs]))
+        grad = m._gradient(net, batch)[2]
+        in_support = [np.isin(rows, s).all()
+                      for rows, s in zip(grad.rows, support)]
+        assert in_support == [inside, inside]
+        step(grad)
+        items = [(reference_featurize(ex.query, net.feature_dim),
+                  *encode_targets(net, ex)) for ex in exs]
+        total = reference_loss_and_grad(dense_net, items, cfg.reg,
+                                        theta_prev, fisher)[1]
+        dense_net.theta.values -= cfg.lr * total.values
+        assert net.theta.values.tobytes() == dense_net.theta.values.tobytes()
 
 
 def test_train_encodes_nothing(monkeypatch):

@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from treepatch import regularizers
 from treepatch.regularizers import (FisherAccumulator, LayoutMismatch,
                                     MissingAnchor, MissingFisher, ParamLayout,
                                     ParamVector, RegConfig, RegError,
@@ -61,6 +63,32 @@ class TestLayout:
     def test_rows_must_tile_their_group(self, widths, error):
         with pytest.raises(LayoutMismatch, match=error):
             ParamLayout(LAYOUT.groups, widths)
+
+    def test_duplicate_group_name_rejected(self):
+        """A second group of one name would be addressed as the first: its
+        own coordinates never."""
+        with pytest.raises(LayoutMismatch,
+                           match="^a: two groups of that name$"):
+            ParamLayout((("a", 2), ("a", 3)))
+
+    def test_slices_made_once_are_not_fields(self):
+        """The group slices the layout makes when it is made are no part of
+        its eq, hash or repr."""
+        again = ParamLayout(LAYOUT.groups)
+        assert [f.name for f in dataclasses.fields(ParamLayout)] == [
+            "groups", "widths"]
+        assert again == LAYOUT and hash(again) == hash(LAYOUT)
+        assert repr(LAYOUT) == ("ParamLayout(groups=(('encoder', 3), "
+                                "('intent_head', 2), ('tag_head', 4)), "
+                                "widths=(1, 1, 1))")
+        assert [LAYOUT.slice_of(name) for name, _ in LAYOUT.groups] == [
+            slice(0, 3), slice(3, 5), slice(5, 9)]
+        values = np.arange(9.0)
+        assert [rows.tolist() for rows in LAYOUT.rows(values)] == [
+            [[0.0], [1.0], [2.0]], [[3.0], [4.0]],
+            [[5.0], [6.0], [7.0], [8.0]]]
+        assert all(np.shares_memory(rows, values)
+                   for rows in LAYOUT.rows(values))
 
     def test_reordered_transposes_feature_rows_and_keeps_biases(self):
         """encoder: width 3, so its one row is its biases; tag_head: width
@@ -222,6 +250,44 @@ class TestFisher:
     def test_layout_checked(self):
         with pytest.raises(LayoutMismatch):
             FisherAccumulator(LAYOUT).update(np.zeros(4))
+
+    def test_sparse_grad_checked_unless_it_carries_the_same_layout(
+            self, monkeypatch):
+        """A SparseGrad on the accumulator's own layout object adds without
+        a layout check; one on an equal layout made apart is checked and
+        adds alike; one on another layout raises."""
+        checks = []
+        check = regularizers._check_layouts
+        monkeypatch.setattr(regularizers, "_check_layouts",
+                            lambda *v: checks.append(v) or check(*v))
+        rows = tuple(np.array(r, dtype=np.intp) for r in ([0, 2], [1], []))
+        blocks = (np.array([[1.0], [2.0]]), np.array([[3.0]]),
+                  np.empty((0, 1)))
+        acc = FisherAccumulator(LAYOUT)
+        acc.update(SparseGrad(LAYOUT, rows, blocks))
+        assert not checks
+        acc.update(SparseGrad(ParamLayout(LAYOUT.groups), rows, blocks))
+        assert len(checks) == 1
+        np.testing.assert_array_equal(acc.sum_sq,
+                                      [2.0, 0, 8.0, 0, 18.0, 0, 0, 0, 0])
+        other = ParamLayout((("encoder", 3), ("intent_head", 2),
+                             ("tag_head", 4)), (3, 1, 2))
+        with pytest.raises(LayoutMismatch):
+            acc.update(SparseGrad(other, rows, blocks))
+
+    def test_sparse_grad_adds_into_a_replaced_sum_sq(self):
+        acc = FisherAccumulator(LAYOUT)
+        grad = SparseGrad(LAYOUT, tuple(np.array(r, dtype=np.intp)
+                                        for r in ([1], [], [3])),
+                          (np.array([[2.0]]), np.empty((0, 1)),
+                           np.array([[3.0]])))
+        acc.update(grad)
+        first = acc.sum_sq
+        acc.sum_sq = np.ones(LAYOUT.size)
+        acc.update(grad)
+        np.testing.assert_array_equal(first, [0, 4.0, 0, 0, 0, 0, 0, 0, 9.0])
+        np.testing.assert_array_equal(acc.sum_sq,
+                                      [1, 5.0, 1, 1, 1, 1, 1, 1, 10.0])
 
 
 class TestFreeze:
