@@ -235,11 +235,9 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     written back. Each group maps its rows to their place in the support
     buffer; touched rows outside the support take the sparse step: there
     w = 0, and the dense step adds delta * 0 = +-0, so theta comes out
-    bit-identical. A group whose touched rows all lie in the support (every
-    move-norm group, most EWC ones) adds its block in one go. The norm form
-    keeps w * delta^2 in one theta-sized array (+0 where w = 0, fixed in
-    frozen groups, refreshed on the support) and adds it up as penalty
-    does. theta_prev and fisher are read, never written.
+    bit-identical. The norm form keeps w * delta^2 in one theta-sized array
+    (+0 where w = 0, fixed in frozen groups, refreshed on the support) and
+    adds it up as penalty does. theta_prev and fisher are read, never written.
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
@@ -312,13 +310,10 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
         np.multiply(buf, c, out=buf)
         if norm:
             np.divide(buf, root, out=buf)
-        outside = []  # per group with any, its touched rows outside support
+        outside = []  # per group, its touched rows outside the support
         for i, place, buf_rows in groups:
             rows, block = data_grad.rows[i], data_grad.blocks[i]
             at = place[rows]
-            if not len(at) or at.min() >= 0:  # every touched row inside
-                buf_rows[at] += block
-                continue
             inside = at >= 0
             buf_rows[at[inside]] += block[inside]
             outside.append((i, rows[~inside], block[~inside]))

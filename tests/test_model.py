@@ -850,8 +850,8 @@ def test_fine_tune_checkpoint_keeps_its_bytes(tmp_path, state_sha256, kind,
 def test_a_step_walks_no_layout(monkeypatch, reg, frozen):
     """Where theta's groups start, its and the Fisher sums' row views, and
     whether two layouts agree are found once per run: runs of 1 and of 3
-    epochs over the same plans look up as many group slices and compare as
-    many layouts."""
+    epochs over the same plans look up as many group slices, make as many
+    row views and compare as many layouts."""
     by_id = {e.id: e for e in toy_corpus()}
     net = tiny_model()
     corpus, row_of = encode_examples(net, by_id.values())
@@ -862,17 +862,23 @@ def test_a_step_walks_no_layout(monkeypatch, reg, frozen):
                                  eval_every=0),
                      lambda net: {"em": 0.0}).final
     calls = Counter()
-    slice_of, check = ParamLayout.slice_of, regularizers._check_layouts
+    slice_of, rows = ParamLayout.slice_of, ParamLayout.rows
+    check = regularizers._check_layouts
 
     def counted_slice_of(layout, name):
         calls["slice_of"] += 1
         return slice_of(layout, name)
+
+    def counted_rows(layout, values):
+        calls["rows"] += 1
+        return rows(layout, values)
 
     def counted_check(*vectors):
         calls["check"] += 1
         return check(*vectors)
 
     monkeypatch.setattr(ParamLayout, "slice_of", counted_slice_of)
+    monkeypatch.setattr(ParamLayout, "rows", counted_rows)
     monkeypatch.setattr(regularizers, "_check_layouts", counted_check)
     counts, steps = [], []
     for epochs in (1, 3):
@@ -886,17 +892,19 @@ def test_a_step_walks_no_layout(monkeypatch, reg, frozen):
         counts.append(dict(calls))
         steps.append(result.total_steps)
     assert steps[1] == 3 * steps[0] > 0
+    assert counts[0]["rows"] > 0
     assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("inside", [True, False],
                          ids=["all-rows-in-support", "a-row-outside"])
-def test_squared_ewc_step_branches_equal_the_dense_oracle(inside):
-    """The squared EWC step adds a group's data gradient in one go when
-    every row the batch touches lies in the Fisher's support, and splits
-    it at the support otherwise. prev saw only IN:A examples at a
-    feature_dim where IN:B's words are rows of zero Fisher: an IN:A batch
-    takes the first branch in both heads, an IN:B batch the second. Each
+def test_squared_ewc_step_equals_the_dense_oracle_in_and_out_of_support(
+        inside):
+    """The squared EWC step splits a group's data gradient at the Fisher's
+    support: rows inside it are added in the support buffer, rows outside
+    it take the sparse step. prev saw only IN:A examples at a feature_dim
+    where IN:B's words are rows of zero Fisher: an IN:A batch touches only
+    support rows in both heads, an IN:B batch rows outside it too. Each
     stepped theta has the bytes of the oracle gradient's dense step."""
     by_id, prev, cfg, _ = fine_tune("ewc", "squared", 0.5, "IN:A")
     net, dense_net = prev.model(), prev.model()
