@@ -105,6 +105,7 @@ class TaggerModel:
         if self.theta.layout != self.layout:
             raise DimMismatch("theta layout does not match vocab/dims")
         self._views_of = None  # (theta's values, their views): see _views
+        self._tiles = {}  # row width -> its bincount key tile: see _row_sums
 
     @cached_property
     def tags(self):
@@ -238,9 +239,19 @@ def encode(queries, feature_dim, targets=None):
 def _column_sums(W, slots, n_tokens):
     """(n_tokens, columns of W): per token, the rows of the feature-major W
     at its feature ids, added slot by slot in order, as W[idx].sum(axis=0)
-    adds them. slots: a Compiled batch's."""
-    out = np.zeros((n_tokens, W.shape[1]))
-    for tokens, ids in slots:
+    adds them. slots: a Compiled batch's. The sum starts from the first
+    slot's rows, not from zeros: it differs from a zeros start only where a
+    token's sum is a zero, whose sign it may keep (-0.0 where +0.0 + -0.0
+    gives +0.0), which the softmax cannot show (exp(-0) = exp(+0) = 1).
+    The first slot is live for every token (every token has a word
+    feature); a first slot that is not starts from zeros at the others."""
+    (tokens, ids), *rest = slots
+    if tokens is None:
+        out = W.take(ids, axis=0)
+    else:
+        out = np.zeros((n_tokens, W.shape[1]))
+        out[tokens] = W.take(ids, axis=0)
+    for tokens, ids in rest:
         if tokens is None:
             out += W.take(ids, axis=0)
         else:
@@ -248,16 +259,27 @@ def _column_sums(W, slots, n_tokens):
     return out
 
 
-def _row_sums(row_of, X, n_rows):
+def _row_sums(row_of, X, n_rows, tiles=None):
     """(n_rows, width of X): row r adds up the rows of X whose row_of is r,
     one after the other. bincount adds in input order, from +0.0, which
-    gives the bits of a sum from the first term unless that term is -0.0:
-    no gradient entry is, nor any sum _column_sums makes.
+    gives the bits of a sum from the first term but for the sign of a zero
+    sum: no gradient entry is -0.0, and the softmax cannot show the sign of
+    a zero logit (see _column_sums).
     (ndarray.sum(axis=0) would sum a width-1 column pairwise, and
-    np.add.reduceat each segment.)"""
+    np.add.reduceat each segment.)
+
+    The bincount keys, row_of[:, None] * width + arange(width), are
+    gathered from a key tile, arange(rows * width).reshape(rows, width):
+    the one in `tiles` (a model's, TaggerModel._tiles) under X's width,
+    made the first time a width is summed and made again, larger, only
+    when n_rows exceeds its rows; with no `tiles`, a tile made for this
+    call."""
     width = X.shape[1]
-    return np.bincount((row_of[:, None] * width + np.arange(width)).ravel(),
-                       weights=X.ravel(),
+    tiles = {} if tiles is None else tiles
+    tile = tiles.get(width)
+    if tile is None or len(tile) < n_rows:
+        tile = tiles[width] = np.arange(n_rows * width).reshape(n_rows, width)
+    return np.bincount(tile.take(row_of, axis=0).ravel(), weights=X.ravel(),
                        minlength=n_rows * width).reshape(n_rows, width)
 
 
@@ -267,7 +289,7 @@ def forward(model, batch):
     v, n = model._views(), len(batch.example_of_token)
     int_logits = (_row_sums(batch.example_of_token,
                             _column_sums(v["W_int"], batch.slots, n),
-                            len(batch.lengths))
+                            len(batch.lengths), model._tiles)
                   / batch.lengths[:, None] + v["b_int"])
     tag_logits = _column_sums(v["W_tag"], batch.slots, n) + v["b_tag"]
     # the logits are made here, so the softmax may overwrite them
@@ -347,7 +369,10 @@ class Compiled:
     """One batch's θ-independent arrays, the one batch form forward reads
     (see compile_batches). lengths, slots and example_of_token are what
     forward reads; the rest, what the gradient kernel reads besides θ, are
-    None in a batch compiled without targets."""
+    None in a batch compiled without targets. Each entry (a live feature
+    slot of a token) carries its token, its example and its place in rows,
+    so the kernel computes no per-entry index: its bincount keys come from
+    the model's key tiles (_row_sums)."""
 
     lengths: np.ndarray  # (examples,)
     slots: tuple  # per feature slot: (its live tokens or None, their ids)
@@ -356,6 +381,7 @@ class Compiled:
     tags: np.ndarray = None  # (tokens,)
     token_denom: np.ndarray = None  # (tokens,) its example's length x batch size
     token_of_entry: np.ndarray = None  # (entries,) token of each live feature slot
+    example_of_entry: np.ndarray = None  # (entries,) its token's example_of_token
     rows: np.ndarray = None  # (touched features + 1,) ascending: the bias row last
     row_of_entry: np.ndarray = None  # (entries,) each entry's place in rows
 
@@ -366,7 +392,8 @@ def compile_batches(batch, batch_size, feature_dim):
     and for training. One vectorized pass computes every batch's arrays;
     each batch's are slices of them. Only a batch with targets gets the
     gradient's: an entry is a live feature slot of a token, in (token,
-    slot) order; one np.unique over batch * feature_dim + feature gives
+    slot) order, with its token's and its example's place in the batch;
+    one np.unique over batch * feature_dim + feature gives
     each batch's touched features and each entry's place among them, as
     np.unique over the batch's features alone would. A batch's rows are
     its touched features, then the heads' bias row, feature_dim."""
@@ -394,6 +421,7 @@ def compile_batches(batch, batch_size, feature_dim):
         token_denom = np.repeat(lengths * sizes[batch_of_example], lengths)
         token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
         batch_of_entry = batch_of_token[token_of_entry]
+        example_of_entry = example_of_token[token_of_entry]
         keys, key_of_entry = np.unique(
             batch_of_entry * feature_dim
             + batch.feats[token_of_entry, slot_of_entry], return_inverse=True)
@@ -406,7 +434,8 @@ def compile_batches(batch, batch_size, feature_dim):
         # each batch's touched features, then its bias row
         rows = np.insert(keys, key_bounds[1:], feature_dim)
         grads = [(batch.intents[ex], batch.tags[tok], token_denom[tok],
-                  token_of_entry[e0:e1], rows[r0:r1], key_of_entry[e0:e1])
+                  token_of_entry[e0:e1], example_of_entry[e0:e1], rows[r0:r1],
+                  key_of_entry[e0:e1])
                  for ex, tok, (e0, e1), (r0, r1) in zip(
                      examples, toks, pairwise(entry_bounds.tolist()),
                      pairwise((key_bounds + edges).tolist()))]
@@ -420,7 +449,8 @@ def compile_epoch(corpus, rows, batch_size, feature_dim):
     short). ceil(CHUNK / batch_size) whole batches at a time are taken from
     corpus in one Encoded.take and compiled in one compile_batches pass. A
     chunk's arrays stay far smaller than θ; the bincount keys of a batch's
-    gradient are built by the step, one batch at a time."""
+    gradient are not among them, but gathered by the step from the model's
+    key tiles (_row_sums), a batch's rows of each row width."""
     chunk = -(-CHUNK // batch_size) * batch_size
     for first in range(0, len(rows), chunk):
         yield from compile_batches(corpus.take(rows[first:first + chunk]),
@@ -432,7 +462,9 @@ def _gradient(model, batch):
     Compiled batch: the θ-dependent work of a training step, the one
     gradient kernel. The gradient is a SparseGrad of each head's rows the
     batch touches (batch.rows: its feature rows, then the bias row), each
-    head's block made by one weighted bincount (_row_sums)."""
+    head's block made by one weighted bincount (_row_sums) keyed from the
+    model's key tiles. It builds no index array of the batch's entries:
+    compile_batches made them."""
     p_int, p_tag = forward(model, batch)
     T, B = batch.lengths, len(batch.lengths)
     g_int = p_int / B
@@ -446,13 +478,14 @@ def _gradient(model, batch):
     # in order, b_tag the per-example sums (each its tokens in order) in
     # example order.
     rows, row_of_entry, n_rows = batch.rows, batch.row_of_entry, len(batch.rows)
-    token_of_entry = batch.token_of_entry
+    tiles = model._tiles
     blocks = (_row_sums(row_of_entry, (g_int / T[:, None])[
-                  batch.example_of_token[token_of_entry]], n_rows),
-              _row_sums(row_of_entry, g_tag[token_of_entry], n_rows))
+                  batch.example_of_entry], n_rows, tiles),
+              _row_sums(row_of_entry, g_tag[batch.token_of_entry], n_rows,
+                        tiles))
     per_example = np.concatenate(
-        [g_int, _row_sums(batch.example_of_token, g_tag, B)], axis=1)
-    bias = _row_sums(np.zeros(B, dtype=np.intp), per_example, 1)[0]
+        [g_int, _row_sums(batch.example_of_token, g_tag, B, tiles)], axis=1)
+    bias = _row_sums(np.zeros(B, dtype=np.intp), per_example, 1, tiles)[0]
     n_int = g_int.shape[1]
     blocks[0][-1], blocks[1][-1] = bias[:n_int], bias[n_int:]
     return p_int, p_tag, SparseGrad(model.layout, (rows, rows), blocks)

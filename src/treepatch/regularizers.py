@@ -139,6 +139,15 @@ class SparseGrad:
     blocks: tuple  # per group, (len(rows), width) values
 
 
+def _update_rows(view, rows, op, values):
+    """view[rows] = op(view[rows], values), as `view[rows] op= values`
+    computes it, with one take, one in-place op and one setitem: the same
+    float operations, so the same bits."""
+    sub = view.take(rows, axis=0)
+    op(sub, values, out=sub)
+    view[rows] = sub
+
+
 def _check_layouts(*vectors):
     layouts = {v.layout for v in vectors}
     if len(layouts) > 1:
@@ -253,7 +262,8 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     if anchor is None:
         def sparse_step(data_grad):
             for i in trained:
-                theta_rows[i][data_grad.rows[i]] -= lr * data_grad.blocks[i]
+                _update_rows(theta_rows[i], data_grad.rows[i], np.subtract,
+                             lr * data_grad.blocks[i])
 
         return sparse_step
     weight, scale = anchor
@@ -323,7 +333,7 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
         for i, rows, theta_s, _ in gathered:
             theta_rows[i][rows] = theta_s
         for i, rows, block in outside:
-            theta_rows[i][rows] -= lr * block
+            _update_rows(theta_rows[i], rows, np.subtract, lr * block)
 
     return step
 
@@ -356,7 +366,7 @@ class FisherAccumulator:
                 self._rows = self.sum_sq, self.layout.rows(self.sum_sq)
             for sum_rows, rows, block in zip(self._rows[1], grad.rows,
                                              grad.blocks):
-                sum_rows[rows] += block * block
+                _update_rows(sum_rows, rows, np.add, block * block)
         else:
             if isinstance(grad, ParamVector):
                 _check_layouts(self, grad)

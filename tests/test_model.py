@@ -524,6 +524,85 @@ def test_row_sums_add_in_input_order():
     assert any(got[r] != X[row_of == r].sum(axis=0) for r in range(3))
 
 
+def broadcast_row_sums(row_of, X, n_rows):
+    """_row_sums with its bincount keys broadcast for the call: the oracle
+    of the keys gathered from key tiles."""
+    width = X.shape[1]
+    return np.bincount((row_of[:, None] * width + np.arange(width)).ravel(),
+                       weights=X.ravel(),
+                       minlength=n_rows * width).reshape(n_rows, width)
+
+
+def test_row_sums_gather_their_keys_from_the_tiles_given():
+    """_row_sums keeps the bits of broadcast keys when it gathers them from
+    a model's key tiles: one tile per width, made again larger only for a
+    call with more rows than it holds, and read as it is by a later call
+    with fewer."""
+    rng = np.random.default_rng(3)
+    tiles = tiny_model()._tiles
+    for width in (1, 12, 57):
+        made = []
+        for n_rows in (5, 40, 7):  # the first tile, a larger one, fewer rows
+            row_of = rng.integers(0, n_rows, 3 * n_rows)
+            X = rng.normal(size=(len(row_of), width))
+            got = m._row_sums(row_of, X, n_rows, tiles)
+            assert got.tobytes() == broadcast_row_sums(row_of, X,
+                                                       n_rows).tobytes()
+            made.append(tiles[width])
+        assert made[0] is not made[1] and made[2] is made[1]
+        assert made[1].tolist() == np.arange(40 * width).reshape(
+            40, width).tolist()
+    assert sorted(tiles) == [1, 12, 57]
+
+
+def zeros_start_column_sums(W, slots, n_tokens):
+    """_column_sums from zeros, every slot added: the oracle of the sum
+    that starts from the first slot's rows."""
+    out = np.zeros((n_tokens, W.shape[1]))
+    for tokens, ids in slots:
+        if tokens is None:
+            out += W.take(ids, axis=0)
+        else:
+            out[tokens] += W.take(ids, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("first_live", [True, False],
+                         ids=["first-slot-live", "first-slot-partly-live"])
+def test_column_sums_start_from_the_first_slot(first_live):
+    """Starting from the first slot's rows adds as a start from zeros
+    does, also when the first slot is live for only some tokens."""
+    rng = np.random.default_rng(4)
+    W, n = rng.normal(size=(30, 5)), 6
+    first = ((None, rng.integers(0, 30, n)) if first_live
+             else (np.array([0, 2, 5]), rng.integers(0, 30, 3)))
+    slots = (first, (None, rng.integers(0, 30, n)),
+             (np.array([1, 2]), rng.integers(0, 30, 2)))
+    got = m._column_sums(W, slots, n)
+    assert got.tobytes() == zeros_start_column_sums(W, slots, n).tobytes()
+
+
+def test_forward_keeps_its_bytes_where_theta_holds_negative_zeros(
+        monkeypatch):
+    """A column of -0.0 weights sums to -0.0 from the first slot's rows and
+    to +0.0 from zeros; the softmax cannot tell them apart (exp(-0) =
+    exp(+0) = 1), so forward's distributions keep the zeros-start bytes."""
+    net = tiny_model()
+    net.theta.values[:] = np.random.default_rng(5).normal(size=net.layout.size)
+    v = net._views()
+    v["W_int"][:, 1] = v["W_tag"][:, 0] = v["b_tag"][0] = -0.0
+    batch = compiled(net, encoded(net, "hello there", "go far away now"))
+    n = len(batch.example_of_token)
+    assert np.signbit(m._column_sums(v["W_tag"], batch.slots, n)[:, 0]).all()
+    assert not np.signbit(zeros_start_column_sums(v["W_tag"], batch.slots,
+                                                  n)[:, 0]).any()
+    got = forward(net, batch)
+    monkeypatch.setattr(m, "_column_sums", zeros_start_column_sums)
+    want = forward(net, batch)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 class TestDecode:
     def test_all_o_gives_slotless_tree(self):
         tree = decode_tree("never mind", "IN:A", ["O", "O"])
@@ -894,6 +973,31 @@ def test_a_step_walks_no_layout(monkeypatch, reg, frozen):
     assert steps[1] == 3 * steps[0] > 0
     assert counts[0]["rows"] > 0
     assert counts[0] == counts[1]
+
+
+def test_a_second_epoch_makes_no_key_tile():
+    """The step gathers its bincount keys from the model's key tiles
+    (_row_sums): over an epoch with the same batches as the first, it
+    gathers from the tiles the first epoch made and makes none."""
+    by_id = {e.id: e for e in toy_corpus()}
+    net = tiny_model()
+    corpus, row_of = encode_examples(net, by_id.values())
+    plan, tiles = simple_plan(by_id, 5), []
+
+    def plan_fn(epoch):
+        tiles.append(dict(net._tiles))
+        return plan(0)
+
+    result = train(net, corpus, row_of, plan_fn,
+                   TrainConfig(lr=0.3, batch_size=7, max_epochs=2,
+                               eval_every=0), lambda net: {"em": 0.0})
+    tiles.append(dict(net._tiles))
+    assert result.total_steps == 2 * len(batches(by_id, 7))
+    n_int, n_tag = len(net.intents), len(net.tags)
+    assert not tiles[0]
+    assert sorted(tiles[1]) == sorted({n_int, n_tag, n_int + n_tag})
+    assert tiles[2].keys() == tiles[1].keys()
+    assert all(tiles[2][width] is tile for width, tile in tiles[1].items())
 
 
 @pytest.mark.parametrize("inside", [True, False],
