@@ -356,7 +356,8 @@ class EvalCases:
                             for intent, tags, flat in targets])
             self._encoded[vocab] = (
                 batch,
-                compile_batches(Encoded(batch.feats, batch.offsets), CHUNK,
+                compile_batches(Encoded(batch.feats, batch.offsets),
+                                range(0, len(batch), CHUNK),
                                 model.feature_dim),
                 np.array([self.paths.id((x,), "") for x in model.intents]))
         return self._encoded[vocab]

@@ -372,7 +372,9 @@ class Compiled:
     None in a batch compiled without targets. Each entry (a live feature
     slot of a token) carries its token, its example and its place in rows,
     so the kernel computes no per-entry index: its bincount keys come from
-    the model's key tiles (_row_sums)."""
+    the model's key tiles (_row_sums). Every place is within the batch, so
+    a batch has the same bytes whichever batches, of whatever sizes and
+    epochs, were compiled in its pass."""
 
     lengths: np.ndarray  # (examples,)
     slots: tuple  # per feature slot: (its live tokens or None, their ids)
@@ -386,24 +388,29 @@ class Compiled:
     row_of_entry: np.ndarray = None  # (entries,) each entry's place in rows
 
 
-def compile_batches(batch, batch_size, feature_dim):
-    """The Compiled batches of an Encoded `batch`, cut into consecutive
-    batches of batch_size examples (the last may be short), for prediction
-    and for training. One vectorized pass computes every batch's arrays;
-    each batch's are slices of them. Only a batch with targets gets the
-    gradient's: an entry is a live feature slot of a token, in (token,
-    slot) order, with its token's and its example's place in the batch;
-    one np.unique over batch * feature_dim + feature gives
-    each batch's touched features and each entry's place among them, as
-    np.unique over the batch's features alone would. A batch's rows are
-    its touched features, then the heads' bias row, feature_dim."""
+def compile_batches(batch, starts, feature_dim):
+    """The Compiled batches of an Encoded `batch`, cut at `starts`: batch b
+    holds the examples from starts[b] (starts[0] is 0, ascending) up to the
+    next start or the end, for prediction and for training. Prediction
+    cuts uniform batches, range(0, len(batch), CHUNK); a chunk of training
+    batches may hold batches of several sizes (compile_epochs). One
+    vectorized pass computes every batch's arrays; each batch's are slices
+    of them. Only a batch with targets gets the gradient's: an entry is a
+    live feature slot of a token, in (token, slot) order, with its token's
+    and its example's place in the batch; one np.unique over batch *
+    feature_dim + feature gives each batch's touched features and each
+    entry's place among them, as np.unique over the batch's features alone
+    would. A batch's rows are its touched features, then the heads' bias
+    row, feature_dim."""
     n, lengths, offsets = len(batch), batch.lengths, batch.offsets
-    starts = np.arange(0, n, batch_size)  # each batch's first example
+    starts = np.asarray(starts, dtype=np.int64)  # each batch's first example
+    sizes = np.diff(starts, append=n)
     token_bounds = offsets[np.append(starts, n)]
-    batch_of_example = np.arange(n) // batch_size
+    batch_of_example = np.repeat(np.arange(len(starts)), sizes)
     batch_of_token = np.repeat(batch_of_example, lengths)
-    example_of_token = np.repeat(np.arange(n) % batch_size, lengths)
-    examples = [slice(s, s + batch_size) for s in starts.tolist()]
+    example_of_token = np.repeat(np.arange(n) - starts[batch_of_example],
+                                 lengths)
+    examples = [slice(*bounds) for bounds in pairwise(starts.tolist() + [n])]
     toks = [slice(*bounds) for bounds in pairwise(token_bounds.tolist())]
     # per feature slot, per batch: its live tokens (each's place in the
     # batch), None when every token's slot is live, and their ids
@@ -417,7 +424,6 @@ def compile_batches(batch, batch_size, feature_dim):
                       for (lo, hi), tok in zip(bounds, toks)])
     grads = [()] * len(starts)
     if batch.intents is not None:
-        sizes = np.minimum(n - starts, batch_size)
         token_denom = np.repeat(lengths * sizes[batch_of_example], lengths)
         token_of_entry, slot_of_entry = np.nonzero(batch.feats >= 0)
         batch_of_entry = batch_of_token[token_of_entry]
@@ -443,18 +449,31 @@ def compile_batches(batch, batch_size, feature_dim):
             ex, tok, slots_of, grad in zip(examples, toks, zip(*slots), grads)]
 
 
-def compile_epoch(corpus, rows, batch_size, feature_dim):
-    """The Compiled batches of an epoch, in order: `rows` of the Encoded
-    corpus, in plan order, cut into batches of batch_size (the last may be
-    short). ceil(CHUNK / batch_size) whole batches at a time are taken from
-    corpus in one Encoded.take and compiled in one compile_batches pass. A
-    chunk's arrays stay far smaller than θ; the bincount keys of a batch's
-    gradient are not among them, but gathered by the step from the model's
-    key tiles (_row_sums), a batch's rows of each row width."""
-    chunk = -(-CHUNK // batch_size) * batch_size
-    for first in range(0, len(rows), chunk):
-        yield from compile_batches(corpus.take(rows[first:first + chunk]),
-                                   batch_size, feature_dim)
+def compile_epochs(corpus, plans, batch_size, feature_dim):
+    """The Compiled batches of consecutive epochs, in order, as one stream.
+    Each of `plans`, an epoch's rows of the Encoded corpus in plan order,
+    is cut into batches of batch_size, its last maybe short. Whole batches,
+    of one epoch or of several (a patch's epochs are a few batches each),
+    are taken from corpus ceil(CHUNK / batch_size) at a time in one
+    Encoded.take and compiled in one compile_batches pass, each batch cut
+    at its own start. The next epoch's rows are read only when the chunk
+    being filled reaches them, so the stream reads `plans` at most one
+    chunk ahead of the batches it has yielded. A chunk's arrays stay far
+    smaller than θ; the bincount keys of a batch's gradient are not among
+    them, but gathered by the step from the model's key tiles (_row_sums),
+    a batch's rows of each row width."""
+    per_chunk = -(-CHUNK // batch_size)
+    rows, starts = [], []
+    for plan in plans:
+        for first in range(0, len(plan), batch_size):
+            starts.append(len(rows))
+            rows += plan[first:first + batch_size]
+            if len(starts) == per_chunk:
+                yield from compile_batches(corpus.take(rows), starts,
+                                           feature_dim)
+                rows, starts = [], []
+    if starts:
+        yield from compile_batches(corpus.take(rows), starts, feature_dim)
 
 
 def _gradient(model, batch):
@@ -504,7 +523,7 @@ def loss_and_grad(model, batch):
     if batch.intents is None:
         raise ModelError("batch has no targets")
     p_int, p_tag, grad = _gradient(
-        model, compile_batches(batch, B, model.feature_dim)[0])
+        model, compile_batches(batch, [0], model.feature_dim)[0])
     T, offsets = batch.lengths, batch.offsets
     tokens = np.arange(len(batch.feats))
     log_int = np.log(np.maximum(p_int[np.arange(B), batch.intents], 1e-300))
@@ -585,7 +604,8 @@ def predict_trees(model, examples):
     queries = [ex.query for ex in examples]
     batch = encode(queries, model.feature_dim)
     intents, tags = predict_ids(
-        model, compile_batches(batch, CHUNK, model.feature_dim))
+        model, compile_batches(batch, range(0, len(batch), CHUNK),
+                               model.feature_dim))
     tags, offsets = tags.tolist(), batch.offsets.tolist()
     return [decode_tree(query, model.intents[intent],
                         [model.tags[t] for t in tags[offsets[i]:offsets[i + 1]]])
@@ -797,11 +817,15 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
     layout, or a penalty without its anchor, raises before the first step.
 
     An epoch runs in two stages. Compile: the plan is mapped to corpus
-    rows once, and compile_epoch cuts them into batches of batch_size,
-    ceil(CHUNK / batch_size) batches per compile_batches pass. Step:
-    each batch runs the gradient kernel that loss_and_grad also runs, but
-    computes no loss, then one Fisher update and the one step
-    regularizers.anchored_step returned.
+    rows once, and compile_epochs cuts them into batches of batch_size
+    and compiles ceil(CHUNK / batch_size) whole batches per
+    compile_batches pass, from this epoch and the next ones when an epoch
+    is shorter than that: the epochs are one stream of batches. A plan is
+    a function of its epoch index alone, so plan_fn may be called up to
+    one chunk ahead of the steps; an early stop drops the batches compiled
+    past it. Step: each batch runs the gradient kernel that loss_and_grad
+    also runs, but computes no loss, then one Fisher update and the one
+    step regularizers.anchored_step returned.
 
     Both checkpoints take their arrays, in memory order, as they are. The
     final one holds a copy of the model's θ (the caller keeps the model)
@@ -857,26 +881,23 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
             bad_evals += 1
         return bad_evals >= cfg.patience
 
-    for epoch in range(cfg.max_epochs):
-        rows = [row_of[eid] for eid in plan_fn(epoch)]
-        for batch in compile_epoch(corpus, rows, cfg.batch_size,
-                                   model.feature_dim):
-            if pending:  # this step changes the best eval's state
-                if best_theta is None:
-                    best_theta = np.empty_like(model.theta.values)
-                    best_sum_sq = np.empty_like(fisher_acc.sum_sq)
-                np.copyto(best_theta, model.theta.values)
-                np.copyto(best_sum_sq, fisher_acc.sum_sq)
-                pending = False
-            data_grad = _gradient(model, batch)[2]
-            fisher_acc.update(data_grad)
-            sgd_step(data_grad)
-            step += 1
-            if cfg.eval_every and step % cfg.eval_every == 0:
-                if run_eval():
-                    stopped = True
-                    break
-        if stopped:
+    plans = ([row_of[eid] for eid in plan_fn(epoch)]
+             for epoch in range(cfg.max_epochs))
+    for batch in compile_epochs(corpus, plans, cfg.batch_size,
+                                model.feature_dim):
+        if pending:  # this step changes the best eval's state
+            if best_theta is None:
+                best_theta = np.empty_like(model.theta.values)
+                best_sum_sq = np.empty_like(fisher_acc.sum_sq)
+            np.copyto(best_theta, model.theta.values)
+            np.copyto(best_sum_sq, fisher_acc.sum_sq)
+            pending = False
+        data_grad = _gradient(model, batch)[2]
+        fisher_acc.update(data_grad)
+        sgd_step(data_grad)
+        step += 1
+        if cfg.eval_every and step % cfg.eval_every == 0 and run_eval():
+            stopped = True
             break
 
     if not history or history[-1]["step"] != step:

@@ -239,14 +239,21 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
     apply_freeze and the dense `theta -= lr * grad`, in the same order per
     coordinate, on the support only: the rows of the groups not frozen
     where the weight w of delta^2 is > 0 in some column (for move-norm,
-    every row). A group's support rows that form one run of theta are
-    stepped in place; others are gathered into a buffer, stepped and
-    written back. Each group maps its rows to their place in the support
-    buffer; touched rows outside the support take the sparse step: there
-    w = 0, and the dense step adds delta * 0 = +-0, so theta comes out
-    bit-identical. The norm form keeps w * delta^2 in one theta-sized array
-    (+0 where w = 0, fixed in frozen groups, refreshed on the support) and
-    adds it up as penalty does. theta_prev and fisher are read, never written.
+    whose w is 1.0, every row, found without reading w). A group's support
+    rows that form one run of theta are stepped in place. Others are
+    gathered into a buffer once, when the step is made, and the buffer
+    owns them from then on: each step steps the buffer and writes it back
+    into theta, and reads none of them from theta, so nothing but the
+    step may write theta's support rows between two steps (train writes
+    theta through it alone). Each group maps its rows to their place in
+    the support buffer; touched rows outside the support take the sparse
+    step: there w = 0, and the dense step adds delta * 0 = +-0, so theta
+    comes out bit-identical. The norm form keeps w * delta^2 in one
+    theta-sized array (+0 where w = 0, fixed in frozen groups, refreshed
+    on the support) and adds it up as penalty does; only it keeps w's
+    support rows, and the squared form's EWC coefficient c = scale * w is
+    gathered straight into its buffer. theta_prev and fisher are read,
+    never written.
 
     A squared-form anchored step multiplies theta - theta_prev by
     1 - lr * 2 * lam * w, so it contracts only while lr * 2 * lam * max(w)
@@ -274,7 +281,8 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
         terms = w * delta * delta
     w_rows, prev_rows = layout.rows(w), layout.rows(theta_prev.values)
     terms_rows = layout.rows(terms) if norm else None
-    support = [(i, np.flatnonzero((w_rows[i] > 0).any(axis=1)))
+    support = [(i, np.flatnonzero((w_rows[i] > 0).any(axis=1)) if ewc
+                else np.arange(len(theta_rows[i])))  # move-norm: w is 1.0
                for i in trained]
     n_support = sum(len(rows) * layout.widths[i] for i, rows in support)
     buf = np.empty(n_support)
@@ -293,21 +301,21 @@ def anchored_step(theta, theta_prev, fisher, config, lr, freeze):
         groups.append((i, place, buf_s))
         if not len(rows):
             continue
+        if ewc:  # c = scale * w on the support
+            c_s = c[part].reshape(-1, width)
+            np.take(w_rows[i], rows, axis=0, out=c_s, mode="clip")
+            np.multiply(scale, c_s, out=c_s)
         if rows[-1] - rows[0] == len(rows) - 1:  # one run: stepped in place
             rows = slice(rows[0], rows[-1] + 1)
         # views of one run, gathered copies of other rows
-        theta_s, w_s = theta_rows[i][rows], w_rows[i][rows]
-        terms_s = terms_rows[i][rows] if norm else None
-        if ewc:
-            np.multiply(scale, w_s, out=c[part].reshape(w_s.shape))
-        parts.append((theta_s, prev_rows[i][rows], w_s if norm else None,
-                      terms_s, buf_s))
+        theta_s = theta_rows[i][rows]
+        w_s, terms_s = ((w_rows[i][rows], terms_rows[i][rows]) if norm
+                        else (None, None))
+        parts.append((theta_s, prev_rows[i][rows], w_s, terms_s, buf_s))
         if not isinstance(rows, slice):
             gathered.append((i, rows, theta_s, terms_s))
 
     def step(data_grad):
-        for i, rows, theta_s, _ in gathered:
-            np.take(theta_rows[i], rows, axis=0, out=theta_s, mode="clip")
         for theta_s, prev_s, w_s, terms_s, buf_s in parts:
             np.subtract(theta_s, prev_s, out=buf_s)  # delta
             if norm:

@@ -57,7 +57,7 @@ def encoded(net, *queries):
 
 def compiled(net, batch):
     """The one Compiled batch of all of an Encoded batch's examples."""
-    (out,) = m.compile_batches(batch, len(batch), net.feature_dim)
+    (out,) = m.compile_batches(batch, [0], net.feature_dim)
     return out
 
 
@@ -150,7 +150,7 @@ def in_order(rows):
 
 def batches(ids, batch_size):
     """Contiguous batches of a sequence of ids, the last maybe short: the
-    dense reference's batching, which compile_epoch's must match."""
+    dense reference's batching, which compile_epochs' must match."""
     ids = list(ids)
     return [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]
 
@@ -319,7 +319,7 @@ class TestForward:
         theta are not reused."""
         net = tiny_model()
         batches = m.compile_batches(encoded(net, "hello there", "go far"),
-                                    m.CHUNK, net.feature_dim)
+                                    [0], net.feature_dim)
         old = m.predict_ids(net, batches)
         assert np.shares_memory(net._views()["W_tag"], net.theta.values)
         values = np.random.default_rng(2).normal(size=net.layout.size)
@@ -352,7 +352,8 @@ class TestPrediction:
 
         def predict(qs):
             return m.predict_ids(net, m.compile_batches(
-                encode(qs, net.feature_dim), m.CHUNK, net.feature_dim))
+                encode(qs, net.feature_dim), range(0, len(qs), m.CHUNK),
+                net.feature_dim))
 
         intents, tags = predict(queries)
         alone = [predict([q]) for q in queries]
@@ -376,9 +377,10 @@ class TestPrediction:
              for length in lengths],
             [(int(rng.integers(len(net.intents))),
               rng.integers(len(net.tags), size=length)) for length in lengths])
-        with_targets = m.compile_batches(batch, batch_size, net.feature_dim)
+        starts = range(0, len(batch), batch_size)
+        with_targets = m.compile_batches(batch, starts, net.feature_dim)
         without = m.compile_batches(Encoded(batch.feats, batch.offsets),
-                                    batch_size, net.feature_dim)
+                                    starts, net.feature_dim)
         assert len(with_targets) == len(without) == -(-40 // batch_size)
         gradient_fields = ("intents", "tags", "token_denom", "token_of_entry",
                            "rows", "row_of_entry")
@@ -480,33 +482,88 @@ class TestBatchedKernelMatchesOracle:
 @given(st.integers(1, 7), st.integers(1, 2 * m.CHUNK),
        st.integers(0, 2 ** 32 - 1))
 def test_compiled_epoch_matches_loss_and_grad(shape, batch_size, extra, seed):
-    """Every batch compile_epoch yields, bit for bit, against loss_and_grad
-    on the batch's own rows: an epoch of more than one chunk, in a random
-    plan order, whose last batch may be short. feature_dim 13, so that the
-    batches of a chunk share feature columns; heads of several columns and
-    of one."""
+    """Every batch compile_epochs yields for one epoch, bit for bit,
+    against loss_and_grad on the batch's own rows: an epoch of more than
+    one chunk, in a random plan order, whose last batch may be short.
+    feature_dim 13, so that the batches of a chunk share feature columns;
+    heads of several columns and of one."""
     rng = np.random.default_rng(seed)
     net = TaggerModel.init(*SHAPES[shape], feature_dim=13)
     net.theta.values[:] = rng.normal(0, 1.0, net.theta.values.size)
     n = -(-m.CHUNK // batch_size) * batch_size + extra  # past one chunk
+    corpus = random_corpus(net, rng, n)
+    plan = rng.permutation(n).tolist()
+    epoch = list(m.compile_epochs(corpus, [plan], batch_size,
+                                  net.feature_dim))
+    assert_batches_match_loss_and_grad(net, corpus, batches(plan, batch_size),
+                                       epoch)
+
+
+def random_corpus(net, rng, n):
+    """n random examples with targets at the net's feature_dim, of 1 to 5
+    tokens of 1 to MAX_FEATS distinct feature ids each."""
     lengths = rng.integers(1, 6, n)
-    corpus = pack(
-        [[np.sort(rng.choice(13, rng.integers(1, m.MAX_FEATS + 1),
+    return pack(
+        [[np.sort(rng.choice(net.feature_dim, rng.integers(1, m.MAX_FEATS + 1),
                              replace=False)) for _ in range(length)]
          for length in lengths],
         [(int(rng.integers(len(net.intents))),
           rng.integers(len(net.tags), size=length)) for length in lengths])
-    plan = rng.permutation(n).tolist()
-    row_batches = batches(plan, batch_size)
-    epoch = list(m.compile_epoch(corpus, plan, batch_size, net.feature_dim))
-    assert len(epoch) == len(row_batches)
-    for rows, batch in zip(row_batches, epoch):
+
+
+def assert_batches_match_loss_and_grad(net, corpus, row_batches, compiled):
+    """Each Compiled batch holds its rows of corpus, and its gradient has
+    the bits of loss_and_grad's on those rows alone."""
+    assert len(compiled) == len(row_batches)
+    for rows, batch in zip(row_batches, compiled):
+        np.testing.assert_array_equal(batch.lengths, corpus.lengths[rows])
+        np.testing.assert_array_equal(batch.intents, corpus.intents[rows])
         got = m._gradient(net, batch)[2]
         want = loss_and_grad(net, corpus.take(rows))[1]
         for got_rows, want_rows, got_block, want_block in zip(
                 got.rows, want.rows, got.blocks, want.blocks):
             np.testing.assert_array_equal(got_rows, want_rows)
             assert got_block.tobytes() == want_block.tobytes()
+
+
+def count_compile_passes(patch):
+    """The number of batches of each compile_batches pass from now on, a
+    list that grows as passes run; `patch` is a pytest MonkeyPatch."""
+    passes, compile_batches = [], m.compile_batches
+    patch.setattr(m, "compile_batches", lambda batch, starts, dim:
+                  passes.append(len(starts))
+                  or compile_batches(batch, starts, dim))
+    return passes
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 7), st.lists(st.integers(1, m.CHUNK // 3), min_size=1,
+                                   max_size=4),
+       st.integers(m.CHUNK + 1, 2 * m.CHUNK), st.integers(0, 2 ** 32 - 1))
+def test_packed_epochs_match_loss_and_grad(batch_size, small, large, seed):
+    """Epochs smaller and larger than a chunk, each ending in a short
+    batch, compiled as one stream (compile_epochs): the batches are each
+    epoch's own cut, in order, each with the bits loss_and_grad gives its
+    rows. Every pass but the last compiles a whole chunk of batches, which
+    may span epochs; none compiles more."""
+    rng = np.random.default_rng(seed)
+    net = TaggerModel.init(INTENTS, SLOTS, feature_dim=13)
+    net.theta.values[:] = rng.normal(0, 1.0, net.theta.values.size)
+    sizes = small + [large]
+    rng.shuffle(sizes)
+    sizes = [size + (size % batch_size == 0) for size in sizes]  # short ends
+    corpus = random_corpus(net, rng, 50)
+    plans = [rng.integers(len(corpus), size=size).tolist() for size in sizes]
+    with pytest.MonkeyPatch.context() as patch:
+        passes = count_compile_passes(patch)
+        stream = list(m.compile_epochs(corpus, plans, batch_size,
+                                       net.feature_dim))
+    assert_batches_match_loss_and_grad(
+        net, corpus, [rows for plan in plans for rows in
+                      batches(plan, batch_size)], stream)
+    per_chunk = -(-m.CHUNK // batch_size)
+    assert passes[:-1] == [per_chunk] * (len(passes) - 1)
+    assert 0 < passes[-1] <= per_chunk
 
 
 def test_row_sums_add_in_input_order():
@@ -920,6 +977,56 @@ def test_fine_tune_checkpoint_keeps_its_bytes(tmp_path, state_sha256, kind,
     assert digest == FINE_TUNE_SHA256[kind, form, prev_intent]
 
 
+def test_short_epochs_share_a_compile_pass(monkeypatch):
+    """A naive fine-tune on a patch of 56 examples, 38 epochs of four
+    batches of 16 (the last one short), compiles ceil(CHUNK / 16) = 16
+    whole batches per pass, from as many epochs as they span: at most
+    ceil(examples / CHUNK) + 1 passes over all its examples, not one per
+    epoch."""
+    by_id = {e.id: e for e in toy_corpus(28)}
+    net = tiny_model()
+    corpus, row_of = encode_examples(net, by_id.values())
+    prev = train(net, corpus, row_of, simple_plan(by_id, 0),
+                 TrainConfig(lr=0.5, batch_size=16, max_epochs=1,
+                             eval_every=0), lambda net: {"em": 0.0}).final
+    passes = count_compile_passes(monkeypatch)
+    result = train(prev.model(), corpus, row_of, simple_plan(by_id, 5),
+                   TrainConfig(lr=0.3, batch_size=16, max_epochs=38,
+                               eval_every=0), lambda net: {"em": 0.0},
+                   prev=prev)
+    assert result.total_steps == sum(passes) == 38 * 4
+    assert len(passes) <= -(-38 * len(by_id) // m.CHUNK) + 1
+    assert max(passes) == -(-m.CHUNK // 16)
+
+
+@pytest.mark.parametrize("kind, form, prev_intent", FINE_TUNE_SHA256)
+def test_early_stop_inside_a_packed_chunk_keeps_the_bytes(
+        tmp_path, state_sha256, kind, form, prev_intent):
+    """A fine-tune of four epochs of nine batches, all compiled in one
+    pass, that stops early after the second (patience 0 stops at the first
+    eval, at step 18) drops the batches compiled past the stop: its final
+    checkpoint has the bytes of the two-epoch fine-tune's, which the dense
+    reference and FINE_TUNE_SHA256 pin."""
+    by_id, prev, cfg, _ = fine_tune(kind, form, 0.5, prev_intent)
+    epochs, plan_fn = [], simple_plan(by_id, 5)
+    with pytest.MonkeyPatch.context() as patch:
+        passes = count_compile_passes(patch)
+        result = train(prev.model(), *encode_examples(prev.model(),
+                                                      by_id.values()),
+                       lambda epoch: epochs.append(epoch) or plan_fn(epoch),
+                       dataclasses.replace(cfg, max_epochs=4, eval_every=18,
+                                           patience=0),
+                       lambda net: {"em": 0.0}, prev=prev)
+    assert passes == [36] and epochs == [0, 1, 2, 3]
+    assert result.stopped_early and result.total_steps == 18
+    assert_equals_dense_reference(tmp_path, by_id, prev, cfg, result)
+    save_checkpoint(result.final, tmp_path / "f.ckpt")
+    assert state_sha256(result.final) == FINE_TUNE_STATE_SHA256[
+        kind, form, prev_intent]
+    digest = hashlib.sha256((tmp_path / "f.ckpt").read_bytes()).hexdigest()
+    assert digest == FINE_TUNE_SHA256[kind, form, prev_intent]
+
+
 @pytest.mark.parametrize("reg, frozen", [
     pytest.param(None, (), id="scratch"),
     pytest.param(RegConfig(kind="ewc", strength=0.5), (), id="ewc"),
@@ -978,21 +1085,25 @@ def test_a_step_walks_no_layout(monkeypatch, reg, frozen):
 def test_a_second_epoch_makes_no_key_tile():
     """The step gathers its bincount keys from the model's key tiles
     (_row_sums): over an epoch with the same batches as the first, it
-    gathers from the tiles the first epoch made and makes none."""
+    gathers from the tiles the first epoch made and makes none. The tiles
+    are read at each epoch's end, by an evaluator that runs there: the
+    plans of both epochs are drawn before the first step (one compile
+    pass holds both)."""
     by_id = {e.id: e for e in toy_corpus()}
     net = tiny_model()
     corpus, row_of = encode_examples(net, by_id.values())
-    plan, tiles = simple_plan(by_id, 5), []
+    plan, tiles = simple_plan(by_id, 5), [dict(net._tiles)]
 
-    def plan_fn(epoch):
+    def evaluator(net):
         tiles.append(dict(net._tiles))
-        return plan(0)
+        return {"em": 0.0}
 
-    result = train(net, corpus, row_of, plan_fn,
+    per_epoch = len(batches(by_id, 7))
+    result = train(net, corpus, row_of, lambda epoch: plan(0),
                    TrainConfig(lr=0.3, batch_size=7, max_epochs=2,
-                               eval_every=0), lambda net: {"em": 0.0})
-    tiles.append(dict(net._tiles))
-    assert result.total_steps == 2 * len(batches(by_id, 7))
+                               eval_every=per_epoch), evaluator)
+    assert result.total_steps == 2 * per_epoch
+    assert [r["step"] for r in result.history] == [per_epoch, 2 * per_epoch]
     n_int, n_tag = len(net.intents), len(net.tags)
     assert not tiles[0]
     assert sorted(tiles[1]) == sorted({n_int, n_tag, n_int + n_tag})

@@ -453,6 +453,36 @@ class TestAnchoredStep:
             tracemalloc.stop()
         assert peak < layout.size * 4
 
+    def test_squared_ewc_step_gathers_theta_once(self, monkeypatch):
+        """A squared EWC step whose support rows are not one run gathers
+        theta's support rows once, when the step is made: its buffer owns
+        them from then on, so no step gathers into it again (no np.take
+        with out=), and theta still comes out as penalty plus the dense
+        update."""
+        layout = ParamLayout(self.BIG.groups, (1, 10, 7))
+        rng = np.random.default_rng(6)
+        fisher = rng.exponential(size=layout.size)
+        for rows in layout.rows(fisher):
+            rows[rng.random(len(rows)) < 0.5] = 0.0
+        theta_prev = ParamVector(layout, rng.normal(size=layout.size))
+        config = RegConfig(kind="ewc", strength=10.0)
+        fused = ParamVector(layout, theta_prev.values + 0.1)
+        dense = fused.copy()
+        step = anchored_step(fused, theta_prev, fisher, config, 1e-2,
+                             frozenset())
+        gathers = []
+        take = np.take
+        monkeypatch.setattr(np, "take", lambda *args, **kw: gathers.append(
+            "out" in kw) or take(*args, **kw))
+        for _ in range(5):
+            grad = row_grad(layout, rng, 0.2)
+            step(grad)
+            _, total = penalty(dense, theta_prev, fisher, config)
+            add_rows(total.values, grad)
+            dense.values -= 1e-2 * total.values
+        assert not any(gathers)
+        assert fused.values.tobytes() == dense.values.tobytes()
+
     @pytest.mark.parametrize("form", ["squared", "norm"])
     @pytest.mark.parametrize("kind", ["movenorm", "ewc"])
     def test_unknown_frozen_group_raises(self, kind, form):

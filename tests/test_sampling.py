@@ -127,6 +127,19 @@ def reference_epoch_plan(d1, d2, config, epoch_index):
 
 
 @pytest.mark.parametrize("mode", ["replay", "sample"])
+def test_a_plan_is_a_function_of_its_epoch_alone(mode):
+    """What lets train draw plans up to a compile pass ahead of its steps:
+    an epoch's plan is the same asked twice, out of order, or first."""
+    config = SamplerConfig(mode=mode, p=0.2, seed=11)
+    plans = EpochPlans(D1, D2, config)
+    forward = [plans(epoch) for epoch in range(6)]
+    assert [plans(epoch) for epoch in (5, 3, 3, 0, 4, 1, 2)] == [
+        forward[epoch] for epoch in (5, 3, 3, 0, 4, 1, 2)]
+    assert EpochPlans(D1, D2, config)(4) == forward[4]
+    assert len({plan.ids for plan in forward}) == 6
+
+
+@pytest.mark.parametrize("mode", ["replay", "sample"])
 @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
 @pytest.mark.parametrize("n_d1", [1000, 13, 0])
 def test_plans_equal_the_per_epoch_reference(mode, p, n_d1):
