@@ -23,7 +23,8 @@ import sys
 
 from . import dataset as ds
 from . import harness
-from .model import load_checkpoint, save_checkpoint
+from .model import TaggerModel, load_checkpoint, save_checkpoint
+from .regularizers import ParamVector
 
 
 def _parse_value(text):
@@ -115,7 +116,11 @@ def cmd_evaluate(args):
     test_set = ds.load_tsv(args.test)
     evaluator = harness.make_evaluator(harness.EvalCases(test_set), args.k,
                                        args.fold_seed)
-    _write_json(evaluator(ckpt.model()), args.report)
+    # over the loaded theta itself, not Checkpoint.model()'s copy: an
+    # evaluation never writes theta
+    net = TaggerModel(ckpt.intents, ckpt.slots, ckpt.feature_dim,
+                      ParamVector(ckpt.layout, ckpt.theta_values))
+    _write_json(evaluator(net), args.report)
 
 
 def _read_report(path):

@@ -15,8 +15,10 @@ and the Fisher update and the SGD step index those rows instead of
 columns at stride feature_dim. A Checkpoint holds θ and the Fisher sums
 in this memory order too; only its file stores them row-major, (rows,
 feature_dim), as files always have. The layout, whose row widths are the
-intents and the tags, transposes (ParamLayout.reordered) at the file
-boundary only: save_checkpoint and load_checkpoint.
+intents and the tags, walks θ in the file's order at the file boundary
+only (ParamLayout.file_blocks), a few file rows at a time, so that
+save_checkpoint and load_checkpoint need no θ-sized buffer and loading
+makes no array but the two it returns.
 
 Queries are encoded once (Encoded; a training set with its targets by
 encode_examples); compile_batches, the one pass that cuts them into batches
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -643,13 +646,33 @@ class Checkpoint:
 _MAGIC = b"TPCK0001"
 
 
+def _staged(layout, arrays):
+    """Each ParamLayout.file_blocks view of the layout-sized arrays, in
+    file order, with its part of one buffer made for the largest view:
+    the part holds the view's file rows (its transpose's shape), and each
+    part overwrites the one before it."""
+    views = [view for values in arrays for view in layout.file_blocks(values)]
+    buf = np.empty(max(view.size for view in views))
+    return [(view, buf[:view.size].reshape(view.shape[::-1]))
+            for view in views]
+
+
+def _file_rows(layout, arrays):
+    """The layout-sized arrays' values in file order, part by part: each
+    view's file rows copied into its staged part (_staged)."""
+    for view, part in _staged(layout, arrays):
+        part[...] = view.T
+        yield part
+
+
 def save_checkpoint(ckpt, path):
     """Single-file container: magic, sha256 of the payload, then the payload
     (8-byte header length, JSON header, θ and the Fisher sums as float64,
     each row-major). The payload is hashed and written part by part: each
-    array is transposed (ParamLayout.reordered) into one reused buffer,
-    then hashed and written from it, and the digest goes last into its
-    slot after the magic."""
+    array's ParamLayout.file_blocks views are transposed, one at a time,
+    into one buffer of at most FILE_BLOCK_ROWS file rows, then hashed and
+    written from it, and the digest goes last into its slot after the
+    magic."""
     layout = ckpt.layout
     arrays = (ckpt.theta_values, ckpt.fisher_sum_sq)
     if any(np.shape(values) != (layout.size,) for values in arrays):
@@ -668,13 +691,12 @@ def save_checkpoint(ckpt, path):
         "n_fisher": layout.size,
     }
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
-    digest, buf = hashlib.sha256(), np.empty(layout.size)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes(digest.digest_size))  # the digest's slot
         for part in chain((len(header).to_bytes(8, "big"), header),
-                          (layout.reordered(values, to_memory=False, out=buf)
-                           for values in arrays)):
+                          _file_rows(layout, arrays)):
             digest.update(part)
             fh.write(part)
         fh.seek(len(_MAGIC))
@@ -710,23 +732,15 @@ def _header_problem(meta):
     return None
 
 
-def load_checkpoint(path):
-    """The Checkpoint saved at `path`, its θ and Fisher sums transposed
-    from the file's row-major order into memory order. A file that is not
-    a checkpoint, fails its checksum or has a malformed header raises
-    ChecksumError, and one whose sizes disagree DimMismatch, naming the
-    path."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    start = len(_MAGIC) + 32
-    if len(blob) < start or blob[: len(_MAGIC)] != _MAGIC:
-        raise ChecksumError(f"{path}: not a checkpoint file")
-    payload = memoryview(blob)[start:]  # slicing a view copies no bytes
-    if hashlib.sha256(payload).digest() != blob[len(_MAGIC): start]:
-        raise ChecksumError(f"{path}: payload checksum mismatch")
-    header_len = int.from_bytes(payload[:8], "big")
+def _checked_header(path, header, body_bytes):
+    """The Checkpoint a checkpoint's JSON header describes, its arrays
+    None, once every field and the body's length (body_bytes, the bytes
+    after the header) are checked; allocates nothing θ-sized. A header
+    that is not JSON, lacks a field or holds a malformed one raises
+    ChecksumError, a hidden_dim other than 0, sizes other than the layout's
+    or a body of another length DimMismatch, each naming the path."""
     try:
-        meta = json.loads(str(payload[8: 8 + header_len], "utf-8"))
+        meta = json.loads(str(header, "utf-8"))
     except ValueError as err:  # not UTF-8, not JSON
         raise ChecksumError(f"{path}: malformed header: {err}") from None
     if not isinstance(meta, dict):
@@ -753,21 +767,63 @@ def load_checkpoint(path):
     if hidden_dim != 0:
         raise DimMismatch(f"{path}: hidden_dim {hidden_dim!r}; only the "
                           f"linear model (hidden_dim 0) is supported")
-    body = payload[8 + header_len:]
     size = ckpt.layout.size
     if n_theta != size or n_fisher != size:
         raise DimMismatch(f"{path}: n_theta {n_theta} and n_fisher {n_fisher} "
                           f"do not match the header's layout size {size}")
-    if len(body) != 8 * (n_theta + n_fisher):
-        raise DimMismatch(f"{path}: the body holds {len(body)} bytes, not the "
-                          f"{8 * (n_theta + n_fisher)} of n_theta {n_theta} "
-                          f"and n_fisher {n_fisher} float64 values")
-    values = np.frombuffer(body, dtype=np.float64)
-    # one transpose each, into memory order: new aligned, writable arrays
-    # that own their memory
-    ckpt.theta_values = ckpt.layout.reordered(values[:n_theta], to_memory=True)
-    ckpt.fisher_sum_sq = ckpt.layout.reordered(values[n_theta:],
-                                               to_memory=True)
+    if body_bytes != 8 * (n_theta + n_fisher):
+        raise DimMismatch(f"{path}: the body holds {body_bytes} bytes, "
+                          f"not the {8 * (n_theta + n_fisher)} of n_theta "
+                          f"{n_theta} and n_fisher {n_fisher} float64 values")
+    return ckpt
+
+
+_HASH_CHUNK = 1 << 16  # bytes read at a time to hash a rejected file's rest
+
+
+def load_checkpoint(path):
+    """The Checkpoint saved at `path`, its θ and Fisher sums in memory
+    order. The file is streamed: the magic, the digest and the header are
+    read and every header field and the body's length checked before
+    anything θ-sized is made; then the body is read in the order of
+    ParamLayout.file_blocks, each view's file rows into one buffer of at
+    most FILE_BLOCK_ROWS rows, hashed and transposed into the two arrays
+    it returns. A file that is not a checkpoint, fails its checksum or has
+    a malformed header raises ChecksumError, and one whose sizes disagree
+    DimMismatch, naming the path; the checksum is checked before a header
+    or size error is raised, so a file whose bytes are damaged, or cut
+    short, fails its checksum first."""
+    with open(path, "rb") as fh:
+        file_bytes = os.fstat(fh.fileno()).st_size
+        start = len(_MAGIC) + 32
+        head = fh.read(start)
+        if len(head) < start or head[:len(_MAGIC)] != _MAGIC:
+            raise ChecksumError(f"{path}: not a checkpoint file")
+        digest, expected = hashlib.sha256(), head[len(_MAGIC):]
+        mismatch = ChecksumError(f"{path}: payload checksum mismatch")
+        header_len = fh.read(8)
+        # a header length past the file's end reads to its end
+        header = fh.read(min(int.from_bytes(header_len, "big"),
+                             max(file_bytes - fh.tell(), 0)))
+        digest.update(header_len)
+        digest.update(header)
+        try:
+            ckpt = _checked_header(path, header, file_bytes - fh.tell())
+        except ModelError:  # unless the checksum fails first
+            for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+                digest.update(chunk)
+            if digest.digest() != expected:
+                raise mismatch from None
+            raise
+        arrays = np.empty(ckpt.layout.size), np.empty(ckpt.layout.size)
+        for view, part in _staged(ckpt.layout, arrays):
+            raw = memoryview(part).cast("B")
+            # a file cut short while it is read hashes fewer bytes
+            digest.update(raw[:fh.readinto(raw)])
+            view[...] = part.T
+    if digest.digest() != expected:
+        raise mismatch
+    ckpt.theta_values, ckpt.fisher_sum_sq = arrays
     return ckpt
 
 
@@ -900,6 +956,9 @@ def train(model, corpus, row_of, plan_fn, cfg, evaluator, prev=None,
             stopped = True
             break
 
+    # no step follows: drop the step's support buffers before the final
+    # eval and the final copy of θ, where a command peaks
+    del sgd_step
     if not history or history[-1]["step"] != step:
         run_eval()
     final = checkpoint(model.theta.values.copy(), fisher_acc.sum_sq,

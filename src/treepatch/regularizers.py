@@ -23,6 +23,7 @@ import numpy as np
 
 KINDS = ("none", "movenorm", "ewc")
 FORMS = ("squared", "norm")
+FILE_BLOCK_ROWS = 8  # file rows per view of ParamLayout.file_blocks
 
 
 class RegError(ValueError):
@@ -46,7 +47,7 @@ class ParamLayout:
     """Ordered named groups partitioning a flat parameter vector. In memory
     a group is rows of its width (1 unless given): one per feature, then
     its biases; a checkpoint file stores the feature rows transposed, and
-    reordered converts at that boundary only."""
+    file_blocks walks θ in the file's order at that boundary only."""
 
     groups: tuple  # ((name, size), ...)
     widths: tuple = ()  # the row width of each group, in order
@@ -75,22 +76,18 @@ class ParamLayout:
     def slice_of(self, name):
         return self._slices[name]  # a name not in the layout: KeyError
 
-    def reordered(self, values, to_memory, out=None):
-        """Layout-sized `values` in the other order, in `out` (a new array
-        unless given): a checkpoint file's row-major order to memory order
-        when to_memory, else back. Only save_checkpoint and load_checkpoint
-        call it. The identity on a group of width 1; the biases keep their
-        place."""
-        out = np.empty_like(values) if out is None else out
-        for (name, size), width in zip(self.groups, self.widths):
-            group = self.slice_of(name)
-            features = max(size // width - 1, 0)
-            shape = (width, features) if to_memory else (features, width)
-            weights = slice(group.start, group.start + features * width)
-            out[weights].reshape(shape[::-1])[...] = (
-                values[weights].reshape(shape).T)
-            out[weights.stop:group.stop] = values[weights.stop:group.stop]
-        return out
+    def file_blocks(self, values):
+        """Views of the layout-sized `values`, which are in memory order,
+        whose transposes, one after the other, are the order a checkpoint
+        file stores them in: per group, its feature rows' columns at most
+        FILE_BLOCK_ROWS at a time, each a (features, k) view whose
+        transpose is k of the file's row-major rows, then its bias row, a
+        (1, width) view. Only save_checkpoint and load_checkpoint call it;
+        on a group of width 1 the file order is the memory order."""
+        for rows in self.rows(values):
+            for first in range(0, rows.shape[1], FILE_BLOCK_ROWS):
+                yield rows[:-1, first:first + FILE_BLOCK_ROWS]
+            yield rows[-1:]
 
     def rows(self, values):
         """Per group, in order, its part of the layout-sized `values` as a

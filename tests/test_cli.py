@@ -1,10 +1,15 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from treepatch import cli, harness
+from treepatch import dataset as ds
 from treepatch.cli import main
-from treepatch.model import Checkpoint, TaggerModel, save_checkpoint
+from treepatch.datagen import GenConfig, builtin_grammar, generate
+from treepatch.model import (Checkpoint, TaggerModel, load_checkpoint,
+                             save_checkpoint)
 
 CONFIG = {
     "seed": 5,
@@ -72,6 +77,42 @@ def test_train_finetune_evaluate_compare(workdir):
                 "--report", workdir / "cmp.json"]) == 0
     cmp_record = json.loads((workdir / "cmp.json").read_text())
     assert set(cmp_record) >= {"steps_to_parity", "relative_steps", "reached"}
+
+
+def test_evaluate_peaks_below_three_thetas(tmp_path):
+    """`treepatch evaluate` on the default shape streams the checkpoint
+    into its two arrays and scores the loaded theta in place, so its
+    traced peak, load included, stays below 3 theta; its report is the
+    evaluator's record of a copy of that theta. A load that read the whole
+    file, and a model over a copy of theta, peaked at 4.01."""
+    train_set, test_set = generate(builtin_grammar(),
+                                   GenConfig(seed=1, n_train=500, n_test=500))
+    classes = train_set.classes()
+    net = TaggerModel.init([c for c in classes if c.startswith("IN:")],
+                           [c for c in classes if c.startswith("SL:")])
+    assert net.theta.values.size == 282_693
+    net.theta.values[:] = np.random.default_rng(0).normal(
+        size=net.theta.values.size)
+    ckpt, test, report = (tmp_path / "m.ckpt", tmp_path / "t.tsv",
+                          tmp_path / "eval.json")
+    save_checkpoint(Checkpoint(intents=net.intents, slots=net.slots,
+                               feature_dim=net.feature_dim,
+                               theta_values=net.theta.values,
+                               fisher_sum_sq=net.theta.values ** 2,
+                               fisher_steps=1, step=1), ckpt)
+    ds.save_tsv(test_set, test)
+    tracemalloc.start()
+    try:
+        assert run(["evaluate", "--ckpt", ckpt, "--test", test,
+                    "--report", report]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * net.theta.values.nbytes
+    evaluator = harness.make_evaluator(harness.EvalCases(ds.load_tsv(test)),
+                                       5, 0)
+    assert json.loads(report.read_text()) == json.loads(json.dumps(
+        evaluator(load_checkpoint(ckpt).model())))
 
 
 def test_one_parser_serves_every_call(workdir, monkeypatch):

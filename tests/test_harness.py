@@ -291,26 +291,29 @@ class TestFinetune:
                                         reg):
         """Checkpoints hold theta and the Fisher sums in memory order, and
         the norm form sums its terms in that order, so a fine-tune of any
-        kind and form, from prev's model to its result, transposes nothing
-        (ParamLayout.reordered); only a file does. Checkpoints in file
-        order took 7 calls, and a norm-form sum in file order one a step."""
+        kind and form, from prev's model to its result, walks nothing in
+        file order (ParamLayout.file_blocks); only a file does. Checkpoints
+        in file order took 7 reorders, and a norm-form sum in file order
+        one a step."""
         cfg = ExperimentConfig.from_dict(
             harness._deep_merge(SMALL, {"reg": reg}))
         calls = []
-        reordered = ParamLayout.reordered
-        monkeypatch.setattr(ParamLayout, "reordered", lambda *args, **kw:
-                            calls.append(args) or reordered(*args, **kw))
+        file_blocks = ParamLayout.file_blocks
+        monkeypatch.setattr(ParamLayout, "file_blocks", lambda *args, **kw:
+                            calls.append(args) or file_blocks(*args, **kw))
         result, _ = harness.cmd_finetune(cfg, bundle, prev[0].best)
         assert result.total_steps > 0
         assert calls == []
 
-    def test_ewc_peaks_below_five_thetas(self, bundle, prev):
+    def test_ewc_peaks_below_its_theta_budget(self, bundle, prev):
         """An EWC fine-tune whose one eval is its last, on the default
         feature_dim, holds a copy of prev's theta as its model, the
         continued Fisher sums, their mean until the step is built, and the
-        final theta: its traced peak stays below 5 theta. Its best
-        checkpoint is the final one. Checkpoints in file order, with the
-        best state always copied, peaked near 9 theta."""
+        final theta: its traced peak stays below 3.8 theta (measured 3.70
+        to 3.74). Its best checkpoint is the final one. Keeping the step's
+        support buffers through the final eval and copy peaked at 3.86,
+        and checkpoints in file order, with the best state always copied,
+        near 9 theta."""
         cfg = ExperimentConfig.from_dict(harness._deep_merge(
             SMALL, {"reg": {"kind": "ewc", "strength": 1.0}, **EVAL_AT_END}))
         prev_ckpt = prev[0].best
@@ -322,22 +325,24 @@ class TestFinetune:
         finally:
             tracemalloc.stop()
         assert result.best is result.final
-        assert peak < 5 * prev_ckpt.theta_values.nbytes
+        assert peak < 3.8 * prev_ckpt.theta_values.nbytes
 
     @pytest.mark.parametrize("command, override, bound", [
         ("finetune", {"sampler": {"p": 0.0},
-                      "reg": {"kind": "none", "strength": 0.0}}, 3.25),
-        ("finetune", {"reg": {"kind": "movenorm", "strength": 1.0}}, 4.3),
-        ("train", {}, 3.25)], ids=["naive", "movenorm", "train-d1"])
+                      "reg": {"kind": "none", "strength": 0.0}}, 3.15),
+        ("finetune", {"reg": {"kind": "movenorm", "strength": 1.0}}, 3.65),
+        ("train", {}, 3.2)], ids=["naive", "movenorm", "train-d1"])
     def test_command_peaks_below_its_theta_budget(self, bundle, prev, command,
                                                   override, bound):
         """A command whose one eval is its last, on the default
         feature_dim, stays below its traced budget in theta: a naive
-        fine-tune and cmd_train(on="d1") peaked at 3.11 and 3.14, a
+        fine-tune and cmd_train(on="d1") peaked at 3.10 and 3.14, a
         squared move-norm fine-tune, whose step builds a theta-sized
-        support buffer, at 4.26. Each peaks at its end, when the final
-        checkpoint copies theta; a move-norm step finds its support (every
-        row) without a mask over theta's coordinates."""
+        support buffer, at 3.56-3.60. Each peaks at its end, when the
+        final checkpoint copies theta; train drops the step, and with it
+        the move-norm buffer, before then (4.26 when it kept them), and a
+        move-norm step finds its support (every row) without a mask over
+        theta's coordinates."""
         cfg = ExperimentConfig.from_dict(
             harness._deep_merge(SMALL, {**override, **EVAL_AT_END}))
         prev_ckpt = prev[0].best
@@ -353,13 +358,14 @@ class TestFinetune:
         assert result.best is result.final
         assert peak < bound * prev_ckpt.theta_values.nbytes
 
-    @pytest.mark.parametrize("kind, bound", [("movenorm", 5.5), ("ewc", 7.5)])
+    @pytest.mark.parametrize("kind, bound", [("movenorm", 5.15), ("ewc", 7.1)])
     def test_norm_form_peaks_below_bound(self, bundle, prev, kind, bound):
         """A norm-form fine-tune whose one eval is its last keeps its
         theta-sized terms w * delta^2 and sums them where they are: its
-        traced peak stays below `bound` theta (measured 5.13 for move-norm,
-        7.01 for EWC). A checkpoint-order buffer for the sum cost one theta
-        more (6.13 and 8.01)."""
+        traced peak stays below `bound` theta (measured 5.09 for move-norm,
+        7.02 for EWC; move-norm's 5.21 fell when train dropped the step
+        before the final eval). A checkpoint-order buffer for the sum cost
+        one theta more (6.13 and 8.01)."""
         cfg = ExperimentConfig.from_dict(harness._deep_merge(
             SMALL, {"reg": {"kind": kind, "strength": 1.0, "form": "norm"},
                     **EVAL_AT_END}))

@@ -138,6 +138,25 @@ def memory_order(net, values):
     return out
 
 
+def default_shape_model():
+    """A zero model of the default config's shape: 12 intents, 28 slots
+    (57 tags) and feature_dim 4096, so theta holds 282,693 values."""
+    net = TaggerModel.init([f"IN:{i}" for i in range(12)],
+                           [f"SL:{i}" for i in range(28)])
+    assert net.theta.values.size == 282_693
+    return net
+
+
+def traced_peak(call):
+    """The traced peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def in_order(rows):
     """The sum of rows, added one after the other. ndarray.sum(axis=0)
     adds so only on rows wider than one: on a width-1 column of 8 or more
@@ -1400,6 +1419,74 @@ class TestCheckpoint:
             assert values.base is None
         assert not np.shares_memory(loaded.theta_values, loaded.fisher_sum_sq)
 
+    @pytest.mark.parametrize("old, new", [
+        (b'"hidden_dim": 0', b'"hidden_dim": 8'),
+        (b'"n_theta": ', b'"n_theta": 1'),
+        (b'{"config_digest"', b'["config_digest"'),
+    ], ids=["hidden-dim", "n-theta", "not-json"])
+    def test_header_edited_without_checksum_fails_it_first(self, tmp_path,
+                                                           old, new):
+        """The header is read and checked before the body, but its errors
+        wait for the checksum: header bytes edited and not re-checksummed
+        raise the checksum mismatch, not the header's error."""
+        result, _ = self._trained()
+        path = tmp_path / "u.ckpt"
+        save_checkpoint(result.best, path)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(ChecksumError, match="payload checksum mismatch$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["feature_dim", "n_theta"])
+    def test_header_of_a_larger_body_rejected_before_any_theta(self, tmp_path,
+                                                               edit):
+        """A re-checksummed header whose feature_dim (with sizes to match)
+        or n_theta implies a body larger than the file raises DimMismatch
+        before anything theta-sized is made: the traced peak stays far
+        below theta. Reading the whole file first peaked above 2 theta."""
+        net = default_shape_model()
+        path = tmp_path / "l.ckpt"
+        save_checkpoint(Checkpoint(intents=net.intents, slots=net.slots,
+                                   feature_dim=net.feature_dim,
+                                   theta_values=net.theta.values,
+                                   fisher_sum_sq=net.theta.values,
+                                   fisher_steps=0, step=0), path)
+        if edit == "feature_dim":
+            size = m.make_layout(2 * net.feature_dim, len(net.intents),
+                                 len(net.tags)).size
+            self._edit_header(path, feature_dim=2 * net.feature_dim,
+                              n_theta=size, n_fisher=size)
+            match = f"bytes, not the {16 * size} of n_theta {size} "
+        else:
+            self._edit_header(path, n_theta=10 * net.theta.values.size)
+            match = "n_theta .* do not match"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimMismatch, match=match):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * net.theta.values.nbytes
+
+    @pytest.mark.parametrize("where", ["header-length", "header", "body"])
+    def test_cut_file_fails_its_checksum(self, tmp_path, where):
+        """A file cut short, inside the header or inside the body, fails
+        its checksum."""
+        result, _ = self._trained()
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(result.best, path)
+        blob = path.read_bytes()
+        start = len(m._MAGIC) + 32
+        header_len = int.from_bytes(blob[start:start + 8], "big")
+        cut = {"header-length": start + 4,
+               "header": start + 8 + header_len // 2,
+               "body": (start + 8 + header_len + len(blob)) // 2}[where]
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ChecksumError, match="payload checksum mismatch$"):
+            load_checkpoint(path)
+
     def test_short_body_rejected_naming_both_lengths(self, tmp_path):
         net = TaggerModel.init(("IN:A",), ("SL:X",), feature_dim=16)
         assert net.layout.size == 68
@@ -1473,25 +1560,45 @@ def test_checkpoint_stores_heads_row_major(tmp_path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 6))
-def test_layout_reorders_as_the_oracles(feature_dim, n_intents, n_slots):
-    """The model layout's reorder of distinct values is checkpoint_order's
-    and memory_order's, each undoes the other, and on a layout of width-1
-    groups it is the identity."""
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 6),
+       st.integers(1, 9))
+def test_file_blocks_walk_the_oracles_order(feature_dim, n_intents, n_slots,
+                                            block_rows):
+    """The model layout's file_blocks views of distinct values are views,
+    per head blocks of at most FILE_BLOCK_ROWS file rows, then the bias
+    row, whose transposes in turn are checkpoint_order's; writing a file's
+    values into them in turn undoes that, as memory_order does; and on a
+    layout of width-1 groups they walk memory order."""
     net = TaggerModel([f"IN:{i}" for i in range(n_intents)],
                       [f"SL:{i}" for i in range(n_slots)], feature_dim)
     layout = net.layout
     values = np.arange(1.0, layout.size + 1)
-    saved = layout.reordered(values, to_memory=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regularizers, "FILE_BLOCK_ROWS", block_rows)
+        views = list(layout.file_blocks(values))
+        out = np.empty_like(values)
+        written = list(layout.file_blocks(out))
+    assert all(np.shares_memory(view, values) for view in views)
+    # per head: (feature_dim, k) blocks of at most block_rows file rows,
+    # then its (1, width) bias row
+    assert [view.shape for view in views] == [
+        shape for width in layout.widths for shape in
+        [(feature_dim, min(block_rows, width - first))
+         for first in range(0, width, block_rows)] + [(1, width)]]
+    saved = np.concatenate([view.T.ravel() for view in views])
     np.testing.assert_array_equal(saved, checkpoint_order(net, values))
-    np.testing.assert_array_equal(layout.reordered(values, to_memory=True),
-                                  memory_order(net, values))
-    np.testing.assert_array_equal(layout.reordered(saved, to_memory=True),
-                                  values)
+    start = 0
+    for view in written:
+        view.T[...] = saved[start:start + view.size].reshape(view.T.shape)
+        start += view.size
+    np.testing.assert_array_equal(out, values)
+    np.testing.assert_array_equal(
+        np.concatenate([view.T.ravel() for view in layout.file_blocks(
+            memory_order(net, values))]), values)
     flat = ParamLayout(layout.groups)
-    for to_memory in (True, False):
-        np.testing.assert_array_equal(flat.reordered(values, to_memory),
-                                      values)
+    np.testing.assert_array_equal(
+        np.concatenate([view.T.ravel() for view in flat.file_blocks(values)]),
+        values)
 
 
 def test_theta_of_other_row_widths_rejected():
@@ -1506,26 +1613,41 @@ def test_theta_of_other_row_widths_rejected():
 
 
 def test_save_checkpoint_copies_neither_array(tmp_path):
-    """Each array is transposed into one reused theta-sized buffer, then
-    hashed and written from it, so the traced peak of a save stays below
-    the body's size; joining the header and both arrays' bytes into one
-    payload peaked near twice it."""
-    net = TaggerModel.init(INTENTS, SLOTS, feature_dim=4096)
+    """On the default shape, each array's file_blocks views are transposed
+    into one buffer of at most FILE_BLOCK_ROWS file rows, then hashed and
+    written from it, so the traced peak of a save stays below a quarter of
+    theta. A theta-sized transpose buffer peaked at 1 theta, and joining
+    the header and both arrays' bytes into one payload near 2."""
+    net = default_shape_model()
+    net.theta.values[:] = np.arange(net.theta.values.size)
     ckpt = Checkpoint(intents=net.intents, slots=net.slots, feature_dim=4096,
                       theta_values=net.theta.values,
                       fisher_sum_sq=net.theta.values + 1.0,
                       fisher_steps=1, step=1)
-    body = ckpt.theta_values.nbytes + ckpt.fisher_sum_sq.nbytes
-    tracemalloc.start()
-    try:
-        save_checkpoint(ckpt, tmp_path / "big.ckpt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < body
+    peak = traced_peak(lambda: save_checkpoint(ckpt, tmp_path / "big.ckpt"))
+    assert peak < 0.25 * net.theta.values.nbytes
     loaded = load_checkpoint(tmp_path / "big.ckpt")
     np.testing.assert_array_equal(loaded.theta_values, ckpt.theta_values)
     np.testing.assert_array_equal(loaded.fisher_sum_sq, ckpt.fisher_sum_sq)
+
+
+def test_load_checkpoint_peaks_near_its_two_arrays(tmp_path):
+    """On the default shape, a load streams the body through one buffer of
+    at most FILE_BLOCK_ROWS file rows into the two arrays it returns, and
+    makes nothing else theta-sized: its traced peak stays below 2.25
+    theta. Reading the whole file, then transposing it, peaked at 4."""
+    net = default_shape_model()
+    net.theta.values[:] = np.arange(net.theta.values.size)
+    ckpt = Checkpoint(intents=net.intents, slots=net.slots, feature_dim=4096,
+                      theta_values=net.theta.values,
+                      fisher_sum_sq=-net.theta.values, fisher_steps=1, step=1)
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(ckpt, path)
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_checkpoint(path)))
+    assert peak < 2.25 * net.theta.values.nbytes
+    np.testing.assert_array_equal(loaded[0].theta_values, ckpt.theta_values)
+    np.testing.assert_array_equal(loaded[0].fisher_sum_sq, ckpt.fisher_sum_sq)
 
 
 def test_training_epoch_allocates_less_than_theta():

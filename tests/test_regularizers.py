@@ -39,6 +39,13 @@ def add_rows(values, grad):
         value_rows[rows] += block
 
 
+def file_order(layout, values):
+    """Layout-sized values in memory order, as a checkpoint file stores
+    them: the transposes of their file_blocks views, in turn."""
+    return np.concatenate([view.T.ravel()
+                           for view in layout.file_blocks(values)])
+
+
 class TestLayout:
     def test_size_and_slices(self):
         assert LAYOUT.size == 9
@@ -90,17 +97,22 @@ class TestLayout:
         assert all(np.shares_memory(rows, values)
                    for rows in LAYOUT.rows(values))
 
-    def test_reordered_transposes_feature_rows_and_keeps_biases(self):
+    def test_file_blocks_transpose_feature_rows_and_keep_biases(self,
+                                                               monkeypatch):
         """encoder: width 3, so its one row is its biases; tag_head: width
-        2, two feature rows, then its biases."""
+        2, two feature rows, then its biases, in blocks of one file row."""
+        monkeypatch.setattr(regularizers, "FILE_BLOCK_ROWS", 1)
         layout = ParamLayout((("encoder", 3), ("intent_head", 2),
                               ("tag_head", 6)), (3, 1, 2))
         memory = np.arange(11.0)
-        saved = layout.reordered(memory, to_memory=False)
+        views = list(layout.file_blocks(memory))
+        assert [view.shape for view in views] == [
+            (0, 1), (0, 1), (0, 1), (1, 3), (1, 1), (1, 1), (2, 1), (2, 1),
+            (1, 2)]
+        assert all(np.shares_memory(view, memory) for view in views
+                   if view.size)
         np.testing.assert_array_equal(
-            saved, [0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10])
-        np.testing.assert_array_equal(
-            layout.reordered(saved, to_memory=True), memory)
+            file_order(layout, memory), [0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10])
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -397,7 +409,7 @@ class TestAnchoredStep:
             if kind == "ewc":
                 squares *= fisher * fisher
             orders_differ |= np.sum(squares) != np.sum(
-                layout.reordered(squares, to_memory=False))
+                file_order(layout, squares))
             grad = row_grad(layout, rng, 0.05)
             step(grad)
             _, total = penalty(dense, theta_prev, fisher, config)
