@@ -117,9 +117,11 @@ def cmd_evaluate(args):
     evaluator = harness.make_evaluator(harness.EvalCases(test_set), args.k,
                                        args.fold_seed)
     # over the loaded theta itself, not Checkpoint.model()'s copy: an
-    # evaluation never writes theta
+    # evaluation never writes theta, and never reads the Fisher sums, which
+    # are freed with the checkpoint before it runs
     net = TaggerModel(ckpt.intents, ckpt.slots, ckpt.feature_dim,
                       ParamVector(ckpt.layout, ckpt.theta_values))
+    del ckpt
     _write_json(evaluator(net), args.report)
 
 

@@ -14,11 +14,11 @@ is a few hundred whole feature rows of each head (a SparseGrad of rows),
 and the Fisher update and the SGD step index those rows instead of
 columns at stride feature_dim. A Checkpoint holds θ and the Fisher sums
 in this memory order too; only its file stores them row-major, (rows,
-feature_dim), as files always have. The layout, whose row widths are the
-intents and the tags, walks θ in the file's order at the file boundary
-only (ParamLayout.file_blocks), a few file rows at a time, so that
-save_checkpoint and load_checkpoint need no θ-sized buffer and loading
-makes no array but the two it returns.
+feature_dim), as files always have, each head's biases last. The
+checkpoint code alone knows that order: save_checkpoint and
+load_checkpoint share one walk of θ in it (_staged), a few file rows at
+a time, so that they need no θ-sized buffer and loading makes no array
+but the two it returns.
 
 Queries are encoded once (Encoded; a training set with its targets by
 encode_examples); compile_batches, the one pass that cuts them into batches
@@ -262,7 +262,7 @@ def _column_sums(W, slots, n_tokens):
     return out
 
 
-def _row_sums(row_of, X, n_rows, tiles=None):
+def _row_sums(row_of, X, n_rows, tiles):
     """(n_rows, width of X): row r adds up the rows of X whose row_of is r,
     one after the other. bincount adds in input order, from +0.0, which
     gives the bits of a sum from the first term but for the sign of a zero
@@ -275,10 +275,8 @@ def _row_sums(row_of, X, n_rows, tiles=None):
     gathered from a key tile, arange(rows * width).reshape(rows, width):
     the one in `tiles` (a model's, TaggerModel._tiles) under X's width,
     made the first time a width is summed and made again, larger, only
-    when n_rows exceeds its rows; with no `tiles`, a tile made for this
-    call."""
+    when n_rows exceeds its rows."""
     width = X.shape[1]
-    tiles = {} if tiles is None else tiles
     tile = tiles.get(width)
     if tile is None or len(tile) < n_rows:
         tile = tiles[width] = np.arange(n_rows * width).reshape(n_rows, width)
@@ -644,35 +642,36 @@ class Checkpoint:
 
 
 _MAGIC = b"TPCK0001"
+FILE_BLOCK_ROWS = 8  # file rows per view of _staged
 
 
 def _staged(layout, arrays):
-    """Each ParamLayout.file_blocks view of the layout-sized arrays, in
-    file order, with its part of one buffer made for the largest view:
-    the part holds the view's file rows (its transpose's shape), and each
-    part overwrites the one before it."""
-    views = [view for values in arrays for view in layout.file_blocks(values)]
+    """The layout-sized arrays, in memory order, walked in the order a
+    checkpoint file stores them: per array and head, (features, k) column
+    blocks of its weights, each the transpose of at most FILE_BLOCK_ROWS
+    of the file's row-major rows, then its (1, width) bias row (on a group
+    of width 1 the file order is the memory order). Each view comes with
+    its part of one buffer made for the largest view: the part has the
+    shape of the view's file rows (its transpose), and each part
+    overwrites the one before it."""
+    views = []
+    for values in arrays:
+        for rows in layout.rows(values):
+            views += [rows[:-1, first:first + FILE_BLOCK_ROWS]
+                      for first in range(0, rows.shape[1], FILE_BLOCK_ROWS)]
+            views.append(rows[-1:])
     buf = np.empty(max(view.size for view in views))
     return [(view, buf[:view.size].reshape(view.shape[::-1]))
             for view in views]
-
-
-def _file_rows(layout, arrays):
-    """The layout-sized arrays' values in file order, part by part: each
-    view's file rows copied into its staged part (_staged)."""
-    for view, part in _staged(layout, arrays):
-        part[...] = view.T
-        yield part
 
 
 def save_checkpoint(ckpt, path):
     """Single-file container: magic, sha256 of the payload, then the payload
     (8-byte header length, JSON header, θ and the Fisher sums as float64,
     each row-major). The payload is hashed and written part by part: each
-    array's ParamLayout.file_blocks views are transposed, one at a time,
-    into one buffer of at most FILE_BLOCK_ROWS file rows, then hashed and
-    written from it, and the digest goes last into its slot after the
-    magic."""
+    view of _staged is transposed into its part of one buffer of at most
+    FILE_BLOCK_ROWS file rows, then hashed and written from it, and the
+    digest goes last into its slot after the magic."""
     layout = ckpt.layout
     arrays = (ckpt.theta_values, ckpt.fisher_sum_sq)
     if any(np.shape(values) != (layout.size,) for values in arrays):
@@ -691,12 +690,14 @@ def save_checkpoint(ckpt, path):
         "n_fisher": layout.size,
     }
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256()
+    header = len(header).to_bytes(8, "big") + header
+    digest = hashlib.sha256(header)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes(digest.digest_size))  # the digest's slot
-        for part in chain((len(header).to_bytes(8, "big"), header),
-                          _file_rows(layout, arrays)):
+        fh.write(header)
+        for view, part in _staged(layout, arrays):
+            part[...] = view.T
             digest.update(part)
             fh.write(part)
         fh.seek(len(_MAGIC))
@@ -786,9 +787,9 @@ def load_checkpoint(path):
     order. The file is streamed: the magic, the digest and the header are
     read and every header field and the body's length checked before
     anything θ-sized is made; then the body is read in the order of
-    ParamLayout.file_blocks, each view's file rows into one buffer of at
-    most FILE_BLOCK_ROWS rows, hashed and transposed into the two arrays
-    it returns. A file that is not a checkpoint, fails its checksum or has
+    _staged, each view's file rows into its part of one buffer of at most
+    FILE_BLOCK_ROWS rows, hashed and transposed into the two arrays it
+    returns. A file that is not a checkpoint, fails its checksum or has
     a malformed header raises ChecksumError, and one whose sizes disagree
     DimMismatch, naming the path; the checksum is checked before a header
     or size error is raised, so a file whose bytes are damaged, or cut

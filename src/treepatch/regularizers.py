@@ -23,7 +23,6 @@ import numpy as np
 
 KINDS = ("none", "movenorm", "ewc")
 FORMS = ("squared", "norm")
-FILE_BLOCK_ROWS = 8  # file rows per view of ParamLayout.file_blocks
 
 
 class RegError(ValueError):
@@ -45,9 +44,7 @@ class MissingAnchor(RegError):
 @dataclass(frozen=True)
 class ParamLayout:
     """Ordered named groups partitioning a flat parameter vector. In memory
-    a group is rows of its width (1 unless given): one per feature, then
-    its biases; a checkpoint file stores the feature rows transposed, and
-    file_blocks walks θ in the file's order at that boundary only."""
+    a group is rows of its width (1 unless given)."""
 
     groups: tuple  # ((name, size), ...)
     widths: tuple = ()  # the row width of each group, in order
@@ -75,19 +72,6 @@ class ParamLayout:
 
     def slice_of(self, name):
         return self._slices[name]  # a name not in the layout: KeyError
-
-    def file_blocks(self, values):
-        """Views of the layout-sized `values`, which are in memory order,
-        whose transposes, one after the other, are the order a checkpoint
-        file stores them in: per group, its feature rows' columns at most
-        FILE_BLOCK_ROWS at a time, each a (features, k) view whose
-        transpose is k of the file's row-major rows, then its bias row, a
-        (1, width) view. Only save_checkpoint and load_checkpoint call it;
-        on a group of width 1 the file order is the memory order."""
-        for rows in self.rows(values):
-            for first in range(0, rows.shape[1], FILE_BLOCK_ROWS):
-                yield rows[:-1, first:first + FILE_BLOCK_ROWS]
-            yield rows[-1:]
 
     def rows(self, values):
         """Per group, in order, its part of the layout-sized `values` as a

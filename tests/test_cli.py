@@ -79,12 +79,14 @@ def test_train_finetune_evaluate_compare(workdir):
     assert set(cmp_record) >= {"steps_to_parity", "relative_steps", "reached"}
 
 
-def test_evaluate_peaks_below_three_thetas(tmp_path):
+def test_evaluate_peaks_below_its_theta_budget(tmp_path):
     """`treepatch evaluate` on the default shape streams the checkpoint
-    into its two arrays and scores the loaded theta in place, so its
-    traced peak, load included, stays below 3 theta; its report is the
-    evaluator's record of a copy of that theta. A load that read the whole
-    file, and a model over a copy of theta, peaked at 4.01."""
+    into its two arrays, scores the loaded theta in place and frees the
+    Fisher sums before it evaluates, so its traced peak, load included,
+    stays below 2.4 theta (measured 2.20); its report is the evaluator's
+    record of a copy of that theta. Keeping the Fisher sums through the
+    evaluation peaked at 2.59, and a load that read the whole file, with
+    a model over a copy of theta, at 4.01."""
     train_set, test_set = generate(builtin_grammar(),
                                    GenConfig(seed=1, n_train=500, n_test=500))
     classes = train_set.classes()
@@ -108,7 +110,7 @@ def test_evaluate_peaks_below_three_thetas(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * net.theta.values.nbytes
+    assert peak < 2.4 * net.theta.values.nbytes
     evaluator = harness.make_evaluator(harness.EvalCases(ds.load_tsv(test)),
                                        5, 0)
     assert json.loads(report.read_text()) == json.loads(json.dumps(

@@ -16,7 +16,7 @@ from treepatch.harness import (ConfigError, ExperimentConfig, RunReport,
                                cmd_compare, parity_step)
 from treepatch.model import (Checkpoint, TaggerModel, UnknownLabel,
                              load_checkpoint, predict_trees)
-from treepatch.regularizers import FisherAccumulator, MissingFisher, ParamLayout
+from treepatch.regularizers import FisherAccumulator, MissingFisher
 from treepatch.sampling import EpochPlans
 from treepatch.treebank import Node, ParseTree, serialize
 
@@ -292,15 +292,15 @@ class TestFinetune:
         """Checkpoints hold theta and the Fisher sums in memory order, and
         the norm form sums its terms in that order, so a fine-tune of any
         kind and form, from prev's model to its result, walks nothing in
-        file order (ParamLayout.file_blocks); only a file does. Checkpoints
-        in file order took 7 reorders, and a norm-form sum in file order
-        one a step."""
+        file order (model._staged); only a file does. Checkpoints in file
+        order took 7 reorders, and a norm-form sum in file order one a
+        step."""
         cfg = ExperimentConfig.from_dict(
             harness._deep_merge(SMALL, {"reg": reg}))
         calls = []
-        file_blocks = ParamLayout.file_blocks
-        monkeypatch.setattr(ParamLayout, "file_blocks", lambda *args, **kw:
-                            calls.append(args) or file_blocks(*args, **kw))
+        staged = model_module._staged
+        monkeypatch.setattr(model_module, "_staged", lambda *args, **kw:
+                            calls.append(args) or staged(*args, **kw))
         result, _ = harness.cmd_finetune(cfg, bundle, prev[0].best)
         assert result.total_steps > 0
         assert calls == []

@@ -7,6 +7,7 @@ import zlib
 from collections import Counter
 from itertools import chain
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -595,7 +596,7 @@ def test_row_sums_add_in_input_order():
     want = np.zeros((3, 1))
     for r, x in zip(row_of, X):
         want[r] += x
-    got = m._row_sums(row_of, X, 3)
+    got = m._row_sums(row_of, X, 3, {})
     assert got.tobytes() == want.tobytes()
     assert any(got[r] != X[row_of == r].sum(axis=0) for r in range(3))
 
@@ -1559,46 +1560,120 @@ def test_checkpoint_stores_heads_row_major(tmp_path):
                                   memory_order(net, fisher))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 6),
-       st.integers(1, 9))
-def test_file_blocks_walk_the_oracles_order(feature_dim, n_intents, n_slots,
-                                            block_rows):
-    """The model layout's file_blocks views of distinct values are views,
-    per head blocks of at most FILE_BLOCK_ROWS file rows, then the bias
-    row, whose transposes in turn are checkpoint_order's; writing a file's
-    values into them in turn undoes that, as memory_order does; and on a
-    layout of width-1 groups they walk memory order."""
+def model_case(feature_dim, n_intents, n_slots):
+    """A model's layout, distinct values in memory order and the same
+    values in checkpoint order."""
     net = TaggerModel([f"IN:{i}" for i in range(n_intents)],
                       [f"SL:{i}" for i in range(n_slots)], feature_dim)
-    layout = net.layout
-    values = np.arange(1.0, layout.size + 1)
+    values = np.arange(1.0, net.layout.size + 1)
+    return net.layout, values, checkpoint_order(net, values)
+
+
+# encoder: width 3, so its one row is its biases and its column blocks are
+# empty; intent_head: width 1; tag_head: width 2, two feature rows, then
+# its biases
+MIXED_CASE = (ParamLayout((("encoder", 3), ("intent_head", 2),
+                           ("tag_head", 6)), (3, 1, 2)),
+              np.arange(11.0),
+              np.array([0.0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.builds(model_case, st.integers(1, 40),
+                           st.integers(1, 6), st.integers(0, 6)),
+                 st.just(MIXED_CASE)),
+       st.integers(1, 9))
+@hypothesis.example(MIXED_CASE, 1)
+def test_staged_walks_the_oracles_order(case, block_rows):
+    """_staged's views of two arrays of distinct values are views, per
+    array and group blocks of at most FILE_BLOCK_ROWS file rows, then the
+    bias row, whose transposes in turn are the file's order (for a model,
+    checkpoint_order's), each with its part, of its transpose's shape, of
+    one buffer sized for the largest view; writing a file's values into
+    the parts and each part back into its view, in turn, undoes that; and
+    on a layout of width-1 groups they walk memory order."""
+    layout, values, saved_order = case
+    arrays = (values, values + layout.size)
+    outs = (np.empty_like(values), np.empty_like(values))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(regularizers, "FILE_BLOCK_ROWS", block_rows)
-        views = list(layout.file_blocks(values))
-        out = np.empty_like(values)
-        written = list(layout.file_blocks(out))
-    assert all(np.shares_memory(view, values) for view in views)
-    # per head: (feature_dim, k) blocks of at most block_rows file rows,
-    # then its (1, width) bias row
-    assert [view.shape for view in views] == [
-        shape for width in layout.widths for shape in
-        [(feature_dim, min(block_rows, width - first))
-         for first in range(0, width, block_rows)] + [(1, width)]]
+        patch.setattr(m, "FILE_BLOCK_ROWS", block_rows)
+        staged = m._staged(layout, arrays)
+        written = m._staged(layout, outs)
+        flat = m._staged(ParamLayout(layout.groups), (values,))
+    views = [view for view, _ in staged]
+    assert all(np.shares_memory(view, values) or np.shares_memory(
+        view, arrays[1]) for view in views if view.size)
+    # per group: (features, k) blocks of at most block_rows file rows, then
+    # its (1, width) bias row
+    assert [view.shape for view in views] == 2 * [
+        shape for rows in layout.rows(values) for shape in
+        [(len(rows) - 1, min(block_rows, rows.shape[1] - first))
+         for first in range(0, rows.shape[1], block_rows)]
+        + [(1, rows.shape[1])]]
+    buf = staged[0][1].base
+    assert buf.size == max(view.size for view in views)
+    assert all(part.base is buf and part.shape == view.shape[::-1]
+               for view, part in staged)
     saved = np.concatenate([view.T.ravel() for view in views])
-    np.testing.assert_array_equal(saved, checkpoint_order(net, values))
+    np.testing.assert_array_equal(
+        saved, np.concatenate([saved_order, saved_order + layout.size]))
     start = 0
-    for view in written:
-        view.T[...] = saved[start:start + view.size].reshape(view.T.shape)
-        start += view.size
-    np.testing.assert_array_equal(out, values)
+    for view, part in written:
+        part[...] = saved[start:start + part.size].reshape(part.shape)
+        view[...] = part.T
+        start += part.size
+    np.testing.assert_array_equal(np.concatenate(outs),
+                                  np.concatenate(arrays))
     np.testing.assert_array_equal(
-        np.concatenate([view.T.ravel() for view in layout.file_blocks(
-            memory_order(net, values))]), values)
-    flat = ParamLayout(layout.groups)
-    np.testing.assert_array_equal(
-        np.concatenate([view.T.ravel() for view in flat.file_blocks(values)]),
-        values)
+        np.concatenate([view.T.ravel() for view, _ in flat]), values)
+
+
+def special_values(values, specials):
+    """values with -0.0, the least subnormal and a NaN with a payload at
+    the indices `specials`."""
+    values = values.copy()
+    bits = values.view(np.uint64)
+    values[specials[0]] = -0.0
+    values[specials[1]] = 5e-324
+    bits[specials[2]] = 0x7FF8_0000_DEAD_BEEF
+    return values
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 6),
+       st.integers(1, 9))
+def test_save_and_load_keep_every_bit(tmp_path_factory, feature_dim,
+                                      n_intents, n_slots, block_rows):
+    """Bit for bit, on any shape and block size: a checkpoint's body is
+    checkpoint_order of theta, then of the Fisher sums; a load returns
+    arrays of the saved bytes; and saving the loaded checkpoint again
+    writes the same file. theta and the Fisher sums hold distinct values
+    and -0.0, a subnormal and a NaN with a payload, whose bits
+    assert_array_equal would not compare."""
+    net = TaggerModel([f"IN:{i}" for i in range(n_intents)],
+                      [f"SL:{i}" for i in range(n_slots)], feature_dim)
+    size = net.layout.size
+    ends = (0, size // 2, size - 1)
+    theta = special_values(np.arange(1.0, size + 1), ends)
+    fisher = special_values(np.arange(size + 1.0, 2 * size + 1), ends[::-1])
+    ckpt = Checkpoint(intents=net.intents, slots=net.slots,
+                      feature_dim=feature_dim, theta_values=theta,
+                      fisher_sum_sq=fisher, fisher_steps=2, step=5)
+    path = tmp_path_factory.mktemp("bits") / "c.ckpt"
+    again = path.with_name("again.ckpt")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(m, "FILE_BLOCK_ROWS", block_rows)
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        save_checkpoint(loaded, again)
+    payload = path.read_bytes()[len(m._MAGIC) + 32:]
+    header_len = int.from_bytes(payload[:8], "big")
+    assert payload[8 + header_len:] == (checkpoint_order(net, theta).tobytes()
+                                        + checkpoint_order(net, fisher)
+                                        .tobytes())
+    assert loaded.theta_values.tobytes() == theta.tobytes()
+    assert loaded.fisher_sum_sq.tobytes() == fisher.tobytes()
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_theta_of_other_row_widths_rejected():
@@ -1613,7 +1688,7 @@ def test_theta_of_other_row_widths_rejected():
 
 
 def test_save_checkpoint_copies_neither_array(tmp_path):
-    """On the default shape, each array's file_blocks views are transposed
+    """On the default shape, each array's _staged views are transposed
     into one buffer of at most FILE_BLOCK_ROWS file rows, then hashed and
     written from it, so the traced peak of a save stays below a quarter of
     theta. A theta-sized transpose buffer peaked at 1 theta, and joining

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treepatch import regularizers
+from treepatch import model, regularizers
 from treepatch.regularizers import (FisherAccumulator, LayoutMismatch,
                                     MissingAnchor, MissingFisher, ParamLayout,
                                     ParamVector, RegConfig, RegError,
@@ -41,9 +41,9 @@ def add_rows(values, grad):
 
 def file_order(layout, values):
     """Layout-sized values in memory order, as a checkpoint file stores
-    them: the transposes of their file_blocks views, in turn."""
+    them: the transposes of their model._staged views, in turn."""
     return np.concatenate([view.T.ravel()
-                           for view in layout.file_blocks(values)])
+                           for view, _ in model._staged(layout, (values,))])
 
 
 class TestLayout:
@@ -96,23 +96,6 @@ class TestLayout:
             [[5.0], [6.0], [7.0], [8.0]]]
         assert all(np.shares_memory(rows, values)
                    for rows in LAYOUT.rows(values))
-
-    def test_file_blocks_transpose_feature_rows_and_keep_biases(self,
-                                                               monkeypatch):
-        """encoder: width 3, so its one row is its biases; tag_head: width
-        2, two feature rows, then its biases, in blocks of one file row."""
-        monkeypatch.setattr(regularizers, "FILE_BLOCK_ROWS", 1)
-        layout = ParamLayout((("encoder", 3), ("intent_head", 2),
-                              ("tag_head", 6)), (3, 1, 2))
-        memory = np.arange(11.0)
-        views = list(layout.file_blocks(memory))
-        assert [view.shape for view in views] == [
-            (0, 1), (0, 1), (0, 1), (1, 3), (1, 1), (1, 1), (2, 1), (2, 1),
-            (1, 2)]
-        assert all(np.shares_memory(view, memory) for view in views
-                   if view.size)
-        np.testing.assert_array_equal(
-            file_order(layout, memory), [0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10])
 
 
 @pytest.mark.parametrize("kwargs, field", [
